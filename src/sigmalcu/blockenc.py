@@ -26,7 +26,6 @@ from .circuits import (
     CLOSED,
     OPEN,
     Circuit,
-    DenseUnitary,
     Gate,
     build_ul_circuit,
     controlled,
@@ -91,7 +90,7 @@ def prep_circuit(coeffs: list[complex]) -> Circuit:
     width = max(1, _selector_width(len(coeffs)))
     amplitudes = np.zeros(1 << width)
     amplitudes[: len(coeffs)] = np.sqrt(mags / lam)
-    gate = DenseUnitary(tuple(range(width)), _prep_matrix(amplitudes), "prep")
+    gate = Gate("dense", tuple(range(width)), matrix=_prep_matrix(amplitudes), label="prep")
     return Circuit(width, (gate,))
 
 
@@ -110,10 +109,10 @@ def _phase_gate(phase: complex, selector_value: int, width: int) -> Gate:
     degenerate selector the phase is global and lands on the ancilla."""
     if width == 0:
         matrix = phase * np.eye(2, dtype=complex)
-        return DenseUnitary((0,), matrix, "phase")
+        return Gate("dense", (0,), matrix=matrix, label="phase")
     diag = np.ones(1 << width, dtype=complex)
     diag[selector_value] = phase
-    return DenseUnitary(tuple(range(width)), np.diag(diag), f"phase{selector_value}")
+    return Gate("dense", tuple(range(width)), matrix=np.diag(diag), label=f"phase{selector_value}")
 
 
 def select_circuit(d: Decomposition) -> Circuit:
@@ -157,7 +156,7 @@ def assemble(d: Decomposition) -> BlockEncoding:
         gates.append(prep_gate)
         gates.extend(select.gates)
         gates.append(
-            DenseUnitary(prep_gate.targets, prep_gate.matrix.conj().T, "prep_dag")
+            Gate("dense", prep_gate.targets, matrix=prep_gate.matrix.conj().T, label="prep_dag")
         )
     else:
         gates.extend(select.gates)

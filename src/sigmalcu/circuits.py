@@ -15,114 +15,117 @@ on one extra ancilla qubit (the most significant wire):
   with one X gate and 2s + 1 multi-controlled X gates, where s counts the
   ladder factors.  Both circuits agree when s = 0.
 
-Multi-controlled X gates carry a polarity per control: a closed control
-fires on |1>, an open control on |0>.
+Every gate is one :class:`Gate` record: a kind (x, h, s, sdg, or dense
+with an explicit matrix) on its targets, fired when each control matches
+its polarity.  A closed control fires on |1>, an open control on |0>; an
+x with controls is a multi-controlled X.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _codec
 from .sigma import SigmaFactor, SigmaTerm, completion
 
 OPEN = "open"
 CLOSED = "closed"
 
-_SINGLE_QUBIT_KINDS = ("x", "h", "s", "sdg")
-
 UNITARY_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class SingleQubit:
-    kind: str  # "x" | "h" | "s" | "sdg"
-    target: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in _SINGLE_QUBIT_KINDS:
-            raise ValueError(f"unknown single-qubit gate {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class MCX:
-    """X on ``target`` conditioned on every control matching its polarity.
-
-    An empty control list is a plain X; builders normalize that case to
-    :class:`SingleQubit` at construction.
-    """
-
-    controls: tuple[tuple[int, str], ...]
-    target: int
-
-    def __post_init__(self) -> None:
-        qubits = [q for q, _ in self.controls] + [self.target]
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("repeated qubit in MCX gate")
-        for _, pol in self.controls:
-            if pol not in (OPEN, CLOSED):
-                raise ValueError(f"unknown polarity {pol!r}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.controls)
+SINGLE_QUBIT_MATRICES = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "s": np.diag([1, 1j]).astype(complex),
+    "sdg": np.diag([1, -1j]).astype(complex),
+}
 
 
 def _check_unitary(matrix: np.ndarray, dim: int, label: str) -> None:
     if matrix.shape != (dim, dim):
         raise ValueError(f"gate {label!r}: expected {dim}x{dim} matrix")
     defect = np.abs(matrix @ matrix.conj().T - np.eye(dim)).max()
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:  # also rejects NaN entries
         raise ValueError(f"gate {label!r} is not unitary (defect {defect:.2e})")
 
 
 @dataclass(frozen=True, eq=False)
-class DenseUnitary:
-    """Opaque unitary on an ordered qubit list; targets[0] is the most
-    significant bit of the gate's local index."""
+class Gate:
+    """``kind`` on ``targets``, conditioned on every control matching its
+    polarity.
 
+    x, h, s and sdg take one target and no matrix.  A dense gate's
+    ``matrix`` acts on the ordered targets, targets[0] being the most
+    significant bit of the gate's local index.  ``label`` defaults to the
+    kind, or to "U" for dense gates.
+    """
+
+    kind: str
     targets: tuple[int, ...]
-    matrix: np.ndarray
-    label: str = "U"
+    controls: tuple[tuple[int, str], ...] = ()
+    matrix: np.ndarray | None = None
+    label: str | None = None
 
     def __post_init__(self) -> None:
-        if len(set(self.targets)) != len(self.targets) or not self.targets:
-            raise ValueError("dense gate needs a nonempty list of distinct targets")
-        _check_unitary(self.matrix, 1 << len(self.targets), self.label)
+        if self.kind == "dense":
+            if not self.targets or self.matrix is None:
+                raise ValueError("dense gate needs a matrix and a nonempty list of targets")
+        elif self.kind not in SINGLE_QUBIT_MATRICES:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        elif len(self.targets) != 1 or self.matrix is not None:
+            raise ValueError(f"{self.kind} gate takes one target and no matrix")
+        qubits = self.qubits
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"repeated qubit in {self.kind} gate")
+        for _, pol in self.controls:
+            if pol not in (OPEN, CLOSED):
+                raise ValueError(f"unknown polarity {pol!r}")
+        if self.label is None:
+            object.__setattr__(self, "label", "U" if self.kind == "dense" else self.kind)
+        if self.kind == "dense":
+            _check_unitary(self.matrix, 1 << len(self.targets), self.label)
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        """Control qubits in order, then the targets."""
+        return tuple(q for q, _ in self.controls) + self.targets
+
+    @property
+    def target_matrix(self) -> np.ndarray:
+        """Matrix applied to the targets when the controls fire."""
+        return self.matrix if self.kind == "dense" else SINGLE_QUBIT_MATRICES[self.kind]
+
+    def _key(self) -> tuple:
+        return (self.kind, self.targets, self.controls, self.label)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Gate):
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False)
-class ControlledDense:
-    control: tuple[int, str]
-    targets: tuple[int, ...]
-    matrix: np.ndarray
-    label: str = "U"
-
-    def __post_init__(self) -> None:
-        qubits = [self.control[0], *self.targets]
-        if len(set(qubits)) != len(qubits) or not self.targets:
-            raise ValueError("controlled dense gate has repeated or missing qubits")
-        if self.control[1] not in (OPEN, CLOSED):
-            raise ValueError(f"unknown polarity {self.control[1]!r}")
-        _check_unitary(self.matrix, 1 << len(self.targets), self.label)
+def SingleQubit(kind: str, target: int) -> Gate:
+    return Gate(kind, (target,))
 
 
-Gate = Union[SingleQubit, MCX, DenseUnitary, ControlledDense]
+def MCX(controls: tuple[tuple[int, str], ...], target: int) -> Gate:
+    """X on ``target`` conditioned on every control; no controls is a plain X."""
+    return Gate("x", (target,), tuple(controls))
 
 
-def gate_qubits(g: Gate) -> tuple[int, ...]:
-    if isinstance(g, SingleQubit):
-        return (g.target,)
-    if isinstance(g, MCX):
-        return tuple(q for q, _ in g.controls) + (g.target,)
-    if isinstance(g, DenseUnitary):
-        return g.targets
-    if isinstance(g, ControlledDense):
-        return (g.control[0], *g.targets)
-    raise TypeError(f"unknown gate {g!r}")
+def DenseUnitary(targets: tuple[int, ...], matrix: np.ndarray, label: str = "U") -> Gate:
+    return Gate("dense", tuple(targets), (), matrix, label)
+
+
+def ControlledDense(
+    control: tuple[int, str], targets: tuple[int, ...], matrix: np.ndarray, label: str = "U"
+) -> Gate:
+    return Gate("dense", tuple(targets), (tuple(control),), matrix, label)
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ class Circuit:
         if self.n_qubits < 0:
             raise ValueError("n_qubits must be >= 0")
         for g in self.gates:
-            for q in gate_qubits(g):
+            for q in g.qubits:
                 if not (0 <= q < self.n_qubits):
                     raise ValueError(
                         f"gate qubit {q} outside register of width {self.n_qubits}"
@@ -152,25 +155,19 @@ class GateCount:
     dense: int
 
 
+def _file_kind(g: Gate) -> str:
+    """Kind a gate is counted and exported as: a named single-qubit gate,
+    mcx, or dense with its controls folded into the matrix."""
+    if g.controls:
+        return "mcx" if g.kind == "x" else "dense"
+    return g.kind
+
+
 def gate_count(c: Circuit) -> GateCount:
-    single = 0
-    arities = []
-    dense = 0
-    for g in c.gates:
-        if isinstance(g, SingleQubit):
-            single += 1
-        elif isinstance(g, MCX):
-            arities.append(g.arity)
-        else:
-            dense += 1
-    return GateCount(single, tuple(arities), dense)
-
-
-def _mcx_or_x(controls: tuple[tuple[int, str], ...], target: int) -> Gate:
-    """MCX with zero controls collapses to a plain X."""
-    if not controls:
-        return SingleQubit("x", target)
-    return MCX(controls, target)
+    kinds = [_file_kind(g) for g in c.gates]
+    arities = tuple(len(g.controls) for g, k in zip(c.gates, kinds) if k == "mcx")
+    dense = kinds.count("dense")
+    return GateCount(len(kinds) - len(arities) - dense, arities, dense)
 
 
 def _term_controls(term: SigmaTerm, offset: int) -> tuple[tuple[int, str], ...]:
@@ -201,9 +198,9 @@ def build_ul_circuit(term: SigmaTerm) -> Circuit:
     gates: list[Gate] = []
     for p, tag in enumerate(completion(term)):
         if tag == "X":
-            gates.append(SingleQubit("x", p + 1))
-    gates.append(SingleQubit("x", 0))
-    gates.append(_mcx_or_x(_term_controls(term, offset=1), 0))
+            gates.append(Gate("x", (p + 1,)))
+    gates.append(Gate("x", (0,)))
+    gates.append(Gate("x", (0,), _term_controls(term, offset=1)))
     return Circuit(n + 1, tuple(gates), frozenset({0}))
 
 
@@ -229,9 +226,9 @@ def _pattern_swap_gates(
         )
 
     if len(diff) == 1:
-        return [_mcx_or_x(controls_for(bits_a, diff[0]), diff[0])]
+        return [Gate("x", (diff[0],), controls_for(bits_a, diff[0]))]
     pivot = diff[0]
-    outer = _mcx_or_x(controls_for(bits_a, pivot), pivot)
+    outer = Gate("x", (pivot,), controls_for(bits_a, pivot))
     flipped = dict(bits_a)
     flipped[pivot] = 1 - flipped[pivot]
     inner = _pattern_swap_gates(active, flipped, bits_b)
@@ -276,44 +273,24 @@ def build_dilation_circuit(term: SigmaTerm) -> Circuit:
         active.append(p + 1)
         bits_row[p + 1] = row_bit
         bits_col[p + 1] = col_bit
-    gates: list[Gate] = [SingleQubit("x", 0)]
+    gates: list[Gate] = [Gate("x", (0,))]
     gates.extend(_pattern_swap_gates(tuple(active), bits_row, bits_col))
     return Circuit(n + 1, tuple(gates), frozenset({0}))
 
 
-def _fold_control_into_matrix(g: ControlledDense) -> DenseUnitary:
-    """Equivalent dense gate on [control] + targets with a block-diagonal
-    matrix; the control becomes the most significant local bit."""
-    dim = g.matrix.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    if g.control[1] == CLOSED:
-        blocks = (eye, g.matrix)
-    else:
-        blocks = (g.matrix, eye)
-    big = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    big[:dim, :dim] = blocks[0]
-    big[dim:, dim:] = blocks[1]
-    return DenseUnitary((g.control[0], *g.targets), big, g.label)
-
-
-def _controlled_gate(g: Gate, control: int, polarity: str) -> Gate:
-    if isinstance(g, SingleQubit):
-        if g.kind == "x":
-            return MCX(((control, polarity),), g.target)
-        matrix = {
-            "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-            "s": np.diag([1, 1j]).astype(complex),
-            "sdg": np.diag([1, -1j]).astype(complex),
-        }[g.kind]
-        return ControlledDense((control, polarity), (g.target,), matrix, g.kind)
-    if isinstance(g, MCX):
-        return MCX(((control, polarity), *g.controls), g.target)
-    if isinstance(g, DenseUnitary):
-        return ControlledDense((control, polarity), g.targets, g.matrix, g.label)
-    if isinstance(g, ControlledDense):
-        folded = _fold_control_into_matrix(g)
-        return ControlledDense((control, polarity), folded.targets, folded.matrix, folded.label)
-    raise TypeError(f"unknown gate {g!r}")
+def _folded_matrix(g: Gate) -> np.ndarray:
+    """Dense equivalent of ``g`` on ``g.qubits``: each control, innermost
+    first, becomes the most significant bit of a block-diagonal matrix.
+    Used for file export; the simulator applies controls by slicing."""
+    matrix = g.target_matrix
+    for _, pol in reversed(g.controls):
+        dim = matrix.shape[0]
+        eye = np.eye(dim, dtype=complex)
+        lower, upper = (eye, matrix) if pol == CLOSED else (matrix, eye)
+        matrix = np.zeros((2 * dim, 2 * dim), dtype=complex)
+        matrix[:dim, :dim] = lower
+        matrix[dim:, dim:] = upper
+    return matrix
 
 
 def controlled(c: Circuit, control: int, polarity: str) -> Circuit:
@@ -328,9 +305,9 @@ def controlled(c: Circuit, control: int, polarity: str) -> Circuit:
     if polarity not in (OPEN, CLOSED):
         raise ValueError(f"unknown polarity {polarity!r}")
     for g in c.gates:
-        if control in gate_qubits(g):
+        if control in g.qubits:
             raise ValueError(f"control qubit {control} already used by {g!r}")
-    gates = tuple(_controlled_gate(g, control, polarity) for g in c.gates)
+    gates = tuple(replace(g, controls=((control, polarity), *g.controls)) for g in c.gates)
     return Circuit(c.n_qubits, gates, c.ancillas)
 
 
@@ -339,111 +316,79 @@ def embedded(c: Circuit, n_qubits: int, offset: int) -> Circuit:
     ``offset``."""
     if offset < 0 or c.n_qubits + offset > n_qubits:
         raise ValueError("embedded circuit does not fit the target register")
-
-    def shift(g: Gate) -> Gate:
-        if isinstance(g, SingleQubit):
-            return SingleQubit(g.kind, g.target + offset)
-        if isinstance(g, MCX):
-            return MCX(tuple((q + offset, pol) for q, pol in g.controls), g.target + offset)
-        if isinstance(g, DenseUnitary):
-            return DenseUnitary(tuple(q + offset for q in g.targets), g.matrix, g.label)
-        if isinstance(g, ControlledDense):
-            return ControlledDense(
-                (g.control[0] + offset, g.control[1]),
-                tuple(q + offset for q in g.targets),
-                g.matrix,
-                g.label,
-            )
-        raise TypeError(f"unknown gate {g!r}")
-
-    return Circuit(
-        n_qubits,
-        tuple(shift(g) for g in c.gates),
-        frozenset(q + offset for q in c.ancillas),
+    gates = tuple(
+        replace(
+            g,
+            targets=tuple(q + offset for q in g.targets),
+            controls=tuple((q + offset, pol) for q, pol in g.controls),
+        )
+        for g in c.gates
     )
+    return Circuit(n_qubits, gates, frozenset(q + offset for q in c.ancillas))
 
 
-def _matrix_to_json(matrix: np.ndarray) -> list[list[float]]:
-    flat = matrix.reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
+def _gate_to_json(g: Gate) -> dict:
+    kind = _file_kind(g)
+    if kind == "mcx":
+        return {
+            "kind": "mcx",
+            "controls": [{"q": q, "pol": pol} for q, pol in g.controls],
+            "target": g.targets[0],
+        }
+    if kind == "dense":
+        return {
+            "kind": "dense",
+            "targets": list(g.qubits),
+            "label": g.label,
+            "matrix": _codec.complex_pairs(_folded_matrix(g).reshape(-1)),
+        }
+    return {"kind": kind, "target": g.targets[0]}
 
 
-def _matrix_from_json(pairs: list[list[float]], dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs])
-    if flat.size != dim * dim:
-        raise ValueError(f"matrix payload has {flat.size} entries, expected {dim * dim}")
-    return flat.reshape(dim, dim)
+def _gate_from_json(item: dict) -> Gate:
+    kind = _codec.field(item, "kind", str)
+    if kind == "mcx":
+        controls = tuple(
+            (_codec.field(c, "q", int), _codec.field(c, "pol", str))
+            for c in _codec.field(item, "controls", list)
+        )
+        return Gate("x", (_codec.field(item, "target", int),), controls)
+    if kind == "dense":
+        targets = _codec.int_tuple(item, "targets")
+        matrix = _codec.complex_matrix(_codec.field(item, "matrix", list), 1 << len(targets))
+        return Gate("dense", targets, (), matrix, _codec.field(item, "label", str, "U"))
+    return Gate(kind, (_codec.field(item, "target", int),))
 
 
 def circuit_to_json_dict(c: Circuit) -> dict:
     """JSON form of the gate list.
 
     Dense matrices are row-major lists of [re, im] pairs.  A controlled
-    dense gate is exported as the equivalent dense gate on
-    [control] + targets, so every file uses only the x/h/s/sdg, mcx, and
-    dense kinds.
+    gate other than X is exported as the equivalent dense gate on
+    controls + targets, so every file uses only the x/h/s/sdg, mcx, and
+    dense kinds; an X without controls is stored as x.
     """
-    gates = []
-    for g in c.gates:
-        if isinstance(g, SingleQubit):
-            gates.append({"kind": g.kind, "target": g.target})
-        elif isinstance(g, MCX):
-            gates.append(
-                {
-                    "kind": "mcx",
-                    "controls": [{"q": q, "pol": pol} for q, pol in g.controls],
-                    "target": g.target,
-                }
-            )
-        else:
-            if isinstance(g, ControlledDense):
-                g = _fold_control_into_matrix(g)
-            gates.append(
-                {
-                    "kind": "dense",
-                    "targets": list(g.targets),
-                    "label": g.label,
-                    "matrix": _matrix_to_json(g.matrix),
-                }
-            )
     return {
         "n_qubits": c.n_qubits,
         "ancillas": sorted(c.ancillas),
-        "gates": gates,
+        "gates": [_gate_to_json(g) for g in c.gates],
     }
 
 
 def circuit_from_json_dict(data: dict) -> Circuit:
-    gates: list[Gate] = []
-    for item in data["gates"]:
-        kind = item["kind"]
-        if kind in _SINGLE_QUBIT_KINDS:
-            gates.append(SingleQubit(kind, int(item["target"])))
-        elif kind == "mcx":
-            controls = tuple((int(c["q"]), c["pol"]) for c in item["controls"])
-            gates.append(_mcx_or_x(controls, int(item["target"])))
-        elif kind == "dense":
-            targets = tuple(int(q) for q in item["targets"])
-            matrix = _matrix_from_json(item["matrix"], 1 << len(targets))
-            gates.append(DenseUnitary(targets, matrix, item.get("label", "U")))
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
     return Circuit(
-        int(data["n_qubits"]),
-        tuple(gates),
-        frozenset(int(q) for q in data.get("ancillas", [])),
+        _codec.field(data, "n_qubits", int),
+        tuple(_gate_from_json(item) for item in _codec.field(data, "gates", list)),
+        frozenset(_codec.int_tuple(data, "ancillas", [])),
     )
 
 
 def save_circuit(c: Circuit, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(circuit_to_json_dict(c), fh, indent=1)
-        fh.write("\n")
+    _codec.write_json(path, circuit_to_json_dict(c), indent=1)
 
 
 def load_circuit(path: str) -> Circuit:
-    with open(path, "r", encoding="ascii") as fh:
-        return circuit_from_json_dict(json.load(fh))
+    return circuit_from_json_dict(_codec.read_json(path))
 
 
 def to_qasm(c: Circuit) -> str:
@@ -457,23 +402,14 @@ def to_qasm(c: Circuit) -> str:
         f"qreg q[{c.n_qubits}];",
     ]
     for g in c.gates:
-        if isinstance(g, SingleQubit):
-            lines.append(f"{g.kind} q[{g.target}];")
-        elif isinstance(g, MCX):
-            open_controls = [q for q, pol in g.controls if pol == OPEN]
-            for q in open_controls:
-                lines.append(f"x q[{q}];")
-            args = ",".join(f"q[{q}]" for q, _ in g.controls) + f",q[{g.target}]"
-            name = {0: "x", 1: "cx", 2: "ccx"}.get(g.arity, "mcx")
-            if g.arity == 0:
-                lines.append(f"x q[{g.target}];")
-            else:
-                lines.append(f"{name} {args};")
-            for q in open_controls:
-                lines.append(f"x q[{q}];")
+        kind = _file_kind(g)
+        qubits = ",".join(f"q[{q}]" for q in g.qubits)
+        if kind == "dense":
+            lines.append(f"// dense gate {g.label} on {qubits}")
+        elif kind == "mcx":
+            flips = [f"x q[{q}];" for q, pol in g.controls if pol == OPEN]
+            name = {1: "cx", 2: "ccx"}.get(len(g.controls), "mcx")
+            lines += [*flips, f"{name} {qubits};", *flips]
         else:
-            if isinstance(g, ControlledDense):
-                g = _fold_control_into_matrix(g)
-            targets = ",".join(f"q[{q}]" for q in g.targets)
-            lines.append(f"// dense gate {g.label} on {targets}")
+            lines.append(f"{kind} {qubits};")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blockenc, pauli, pde, sigma
+from . import _codec, blockenc, pauli, pde, sigma
 from .circuits import (
     build_dilation_circuit,
     build_ul_circuit,
@@ -38,24 +38,18 @@ HEAT_WAVE_GRID = ((2, 2), (2, 3), (3, 3), (3, 4))  # n_x(n_t) = 4(4), 4(8), 8(8)
 
 
 def load_oracle(path: str, label: str) -> StateOracle:
-    with open(path, "r", encoding="ascii") as fh:
-        data = json.load(fh)
-    pairs = data["matrix"]
-    dim = int(round(len(pairs) ** 0.5))
-    matrix = np.array([complex(re, im) for re, im in pairs]).reshape(dim, dim)
-    return StateOracle(matrix, data.get("label", label))
+    data = _codec.read_json(path)
+    matrix = _codec.complex_matrix(_codec.field(data, "matrix", list))
+    return StateOracle(matrix, _codec.field(data, "label", str, label))
 
 
 def save_oracle(oracle: StateOracle, path: str) -> None:
-    flat = oracle.matrix.reshape(-1)
     payload = {
         "n_qubits": oracle.n_qubits,
         "label": oracle.label,
-        "matrix": [[float(v.real), float(v.imag)] for v in flat],
+        "matrix": _codec.complex_pairs(oracle.matrix.reshape(-1)),
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    _codec.write_json(path, payload)
 
 
 def _generate_system(args: argparse.Namespace) -> pde.PdeSystem:
@@ -96,13 +90,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     save_matrix_market(system.matrix, str(outdir / "matrix.mtx"))
     sigma.save_decomposition(system.decomposition, str(outdir / "decomposition.json"))
     if system.rhs is not None:
-        payload = {
-            "length": int(system.rhs.size),
-            "values": [[float(v.real), float(v.imag)] for v in system.rhs],
-        }
-        with open(outdir / "rhs.json", "w", encoding="ascii") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        payload = {"length": int(system.rhs.size), "values": _codec.complex_pairs(system.rhs)}
+        _codec.write_json(outdir / "rhs.json", payload)
     n_x = 1 << args.s
     n_t = "" if args.family == "poisson" else 1 << args.t
     pauli_terms = ""
@@ -311,13 +300,9 @@ def cmd_block_encode(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     save_circuit(encoding.overall, str(outdir / "block_encoding.json"))
     report = blockenc.verify_block_encoding(encoding)
-    with open(outdir / "verification.json", "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+    _codec.write_json(outdir / "verification.json", report, indent=1)
     resources = blockenc.resource_report(decomposition, args.epsilon)
-    with open(outdir / "resources.json", "w", encoding="ascii") as fh:
-        json.dump(resources, fh, indent=1)
-        fh.write("\n")
+    _codec.write_json(outdir / "resources.json", resources, indent=1)
     print(
         f"lambda: {report['lambda']:.6g}  frobenius_error: {report['frobenius_error']:.3e}  "
         f"qubits: {report['qubits']}"

@@ -23,13 +23,11 @@ from .circuits import (
     CLOSED,
     OPEN,
     Circuit,
-    ControlledDense,
     Gate,
-    SingleQubit,
+    _check_unitary,
     build_ul_circuit,
     controlled,
     embedded,
-    _check_unitary,
 )
 from .sigma import Decomposition, SigmaTerm
 from .simulate import ancilla_probs, run, zero_state
@@ -72,18 +70,34 @@ def _controlled_term_gates(term: SigmaTerm, width: int, polarity: str) -> tuple[
 
 
 def _hadamard_test_circuit(
-    u: StateOracle, v: StateOracle, term: SigmaTerm, imaginary: bool
+    u: StateOracle,
+    v: StateOracle,
+    term: SigmaTerm,
+    imaginary: bool,
+    m: StateOracle | None = None,
+    ti: SigmaTerm | None = None,
 ) -> Circuit:
-    n = term.n_qubits
-    width = n + 2
+    """Interference circuit for <0| U^dag T V |0>, or with an observable
+    ``m`` and left term ``ti`` for <0| U^dag Ti^t M T V |0>.
+
+    Both share the prefix H, optional S^dag, controlled V, open-controlled
+    U, controlled T on a0; the sandwich inserts the doubly controlled M and
+    the open-controlled Ti before the closing H.
+    """
+    width = term.n_qubits + 2
     system = tuple(range(2, width))
-    gates: list[Gate] = [SingleQubit("h", 0)]
+    gates = [Gate("h", (0,))]
     if imaginary:
-        gates.append(SingleQubit("sdg", 0))
-    gates.append(ControlledDense((0, CLOSED), system, v.matrix, v.label))
-    gates.append(ControlledDense((0, OPEN), system, u.matrix, u.label))
+        gates.append(Gate("sdg", (0,)))
+    gates.append(Gate("dense", system, ((0, CLOSED),), v.matrix, v.label))
+    gates.append(Gate("dense", system, ((0, OPEN),), u.matrix, u.label))
     gates.extend(_controlled_term_gates(term, width, CLOSED))
-    gates.append(SingleQubit("h", 0))
+    if m is not None:
+        # Observable fires on a0 = 1 and a1 = 0, i.e. on the branch holding
+        # T |psi2> rather than its completion remainder.
+        gates.append(Gate("dense", system, ((0, CLOSED), (1, OPEN)), m.matrix, m.label))
+        gates.extend(_controlled_term_gates(ti, width, OPEN))
+    gates.append(Gate("h", (0,)))
     return Circuit(width, tuple(gates), frozenset({0, 1}))
 
 
@@ -104,32 +118,6 @@ def expval_term(u: StateOracle, v: StateOracle, term: SigmaTerm) -> complex:
     return complex(re, im)
 
 
-def _sandwich_circuit(
-    u: StateOracle,
-    v: StateOracle,
-    m: StateOracle,
-    ti: SigmaTerm,
-    tj: SigmaTerm,
-    imaginary: bool,
-) -> Circuit:
-    n = ti.n_qubits
-    width = n + 2
-    system = tuple(range(2, width))
-    gates: list[Gate] = [SingleQubit("h", 0)]
-    if imaginary:
-        gates.append(SingleQubit("sdg", 0))
-    gates.append(ControlledDense((0, CLOSED), system, v.matrix, v.label))
-    gates.append(ControlledDense((0, OPEN), system, u.matrix, u.label))
-    gates.extend(_controlled_term_gates(tj, width, CLOSED))
-    # Observable fires on a0 = 1 and a1 = 0, i.e. on the branch holding
-    # Tj |psi2> rather than its completion remainder.
-    inner = ControlledDense((1, OPEN), system, m.matrix, m.label)
-    gates.append(controlled(Circuit(width, (inner,)), 0, CLOSED).gates[0])
-    gates.extend(_controlled_term_gates(ti, width, OPEN))
-    gates.append(SingleQubit("h", 0))
-    return Circuit(width, tuple(gates), frozenset({0, 1}))
-
-
 def expval_sandwich(
     u: StateOracle,
     v: StateOracle,
@@ -142,10 +130,10 @@ def expval_sandwich(
         raise ValueError("terms act on different register widths")
     _check_width(ti.n_qubits, u, v, m)
     re = _interference_value(
-        _ancilla_distribution(_sandwich_circuit(u, v, m, ti, tj, False))
+        _ancilla_distribution(_hadamard_test_circuit(u, v, tj, False, m, ti))
     )
     im = _interference_value(
-        _ancilla_distribution(_sandwich_circuit(u, v, m, ti, tj, True))
+        _ancilla_distribution(_hadamard_test_circuit(u, v, tj, True, m, ti))
     )
     return complex(re, im)
 

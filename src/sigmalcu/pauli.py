@@ -8,11 +8,11 @@ qubit, indexed by the (row_bit, col_bit) pair at that position.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _codec
 from .matrices import SparseMatrix
 
 PAULI_QUBIT_LIMIT = 10  # 4**n inner products; fine at desk scale
@@ -112,13 +112,7 @@ def to_json_dict(pd: PauliDecomposition) -> dict:
 
 def from_json_dict(data: dict) -> PauliDecomposition:
     terms = tuple(
-        PauliTerm(complex(item["re"], item["im"]), item["factors"])
-        for item in data["terms"]
+        PauliTerm(_codec.complex_field(item), _codec.field(item, "factors", str))
+        for item in _codec.field(data, "terms", list)
     )
-    return PauliDecomposition(int(data["n_qubits"]), terms)
-
-
-def save_pauli(pd: PauliDecomposition, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(to_json_dict(pd), fh, indent=1)
-        fh.write("\n")
+    return PauliDecomposition(_codec.field(data, "n_qubits", int), terms)

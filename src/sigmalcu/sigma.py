@@ -20,13 +20,13 @@ position 0 first (most significant qubit):
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 import numpy as np
 
+from . import _codec
 from .matrices import ZERO_TOL, SparseMatrix
 
 
@@ -269,20 +269,17 @@ def to_json_dict(d: Decomposition) -> dict:
 
 
 def from_json_dict(data: dict) -> Decomposition:
-    n = int(data["n_qubits"])
+    n = _codec.field(data, "n_qubits", int)
     terms = [
-        SigmaTerm.from_string(complex(item["re"], item["im"]), item["factors"])
-        for item in data["terms"]
+        SigmaTerm.from_string(_codec.complex_field(item), _codec.field(item, "factors", str))
+        for item in _codec.field(data, "terms", list)
     ]
     return Decomposition.build(n, terms)
 
 
 def save_decomposition(d: Decomposition, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(to_json_dict(d), fh, indent=1)
-        fh.write("\n")
+    _codec.write_json(path, to_json_dict(d), indent=1)
 
 
 def load_decomposition(path: str) -> Decomposition:
-    with open(path, "r", encoding="ascii") as fh:
-        return from_json_dict(json.load(fh))
+    return from_json_dict(_codec.read_json(path))

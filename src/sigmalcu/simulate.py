@@ -13,28 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    CLOSED,
-    Circuit,
-    ControlledDense,
-    DenseUnitary,
-    Gate,
-    MCX,
-    SingleQubit,
-    _fold_control_into_matrix,
-    gate_qubits,
-)
+from .circuits import CLOSED, Circuit, Gate
 
 MATRIX_QUBIT_LIMIT = 12
 
 NORM_TOL = 1e-10
-
-_SINGLE_QUBIT_MATRICES = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "s": np.diag([1, 1j]).astype(complex),
-    "sdg": np.diag([1, -1j]).astype(complex),
-}
 
 
 @dataclass(frozen=True)
@@ -78,33 +61,30 @@ def _apply_dense(tensor: np.ndarray, targets: tuple[int, ...], matrix: np.ndarra
 
 
 def _apply_to_tensor(tensor: np.ndarray, g: Gate) -> np.ndarray:
-    """Gate application on a state tensor of shape [2]*n + [batch]."""
-    if isinstance(g, SingleQubit):
-        return _apply_dense(tensor, (g.target,), _SINGLE_QUBIT_MATRICES[g.kind])
-    if isinstance(g, MCX):
-        n_axes = tensor.ndim
-        idx0: list = [slice(None)] * n_axes
-        idx1: list = [slice(None)] * n_axes
-        for q, pol in g.controls:
-            bit = 1 if pol == CLOSED else 0
-            idx0[q] = bit
-            idx1[q] = bit
-        idx0[g.target] = 0
-        idx1[g.target] = 1
-        out = tensor.copy()
-        out[tuple(idx0)] = tensor[tuple(idx1)]
-        out[tuple(idx1)] = tensor[tuple(idx0)]
-        return out
-    if isinstance(g, DenseUnitary):
-        return _apply_dense(tensor, g.targets, g.matrix)
-    if isinstance(g, ControlledDense):
-        folded = _fold_control_into_matrix(g)
-        return _apply_dense(tensor, folded.targets, folded.matrix)
-    raise TypeError(f"unknown gate {g!r}")
+    """Gate application on a state tensor of shape [2]*n + [batch].
+
+    Only the sub-tensor where every control matches its polarity changes:
+    an X swaps its two target slices there, any other kind multiplies its
+    matrix onto the target axes.
+    """
+    index = [slice(None)] * tensor.ndim
+    for q, pol in g.controls:
+        bit = 1 if pol == CLOSED else 0
+        index[q] = slice(bit, bit + 1)
+    index = tuple(index)
+    if g.kind == "x":
+        new = np.flip(tensor[index], axis=g.targets[0])
+    else:
+        new = _apply_dense(tensor[index], g.targets, g.target_matrix)
+        if not g.controls:
+            return new
+    out = tensor.copy()
+    out[index] = new
+    return out
 
 
 def apply_gate(s: StateVector, g: Gate) -> StateVector:
-    for q in gate_qubits(g):
+    for q in g.qubits:
         if not (0 <= q < s.n_qubits):
             raise ValueError(f"gate qubit {q} outside {s.n_qubits}-qubit state")
     tensor = s.amplitudes.reshape([2] * s.n_qubits + [1])

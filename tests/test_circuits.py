@@ -290,3 +290,9 @@ def test_embedded_shifts_everything():
     )
     with pytest.raises(ValueError, match="fit"):
         embedded(circuit, 2, offset=1)
+
+
+def test_zero_control_mcx_is_plain_x():
+    assert MCX((), 0) == SingleQubit("x", 0)
+    data = circuit_to_json_dict(Circuit(1, (MCX((), 0),)))
+    assert data["gates"] == [{"kind": "x", "target": 0}]

@@ -1,14 +1,27 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sigmalcu.circuits import build_ul_circuit, save_circuit
+from sigmalcu.circuits import (
+    Circuit,
+    DenseUnitary,
+    build_ul_circuit,
+    circuit_to_json_dict,
+    save_circuit,
+)
 from sigmalcu.cli import main, save_oracle
 from sigmalcu.expectation import StateOracle
 from sigmalcu.matrices import SparseMatrix, load_matrix_market, save_matrix_market
-from sigmalcu.sigma import load_decomposition
+from sigmalcu.sigma import SigmaTerm, load_decomposition
 
 
 CORNER_PAIR_MTX = (
@@ -318,3 +331,210 @@ def test_block_encode(tmp_path, capsys):
 def test_missing_file_is_validation_error(tmp_path, capsys):
     assert main(["decompose", "--in", str(tmp_path / "nope.mtx"), "--out", "d.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Malformed input files: every schema violation is an input error (exit 1)
+# reported on a single stderr line, never a traceback.
+
+VALID_DECOMPOSITION = {
+    "n_qubits": 2,
+    "terms": [
+        {"re": 1.0, "im": 0.5, "factors": "PM"},
+        {"re": -1, "im": 0, "factors": "AI"},
+    ],
+}
+DECOMPOSITION_FIELDS = [
+    ((), "object"),
+    (("n_qubits",), "int"),
+    (("terms",), "list"),
+    (("terms", 1), "object"),
+    (("terms", 0, "re"), "float"),
+    (("terms", 1, "im"), "float"),
+    (("terms", 0, "factors"), "str"),
+]
+VALID_ORACLE = {
+    "n_qubits": 2,
+    "label": "U",
+    "matrix": [[1.0 if r == c else 0.0, 0.0] for r in range(4) for c in range(4)],
+}
+ORACLE_FIELDS = [
+    ((), "object"),
+    (("label",), "str"),
+    (("matrix",), "list"),
+    (("matrix", 5), "pair"),
+]
+CIRCUIT_FIELDS = [
+    ((), "object"),
+    (("n_qubits",), "int"),
+    (("ancillas",), "list"),
+    (("gates",), "list"),
+    (("gates", 0), "object"),
+    (("gates", 0, "kind"), "str"),
+    (("gates", 0, "target"), "int"),
+    (("gates", 3, "controls"), "list"),
+    (("gates", 3, "controls", 0), "object"),
+    (("gates", 3, "controls", 0, "q"), "int"),
+    (("gates", 3, "controls", 0, "pol"), "str"),
+    (("gates", 4, "targets"), "list"),
+    (("gates", 4, "label"), "str"),
+    (("gates", 4, "matrix"), "list"),
+    (("gates", 4, "matrix", 1), "pair"),
+]
+OPTIONAL_FIELDS = {("label",), ("ancillas",), ("gates", 4, "label")}
+
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-3, 3),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=3),
+    # Two-element lists are left out: they could form a valid [re, im] pair.
+    "list": st.lists(st.integers(-3, 3), max_size=3).filter(lambda v: len(v) != 2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+ACCEPTED = {
+    "int": {"int"},
+    "float": {"int", "float"},
+    "str": {"str"},
+    "list": {"list"},
+    "object": {"object"},
+    "pair": set(),
+}
+DELETE = object()
+
+
+def wrong_value(kind):
+    return st.one_of(*(s for name, s in JSON_VALUES.items() if name not in ACCEPTED[kind]))
+
+
+@st.composite
+def malformed(draw, valid, fields):
+    """A copy of ``valid`` with one field given a value of the wrong JSON
+    type, or with one required field removed."""
+    path, kind = draw(st.sampled_from(fields))
+    removable = path and not isinstance(path[-1], int) and path not in OPTIONAL_FIELDS
+    value = draw(st.just(DELETE) | wrong_value(kind) if removable else wrong_value(kind))
+    if not path:
+        return value
+    data = copy.deepcopy(valid)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_input_error(argv):
+    code, err = run_cli(argv)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["verify", "expval", "block-encode"])
+@settings(max_examples=40, deadline=None)
+@given(payload=malformed(VALID_DECOMPOSITION, DECOMPOSITION_FIELDS))
+def test_malformed_decomposition_exits_1(command, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        decomp = write_json(tmp / "d.json", payload)
+        oracle = write_json(tmp / "u.json", VALID_ORACLE)
+        argv = {
+            "verify": ["verify", "--decomp", decomp],
+            "expval": ["expval", "--decomp", decomp, "--u", oracle, "--v", oracle],
+            "block-encode": ["block-encode", "--decomp", decomp, "--outdir", str(tmp / "be")],
+        }[command]
+        assert_input_error(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    payload=malformed(VALID_ORACLE, ORACLE_FIELDS),
+    role=st.sampled_from(["--u", "--v", "--m"]),
+)
+def test_malformed_oracle_exits_1(payload, role):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        decomp = write_json(tmp / "d.json", VALID_DECOMPOSITION)
+        good = write_json(tmp / "good.json", VALID_ORACLE)
+        bad = write_json(tmp / "bad.json", payload)
+        roles = {"--u": good, "--v": good, "--m": good, role: bad}
+        argv = ["expval", "--decomp", decomp]
+        for flag, path in roles.items():
+            argv += [flag, path]
+        assert_input_error(argv)
+
+
+def valid_circuit():
+    term = SigmaTerm.from_string(1.0, "PM")
+    gates = build_ul_circuit(term).gates + (DenseUnitary((1,), np.eye(2, dtype=complex), "id"),)
+    return circuit_to_json_dict(Circuit(3, gates, frozenset({0})))
+
+
+def test_valid_circuit_fixture_verifies(tmp_path):
+    circuit_dir = tmp_path / "circuits"
+    circuit_dir.mkdir()
+    decomp = write_json(tmp_path / "d.json", {"n_qubits": 2, "terms": [{"re": 1, "im": 0, "factors": "PM"}]})
+    write_json(circuit_dir / "term_000.json", valid_circuit())
+    code, err = run_cli(["verify", "--decomp", decomp, "--circuits", str(circuit_dir)])
+    assert code == 0 and err == ""
+
+
+@settings(max_examples=80, deadline=None)
+@given(payload=malformed(valid_circuit(), CIRCUIT_FIELDS))
+def test_malformed_circuit_exits_1(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        circuit_dir = tmp / "circuits"
+        circuit_dir.mkdir()
+        write_json(circuit_dir / "term_000.json", payload)
+        decomp = write_json(tmp / "d.json", {"n_qubits": 2, "terms": [{"re": 1, "im": 0, "factors": "PM"}]})
+        assert_input_error(["verify", "--decomp", decomp, "--circuits", str(circuit_dir)])
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("decomposition", {"n_qubits": 2, "terms": 5}),
+        ("decomposition", {"n_qubits": 2, "terms": [{"re": "1", "im": 0, "factors": "PM"}]}),
+        ("decomposition", [{"n_qubits": 2, "terms": []}]),
+        ("decomposition", {"n_qubits": 2, "terms": [{"re": 1, "im": 0, "factors": 7}]}),
+        ("oracle", {"label": "U", "matrix": 5}),
+        (
+            "circuit",
+            {"n_qubits": 3, "gates": [{"kind": "mcx", "controls": 5, "target": 0}]},
+        ),
+        ("decomposition", "{\"n_qubits\": 2, \"terms\": [{\"re\": NaN, \"im\": 0, \"factors\": \"PM\"}]}"),
+        ("oracle", "[[not json"),
+        ("oracle", "[" * 100000 + "]" * 100000),
+    ],
+)
+def test_malformed_examples_exit_1(tmp_path, command, payload):
+    good_decomp = {"n_qubits": 2, "terms": [{"re": 1, "im": 0, "factors": "PM"}]}
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    decomp = str(bad) if command == "decomposition" else write_json(tmp_path / "d.json", good_decomp)
+    oracle = str(bad) if command == "oracle" else write_json(tmp_path / "u.json", VALID_ORACLE)
+    argv = ["expval", "--decomp", decomp, "--u", oracle, "--v", oracle]
+    if command == "circuit":
+        circuit_dir = tmp_path / "circuits"
+        circuit_dir.mkdir()
+        bad.rename(circuit_dir / "term_000.json")
+        argv = ["verify", "--decomp", decomp, "--circuits", str(circuit_dir)]
+    assert_input_error(argv)

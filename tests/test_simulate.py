@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from sigmalcu.circuits import (
     CLOSED,
     OPEN,
+    SINGLE_QUBIT_MATRICES,
     Circuit,
     ControlledDense,
     DenseUnitary,
+    Gate,
     MCX,
     SingleQubit,
     build_ul_circuit,
+    controlled,
+    embedded,
 )
 from sigmalcu.sigma import SigmaTerm, SigmaFactor, completion_matrix, term_matrix
 from sigmalcu.simulate import (
@@ -225,3 +232,74 @@ def test_state_vector_validation():
         StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="amplitudes"):
         StateVector(2, np.array([1.0, 0.0]))
+
+
+# Slow reference: every gate becomes a dense matrix on its qubits (controls
+# folded in as block-diagonal factors, innermost control first), lifted to
+# the full register by a basis permutation.
+
+
+def folded_matrix(g):
+    matrix = g.matrix if g.kind == "dense" else SINGLE_QUBIT_MATRICES[g.kind]
+    for _, pol in reversed(g.controls):
+        eye = np.eye(matrix.shape[0])
+        matrix = block_diag(eye, matrix) if pol == CLOSED else block_diag(matrix, eye)
+    return matrix
+
+
+def lifted_matrix(g, n):
+    qubits = list(g.qubits)
+    order = qubits + [q for q in range(n) if q not in qubits]
+    wide = np.kron(folded_matrix(g), np.eye(1 << (n - len(qubits))))
+    # perm[i] = index of basis state i with its bits listed in ``order``
+    perm = np.zeros(1 << n, dtype=int)
+    for i in range(1 << n):
+        for q in order:
+            perm[i] = (perm[i] << 1) | ((i >> (n - 1 - q)) & 1)
+    return wide[np.ix_(perm, perm)]
+
+
+@st.composite
+def random_gates(draw, n):
+    kind = draw(st.sampled_from(["x", "h", "s", "sdg", "dense"]))
+    n_targets = draw(st.integers(1, min(3, n))) if kind == "dense" else 1
+    n_controls = draw(st.integers(0, min(3, n - n_targets)))
+    qubits = draw(st.permutations(range(n)))[: n_targets + n_controls]
+    pols = draw(st.lists(st.sampled_from([OPEN, CLOSED]), min_size=n_controls, max_size=n_controls))
+    matrix = None
+    if kind == "dense":
+        seed = draw(st.integers(0, 2**32 - 1))
+        matrix = random_unitary(np.random.default_rng(seed), 1 << n_targets)
+    return Gate(kind, tuple(qubits[:n_targets]), tuple(zip(qubits[n_targets:], pols)), matrix)
+
+
+@st.composite
+def random_circuits(draw, min_qubits=1):
+    n = draw(st.integers(min_qubits, 5))
+    gates = draw(st.lists(random_gates(n), min_size=1, max_size=4))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_simulator_matches_folded_reference(circuit, seed):
+    n = circuit.n_qubits
+    state = random_state(np.random.default_rng(seed), n)
+    expected_unitary = np.eye(1 << n, dtype=complex)
+    for g in circuit.gates:
+        lifted = lifted_matrix(g, n)
+        assert np.allclose(apply_gate(state, g).amplitudes, lifted @ state.amplitudes, atol=1e-12)
+        expected_unitary = lifted @ expected_unitary
+    assert np.allclose(circuit_to_matrix(circuit), expected_unitary, atol=1e-12)
+    assert np.allclose(run(circuit, state).amplitudes, expected_unitary @ state.amplitudes, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=random_circuits(), polarity=st.sampled_from([OPEN, CLOSED]))
+def test_controlled_embedded_is_block_diagonal(circuit, polarity):
+    inner = circuit_to_matrix(circuit)
+    eye = np.eye(inner.shape[0])
+    wide = embedded(circuit, circuit.n_qubits + 1, offset=1)
+    got = circuit_to_matrix(controlled(wide, 0, polarity))
+    expected = block_diag(eye, inner) if polarity == CLOSED else block_diag(inner, eye)
+    assert np.allclose(got, expected, atol=1e-12)
