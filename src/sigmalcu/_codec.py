@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .matrices import _require_power_of_two
+
 _MISSING = object()
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
@@ -75,10 +77,9 @@ def complex_matrix(pairs: list, dim: int | None = None) -> np.ndarray:
     ``dim`` the side is inferred and must be a power of two."""
     if dim is None:
         dim = math.isqrt(len(pairs))
-        if dim == 0 or dim * dim != len(pairs) or dim & (dim - 1):
-            raise ValueError(
-                f"matrix of {len(pairs)} entries is not square with a power-of-two side"
-            )
+        if dim * dim != len(pairs):
+            raise ValueError(f"matrix of {len(pairs)} entries is not square")
+        _require_power_of_two(dim)
     elif len(pairs) != dim * dim:
         raise ValueError(f"matrix payload has {len(pairs)} entries, expected {dim * dim}")
     try:

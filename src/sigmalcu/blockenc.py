@@ -148,19 +148,12 @@ def assemble(d: Decomposition) -> BlockEncoding:
             f"block encoding needs {total} qubits, above the {MATRIX_QUBIT_LIMIT}-qubit guard"
         )
     lam = float(sum(abs(t.coeff) for t in d.terms))
-    select = select_circuit(d)
-    gates: list[Gate] = []
+    gates = select_circuit(d).gates
     if width > 0:
-        prep = embedded(prep_circuit([t.coeff for t in d.terms]), total, offset=0)
-        prep_gate = prep.gates[0]
-        gates.append(prep_gate)
-        gates.extend(select.gates)
-        gates.append(
-            Gate("dense", prep_gate.targets, matrix=prep_gate.matrix.conj().T, label="prep_dag")
-        )
-    else:
-        gates.extend(select.gates)
-    overall = Circuit(total, tuple(gates), frozenset(range(width + 1)))
+        prep = prep_circuit([t.coeff for t in d.terms]).gates[0]
+        prep_dag = Gate("dense", prep.targets, matrix=prep.matrix.conj().T, label="prep_dag")
+        gates = (prep, *gates, prep_dag)
+    overall = Circuit(total, gates, frozenset(range(width + 1)))
     return BlockEncoding(width, d.n_qubits, lam, overall, d)
 
 

@@ -177,13 +177,11 @@ def _term_controls(term: SigmaTerm, offset: int) -> tuple[tuple[int, str], ...]:
     those with row bit 0 (s+, s+s-) open controls; identity factors need
     no control.
     """
-    controls = []
-    for p, f in enumerate(term.factors):
-        if f in (SigmaFactor.SMINUS, SigmaFactor.SMSP):
-            controls.append((offset + p, CLOSED))
-        elif f in (SigmaFactor.SPLUS, SigmaFactor.SPSM):
-            controls.append((offset + p, OPEN))
-    return tuple(controls)
+    return tuple(
+        (offset + p, CLOSED if f.bit_pairs[0][0] else OPEN)
+        for p, f in enumerate(term.factors)
+        if f is not SigmaFactor.IDENT
+    )
 
 
 def build_ul_circuit(term: SigmaTerm) -> Circuit:

@@ -25,8 +25,8 @@ from .circuits import (
     to_qasm,
 )
 from .expectation import StateOracle, expval_sandwich, expval_term, sample_expval
-from .matrices import ZERO_TOL, load_matrix_market, save_matrix_market
-from .sigma import SigmaTerm, term_matrix
+from .matrices import ZERO_TOL, _require_power_of_two, load_matrix_market, save_matrix_market
+from .sigma import SigmaFactor, SigmaTerm, term_matrix
 from .simulate import circuit_to_matrix
 
 EXIT_OK = 0
@@ -52,23 +52,21 @@ def save_oracle(oracle: StateOracle, path: str) -> None:
     _codec.write_json(path, payload)
 
 
-def _generate_system(args: argparse.Namespace) -> pde.PdeSystem:
-    if args.family == "poisson":
-        return pde.poisson_1d(args.s)
-    if args.family == "heat":
-        params = pde.HeatParams(
-            s=args.s,
-            t=args.t,
-            alpha=args.alpha,
-            length=args.length,
-            T=args.final_time,
-            q_flux=args.q_flux,
-            k_cond=args.k_cond,
-            robin_w1=args.w1,
-            robin_w2=args.w2,
+def _generate_system(
+    family: str, s: int, t: int | None, args: argparse.Namespace | None = None
+) -> pde.PdeSystem:
+    """System of one grid point.  ``args`` carries generate's physical
+    options; without it every option keeps its library default."""
+    if family == "poisson":
+        return pde.poisson_1d(s)
+    if family == "heat":
+        options = {} if args is None else dict(
+            alpha=args.alpha, length=args.length, T=args.final_time, q_flux=args.q_flux,
+            k_cond=args.k_cond, robin_w1=args.w1, robin_w2=args.w2,
         )
-        return pde.heat_1d(params)
-    return pde.wave_1d(args.s, args.t, c=args.wave_speed, length=args.length, T=args.final_time)
+        return pde.heat_1d(pde.HeatParams(s, t, **options))
+    options = {} if args is None else dict(c=args.wave_speed, length=args.length, T=args.final_time)
+    return pde.wave_1d(s, t, **options)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -84,7 +82,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.family in ("heat", "wave") and args.t is None:
         raise ValueError(f"--t is required for the {args.family} family")
-    system = _generate_system(args)
+    system = _generate_system(args.family, args.s, args.t, args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_matrix_market(system.matrix, str(outdir / "matrix.mtx"))
@@ -136,31 +134,16 @@ def _parse_compare_range(family: str, text: str | None) -> list[tuple[int, int |
                 raise ValueError(f"expected n_x(n_t) grid point, got {chunk!r}")
             n_x = int(chunk[: chunk.index("(")])
             n_t = int(chunk[chunk.index("(") + 1 : -1])
-        s = n_x.bit_length() - 1
-        if (1 << s) != n_x:
-            raise ValueError(f"n_x = {n_x} is not a power of two")
-        if family == "poisson":
-            points.append((s, None))
-        else:
-            t = n_t.bit_length() - 1
-            if (1 << t) != n_t:
-                raise ValueError(f"n_t = {n_t} is not a power of two")
-            points.append((s, t))
+        s = _require_power_of_two(n_x)
+        points.append((s, None if family == "poisson" else _require_power_of_two(n_t)))
     return points
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for s, t in _parse_compare_range(args.family, args.range):
-        if args.family == "poisson":
-            system = pde.poisson_1d(s)
-            n_t = ""
-        elif args.family == "heat":
-            system = pde.heat_1d(pde.HeatParams(s=s, t=t))
-            n_t = 1 << t
-        else:
-            system = pde.wave_1d(s, t)
-            n_t = 1 << t
+        system = _generate_system(args.family, s, t)
+        n_t = "" if t is None else 1 << t
         pauli_terms = len(pauli.decompose_pauli(system.matrix))
         rows.append([args.family, 1 << s, n_t, len(system.decomposition), pauli_terms])
     lines = [["family", "n_x", "n_t", "sigma_terms", "pauli_terms"]] + rows
@@ -192,7 +175,7 @@ def _verify_term(
     if not np.array_equal(actual, expected):
         return False, "matrix does not match completion block structure"
     counts = gate_count(circuit)
-    k = sum(1 for f in term.factors if f.value == "I")
+    k = sum(1 for f in term.factors if f is SigmaFactor.IDENT)
     if circuit_dir is None:
         if counts.single_qubit > n + 1:
             return False, f"{counts.single_qubit} single-qubit gates exceeds n + 1"
@@ -202,16 +185,16 @@ def _verify_term(
         ok, msg = _verify_dilation(term, actual, block)
         if not ok:
             return False, msg
-    note = " (identity circuit)" if all(f.value == "I" for f in term.factors) else ""
+    note = " (identity circuit)" if k == n else ""
     return True, f"ok{note}"
 
 
 def _verify_dilation(term: SigmaTerm, completion_matrix: np.ndarray, block: np.ndarray) -> tuple[bool, str]:
     circuit = build_dilation_circuit(term)
-    s = sum(1 for f in term.factors if f.value in "PM")
+    s = sum(1 for f in term.factors if f.is_ladder)
     counts = gate_count(circuit)
     # The all-identity term normalizes its single zero-control gate to X.
-    expected_mcx = 0 if all(f.value == "I" for f in term.factors) else 2 * s + 1
+    expected_mcx = 0 if all(f is SigmaFactor.IDENT for f in term.factors) else 2 * s + 1
     if len(counts.mcx) != expected_mcx:
         return False, f"dilation used {len(counts.mcx)} multi-controlled X, expected {expected_mcx}"
     matrix = circuit_to_matrix(circuit)

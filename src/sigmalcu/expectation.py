@@ -29,6 +29,7 @@ from .circuits import (
     controlled,
     embedded,
 )
+from .matrices import _require_power_of_two
 from .sigma import Decomposition, SigmaTerm
 from .simulate import ancilla_probs, run, zero_state
 
@@ -43,9 +44,7 @@ class StateOracle:
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=complex)
         dim = matrix.shape[0] if matrix.ndim == 2 else 0
-        n = max(dim, 1).bit_length() - 1
-        if dim == 0 or (1 << n) != dim:
-            raise ValueError("oracle matrix dimension must be a power of two")
+        _require_power_of_two(dim)
         _check_unitary(matrix, dim, self.label)
         object.__setattr__(self, "matrix", matrix)
 

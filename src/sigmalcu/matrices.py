@@ -156,15 +156,10 @@ def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
 
 def save_matrix_market(m: SparseMatrix, path: str) -> None:
     """Write coordinate Matrix Market; complex field iff any imaginary part."""
-    if m.nnz:
-        keys = sorted(m.entries)
-        rows = np.array([k[0] for k in keys])
-        cols = np.array([k[1] for k in keys])
-        data = np.array([m.entries[k] for k in keys])
-    else:
-        rows = np.array([], dtype=int)
-        cols = np.array([], dtype=int)
-        data = np.array([], dtype=complex)
+    keys = sorted(m.entries)
+    rows = np.array([k[0] for k in keys], dtype=int)
+    cols = np.array([k[1] for k in keys], dtype=int)
+    data = np.array([m.entries[k] for k in keys])
     if not np.any(np.abs(data.imag) > 0):
         data = data.real
     coo = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(m.dim, m.dim))

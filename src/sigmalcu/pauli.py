@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _codec
 from .matrices import SparseMatrix
 
 PAULI_QUBIT_LIMIT = 10  # 4**n inner products; fine at desk scale
@@ -27,15 +26,7 @@ PAULI_MATRICES = {
 }
 
 # Row k: values of Pauli k at bit pairs (0,0), (0,1), (1,0), (1,1).
-_PAULI_AT_PAIR = np.array(
-    [
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-        [0, -1j, 1j, 0],
-        [1, 0, 0, -1],
-    ],
-    dtype=complex,
-)
+_PAULI_AT_PAIR = np.array([PAULI_MATRICES[ch].reshape(-1) for ch in PAULI_CHARS])
 
 
 @dataclass(frozen=True)
@@ -98,21 +89,3 @@ def pauli_reconstruct(pd: PauliDecomposition) -> np.ndarray:
     for t in pd.terms:
         out += t.coeff * pauli_matrix(t.factors)
     return out
-
-
-def to_json_dict(pd: PauliDecomposition) -> dict:
-    return {
-        "n_qubits": pd.n_qubits,
-        "terms": [
-            {"re": t.coeff.real, "im": t.coeff.imag, "factors": t.factors}
-            for t in pd.terms
-        ],
-    }
-
-
-def from_json_dict(data: dict) -> PauliDecomposition:
-    terms = tuple(
-        PauliTerm(_codec.complex_field(item), _codec.field(item, "factors", str))
-        for item in _codec.field(data, "terms", list)
-    )
-    return PauliDecomposition(_codec.field(data, "n_qubits", int), terms)

@@ -51,7 +51,7 @@ class SigmaFactor(Enum):
     @property
     def is_ladder(self) -> bool:
         """True for s+ and s-, the factors completed by X."""
-        return self in (SigmaFactor.SPLUS, SigmaFactor.SMINUS)
+        return self in _LADDER_FACTORS
 
 
 _FACTOR_MATRICES = {
@@ -62,22 +62,22 @@ _FACTOR_MATRICES = {
     SigmaFactor.SMSP: np.array([[0, 0], [0, 1]], dtype=complex),
 }
 
+# Derived from the matrices once, at import: bit_pairs is read on the
+# circuit builders' hot path.
 _FACTOR_BIT_PAIRS = {
-    SigmaFactor.IDENT: ((0, 0), (1, 1)),
-    SigmaFactor.SPLUS: ((0, 1),),
-    SigmaFactor.SMINUS: ((1, 0),),
-    SigmaFactor.SPSM: ((0, 0),),
-    SigmaFactor.SMSP: ((1, 1),),
+    f: tuple((int(r), int(c)) for r, c in zip(*np.nonzero(m)))
+    for f, m in _FACTOR_MATRICES.items()
 }
 
 # Factor carrying a 1 at (row_bit, col_bit); the single-entry decomposition
 # of a matrix places one of these per qubit.
 FACTOR_FROM_BITS = {
-    (0, 0): SigmaFactor.SPSM,
-    (0, 1): SigmaFactor.SPLUS,
-    (1, 0): SigmaFactor.SMINUS,
-    (1, 1): SigmaFactor.SMSP,
+    pairs[0]: f for f, pairs in _FACTOR_BIT_PAIRS.items() if len(pairs) == 1
 }
+
+_LADDER_FACTORS = frozenset(
+    f for f, pairs in _FACTOR_BIT_PAIRS.items() if all(r != c for r, c in pairs)
+)
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,8 @@ class Decomposition:
     terms: tuple[SigmaTerm, ...]
 
     def __post_init__(self) -> None:
+        if self.n_qubits < 1:
+            raise ValueError("n_qubits must be >= 1")
         seen = set()
         for t in self.terms:
             if t.n_qubits != self.n_qubits:
@@ -227,9 +229,11 @@ def merge_terms(d: Decomposition) -> Decomposition:
     strings differ at exactly one position holding {s+s-, s-s+} collapse to
     one term with identity there (|0><0| + |1><1| = I).
 
-    Scans positions left to right and candidate strings in lexicographic
-    order until a fixpoint.  Reconstruction is preserved exactly and the
-    term count never increases; minimality is not claimed.
+    Scans positions left to right until a fixpoint.  At one position every
+    s+s- string has exactly one s-s+ partner and no other merge there
+    touches either, so the order of the candidates does not matter.
+    Reconstruction is preserved exactly and the term count never
+    increases; minimality is not claimed.
     """
     coeffs: dict[tuple[SigmaFactor, ...], complex] = {
         t.factors: t.coeff for t in d.terms
@@ -238,9 +242,7 @@ def merge_terms(d: Decomposition) -> Decomposition:
     while changed:
         changed = False
         for p in range(d.n_qubits):
-            for factors in sorted(coeffs, key=lambda fs: "".join(f.value for f in fs)):
-                if factors not in coeffs or factors[p] is not SigmaFactor.SPSM:
-                    continue
+            for factors in [fs for fs in coeffs if fs[p] is SigmaFactor.SPSM]:
                 partner = factors[:p] + (SigmaFactor.SMSP,) + factors[p + 1 :]
                 if partner not in coeffs or coeffs[partner] != coeffs[factors]:
                     continue
@@ -282,4 +284,7 @@ def save_decomposition(d: Decomposition, path: str) -> None:
 
 
 def load_decomposition(path: str) -> Decomposition:
-    return from_json_dict(_codec.read_json(path))
+    d = from_json_dict(_codec.read_json(path))
+    if not d.terms:
+        raise ValueError(f"decomposition {path} has no terms")
+    return d

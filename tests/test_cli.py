@@ -439,6 +439,7 @@ def assert_input_error(argv):
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return err
 
 
 def write_json(path, payload):
@@ -446,20 +447,32 @@ def write_json(path, payload):
     return str(path)
 
 
+def decomposition_argv(command, tmp, payload):
+    """argv running ``command`` on a decomposition file holding ``payload``."""
+    decomp = write_json(tmp / "d.json", payload)
+    oracle = write_json(tmp / "u.json", VALID_ORACLE)
+    return {
+        "verify": ["verify", "--decomp", decomp],
+        "expval": ["expval", "--decomp", decomp, "--u", oracle, "--v", oracle],
+        "block-encode": ["block-encode", "--decomp", decomp, "--outdir", str(tmp / "be")],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["verify", "expval", "block-encode"])
 @settings(max_examples=40, deadline=None)
 @given(payload=malformed(VALID_DECOMPOSITION, DECOMPOSITION_FIELDS))
 def test_malformed_decomposition_exits_1(command, payload):
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        decomp = write_json(tmp / "d.json", payload)
-        oracle = write_json(tmp / "u.json", VALID_ORACLE)
-        argv = {
-            "verify": ["verify", "--decomp", decomp],
-            "expval": ["expval", "--decomp", decomp, "--u", oracle, "--v", oracle],
-            "block-encode": ["block-encode", "--decomp", decomp, "--outdir", str(tmp / "be")],
-        }[command]
-        assert_input_error(argv)
+        assert_input_error(decomposition_argv(command, Path(tmp), payload))
+
+
+@pytest.mark.parametrize("command", ["verify", "expval", "block-encode"])
+@pytest.mark.parametrize(
+    "payload, reason",
+    [({"n_qubits": -3, "terms": []}, "n_qubits"), ({"n_qubits": 2, "terms": []}, "no terms")],
+)
+def test_decomposition_without_terms_or_width_exits_1(tmp_path, command, payload, reason):
+    assert reason in assert_input_error(decomposition_argv(command, tmp_path, payload))
 
 
 @settings(max_examples=60, deadline=None)

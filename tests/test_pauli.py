@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from sigmalcu.matrices import SparseMatrix, frobenius_distance
-from sigmalcu.pauli import (
-    decompose_pauli,
-    from_json_dict,
-    pauli_matrix,
-    pauli_reconstruct,
-    to_json_dict,
-)
+from sigmalcu.pauli import decompose_pauli, pauli_matrix, pauli_reconstruct
 
 CORNER_PAIR = SparseMatrix.from_entries(2, [(0, 3, 1.0), (3, 0, 2.0)])
 
@@ -64,9 +58,3 @@ def test_pauli_matrix_position_zero_most_significant():
     zx = pauli_matrix("ZX")
     direct = np.kron(np.diag([1, -1]), np.array([[0, 1], [1, 0]]))
     assert np.array_equal(zx, direct.astype(complex))
-
-
-def test_json_round_trip():
-    pd = decompose_pauli(CORNER_PAIR)
-    again = from_json_dict(to_json_dict(pd))
-    assert again == pd

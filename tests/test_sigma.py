@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmalcu.matrices import SparseMatrix
 from sigmalcu.sigma import (
@@ -170,6 +172,58 @@ def test_merge_preserves_reconstruct_and_count():
         merged = merge_terms(d)
         assert len(merged) <= len(d)
         assert reconstruct(merged) == m
+
+
+def merge_terms_sorted_reference(d):
+    """Slow reference for ``merge_terms``: the loop as first written, which
+    re-sorts every candidate string at each position of each pass."""
+    coeffs = {t.factors: t.coeff for t in d.terms}
+    changed = True
+    while changed:
+        changed = False
+        for p in range(d.n_qubits):
+            for factors in sorted(coeffs, key=lambda fs: "".join(f.value for f in fs)):
+                if factors not in coeffs or factors[p] is not A:
+                    continue
+                partner = factors[:p] + (B,) + factors[p + 1 :]
+                if partner not in coeffs or coeffs[partner] != coeffs[factors]:
+                    continue
+                coeff = coeffs.pop(factors)
+                coeffs.pop(partner)
+                merged = factors[:p] + (I,) + factors[p + 1 :]
+                total = coeffs.get(merged, 0j) + coeff
+                if abs(total) > 1e-14:
+                    coeffs[merged] = total
+                elif merged in coeffs:
+                    coeffs.pop(merged)
+                changed = True
+    return Decomposition.build(d.n_qubits, (SigmaTerm(c, fs) for fs, c in coeffs.items()))
+
+
+@st.composite
+def decompositions_with_repeated_coefficients(draw):
+    n = draw(st.integers(1, 3))
+    # Few factors, few coefficients and distinct strings (no summing), so
+    # that most draws hold mergeable pairs and some merges cancel an
+    # existing identity string.
+    factors = st.lists(st.sampled_from([A, B, I, P]), min_size=n, max_size=n)
+    coeffs = st.sampled_from([1.0, -1.0, 0.5j])
+    terms = draw(st.dictionaries(factors.map(tuple), coeffs, max_size=16))
+    return Decomposition.build(n, (SigmaTerm(c, fs) for fs, c in terms.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=decompositions_with_repeated_coefficients())
+def test_merge_matches_sorted_reference(d):
+    assert merge_terms(d) == merge_terms_sorted_reference(d)
+
+
+def test_merge_needs_second_pass():
+    d = Decomposition.build(
+        2, [SigmaTerm(1.0, (A, A)), SigmaTerm(1.0, (A, B)), SigmaTerm(1.0, (B, I))]
+    )
+    expected = Decomposition(2, (SigmaTerm(1.0, (I, I)),))
+    assert merge_terms(d) == merge_terms_sorted_reference(d) == expected
 
 
 def test_completion_examples():
