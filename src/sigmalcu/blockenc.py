@@ -38,6 +38,10 @@ from .simulate import MATRIX_QUBIT_LIMIT, circuit_to_matrix
 
 PHASE_TOL = 1e-14
 
+# Largest Frobenius distance between the extracted block and A / lambda
+# that counts as an exact encoding.
+BLOCK_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BlockEncoding:
@@ -159,10 +163,14 @@ def assemble(d: Decomposition) -> BlockEncoding:
 
 def verify_block_encoding(be: BlockEncoding) -> dict:
     """Extract the zero-selector, zero-ancilla block of W and compare it to
-    the reconstructed matrix over lambda."""
+    the reconstructed matrix over lambda.
+
+    Selector and ancilla are the most significant qubits, so the block's
+    inputs are the first 2^n basis states and only those columns of W are
+    simulated.
+    """
     dim = 1 << be.system_qubits
-    w = circuit_to_matrix(be.overall)
-    block = w[:dim, :dim]
+    block = circuit_to_matrix(be.overall, columns=dim)[:dim]
     target = reconstruct(be.decomposition).to_dense() / be.lam
     return {
         "lambda": be.lam,

@@ -290,6 +290,8 @@ def cmd_block_encode(args: argparse.Namespace) -> int:
         f"lambda: {report['lambda']:.6g}  frobenius_error: {report['frobenius_error']:.3e}  "
         f"qubits: {report['qubits']}"
     )
+    if not report["frobenius_error"] <= blockenc.BLOCK_TOL:
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

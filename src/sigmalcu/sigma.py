@@ -215,12 +215,18 @@ def completion(t: SigmaTerm) -> list[str]:
 
 
 def completion_matrix(t: SigmaTerm) -> np.ndarray:
-    """Dense Kronecker product of :func:`completion` (a permutation matrix)."""
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    out = np.array([[1]], dtype=complex)
-    for tag in completion(t):
-        out = np.kron(out, x if tag == "X" else eye)
+    """Dense Kronecker product of :func:`completion` (a permutation matrix).
+
+    The product flips the bit of every ladder position, so column c has
+    its one at row c ^ mask, with mask holding those bits.
+    """
+    mask = 0
+    for f in t.factors:
+        mask = (mask << 1) | f.is_ladder
+    dim = 1 << t.n_qubits
+    cols = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[cols ^ mask, cols] = 1.0
     return out
 
 

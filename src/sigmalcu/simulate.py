@@ -104,18 +104,47 @@ def run(c: Circuit, initial: StateVector) -> StateVector:
     return state
 
 
-def circuit_to_matrix(c: Circuit) -> np.ndarray:
-    """Full unitary of the circuit; column j is the image of basis state j."""
+def circuit_to_matrix(c: Circuit, columns: int | None = None) -> np.ndarray:
+    """Unitary of the circuit, or its first ``columns`` columns; column j
+    is the image of basis state j.
+
+    A circuit of X and MCX gates only is a permutation, so its basis
+    indices are mapped through the gates with bit masks and ones are
+    scattered into place; any other gate list evolves the identity columns
+    gate by gate.
+    """
     n = c.n_qubits
     if n > MATRIX_QUBIT_LIMIT:
         raise ValueError(
             f"circuit_to_matrix limited to {MATRIX_QUBIT_LIMIT} qubits, got {n}"
         )
     dim = 1 << n
-    tensor = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+    k = dim if columns is None else columns
+    if not 0 <= k <= dim:
+        raise ValueError(f"cannot extract {k} columns of a {dim}-dimensional unitary")
+    if all(g.kind == "x" for g in c.gates):
+        out = np.zeros((dim, k), dtype=complex)
+        out[_permuted_indices(c.gates, n, k), np.arange(k)] = 1.0
+        return out
+    tensor = np.eye(dim, k, dtype=complex).reshape([2] * n + [k])
     for g in c.gates:
         tensor = _apply_to_tensor(tensor, g)
-    return tensor.reshape(dim, dim)
+    return tensor.reshape(dim, k)
+
+
+def _permuted_indices(gates: tuple[Gate, ...], n: int, k: int) -> np.ndarray:
+    """Images of basis states 0 .. k-1 under X/MCX gates: each gate flips
+    its target bit wherever every control matches its polarity."""
+    index = np.arange(k)
+    for g in gates:
+        mask = pattern = 0
+        for q, pol in g.controls:
+            mask |= 1 << (n - 1 - q)
+            if pol == CLOSED:
+                pattern |= 1 << (n - 1 - q)
+        fires = (index & mask) == pattern
+        index[fires] ^= 1 << (n - 1 - g.targets[0])
+    return index
 
 
 def ancilla_probs(s: StateVector, ancillas: list[int]) -> dict[str, float]:

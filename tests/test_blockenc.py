@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmalcu.blockenc import (
+    BLOCK_TOL,
     assemble,
     prep_circuit,
     resource_report,
     select_circuit,
     verify_block_encoding,
 )
+from sigmalcu.matrices import frobenius_distance
 from sigmalcu.pde import HeatParams, heat_1d, poisson_1d, wave_1d
-from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm
+from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, reconstruct
 from sigmalcu.simulate import circuit_to_matrix, run, zero_state
 
 I, P, M, A, B = (
@@ -191,3 +195,24 @@ def test_resource_report_epsilon_guard():
     d = Decomposition.build(1, [SigmaTerm(1.0, (I,))])
     with pytest.raises(ValueError, match="epsilon"):
         resource_report(d, epsilon=2.0)
+
+
+@st.composite
+def small_decompositions(draw):
+    n = draw(st.integers(1, 3))
+    factors = st.lists(st.sampled_from([I, P, M, A, B]), min_size=n, max_size=n).map(tuple)
+    coeffs = st.complex_numbers(min_magnitude=0.1, max_magnitude=4, allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(factors, coeffs, min_size=1, max_size=6))
+    return Decomposition.build(n, (SigmaTerm(c, fs) for fs, c in terms.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_decompositions())
+def test_column_restricted_check_matches_full_matrix(d):
+    encoding = assemble(d)
+    report = verify_block_encoding(encoding)
+    dim = 1 << d.n_qubits
+    block = circuit_to_matrix(encoding.overall)[:dim, :dim]
+    full_error = frobenius_distance(block, reconstruct(d).to_dense() / encoding.lam)
+    assert abs(report["frobenius_error"] - full_error) <= 1e-15
+    assert report["frobenius_error"] <= BLOCK_TOL

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmalcu import blockenc
 from sigmalcu.circuits import (
     Circuit,
     DenseUnitary,
@@ -325,6 +326,25 @@ def test_block_encode(tmp_path, capsys):
     )
     resources = json.loads((bedir / "resources.json").read_text())
     assert resources["L"] == 5
+    assert (bedir / "block_encoding.json").exists()
+
+
+def test_block_encode_exits_2_above_tolerance(tmp_path, capsys, monkeypatch):
+    outdir = tmp_path / "sys"
+    main(["generate", "--family", "poisson", "--s", "2", "--outdir", str(outdir)])
+    capsys.readouterr()
+    # Compare the encoded block against twice the true target.
+    true_reconstruct = blockenc.reconstruct
+    monkeypatch.setattr(blockenc, "reconstruct", lambda d: SparseMatrix.from_dense(2 * true_reconstruct(d).to_dense()))
+    bedir = tmp_path / "be"
+    code = main(
+        ["block-encode", "--decomp", str(outdir / "decomposition.json"), "--outdir", str(bedir)]
+    )
+    assert code == 2
+    report = json.loads((bedir / "verification.json").read_text())
+    assert report["frobenius_error"] > blockenc.BLOCK_TOL
+    assert f"frobenius_error: {report['frobenius_error']:.3e}" in capsys.readouterr().out
+    assert (bedir / "resources.json").exists()
     assert (bedir / "block_encoding.json").exists()
 
 

@@ -276,3 +276,23 @@ def test_json_round_trip(tmp_path):
     path = str(tmp_path / "d.json")
     save_decomposition(d, path)
     assert load_decomposition(path) == d
+
+
+def kron_completion_matrix(term):
+    """Slow reference: the Kronecker product of the per-position completion
+    factors."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    out = np.array([[1]], dtype=complex)
+    for tag in completion(term):
+        out = np.kron(out, x if tag == "X" else np.eye(2, dtype=complex))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors=st.lists(st.sampled_from([I, P, M, A, B]), min_size=1, max_size=8))
+def test_completion_matrix_matches_kron_reference(factors):
+    term = SigmaTerm(1.0, tuple(factors))
+    got = completion_matrix(term)
+    expected = kron_completion_matrix(term)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

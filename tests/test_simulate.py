@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -21,6 +21,7 @@ from sigmalcu.circuits import (
 from sigmalcu.sigma import SigmaTerm, SigmaFactor, completion_matrix, term_matrix
 from sigmalcu.simulate import (
     StateVector,
+    _apply_to_tensor,
     ancilla_probs,
     apply_gate,
     basis_state,
@@ -303,3 +304,55 @@ def test_controlled_embedded_is_block_diagonal(circuit, polarity):
     got = circuit_to_matrix(controlled(wide, 0, polarity))
     expected = block_diag(eye, inner) if polarity == CLOSED else block_diag(inner, eye)
     assert np.allclose(got, expected, atol=1e-12)
+
+
+# Slow reference for the fast paths of circuit_to_matrix: evolve every
+# column of the identity through the gates, one tensor pass per gate.
+
+
+def tensor_loop_matrix(c):
+    n = c.n_qubits
+    dim = 1 << n
+    tensor = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+    for g in c.gates:
+        tensor = _apply_to_tensor(tensor, g)
+    return tensor.reshape(dim, dim)
+
+
+@st.composite
+def x_mcx_circuits(draw):
+    n = draw(st.integers(1, 6))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        qubits = draw(st.permutations(range(n)))
+        n_controls = draw(st.integers(0, n - 1))
+        pols = draw(st.lists(st.sampled_from([OPEN, CLOSED]), min_size=n_controls, max_size=n_controls))
+        gates.append(Gate("x", (qubits[0],), tuple(zip(qubits[1 : n_controls + 1], pols))))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=x_mcx_circuits(), fraction=st.floats(0, 1))
+@example(circuit=Circuit(3, ()), fraction=1.0)
+@example(circuit=Circuit(2, (Gate("x", (1,)),)), fraction=0.5)
+def test_permutation_path_matches_tensor_loop(circuit, fraction):
+    expected = tensor_loop_matrix(circuit)
+    assert np.array_equal(circuit_to_matrix(circuit), expected)
+    k = round(fraction * expected.shape[1])
+    assert np.array_equal(circuit_to_matrix(circuit, columns=k), expected[:, :k])
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit=random_circuits(), fraction=st.floats(0, 1))
+def test_column_restriction_matches_tensor_loop(circuit, fraction):
+    expected = tensor_loop_matrix(circuit)
+    k = round(fraction * expected.shape[1])
+    got = circuit_to_matrix(circuit, columns=k)
+    assert got.shape == (expected.shape[0], k)
+    np.testing.assert_allclose(got, expected[:, :k], rtol=0, atol=1e-13)
+
+
+def test_column_count_validation():
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match="columns"):
+            circuit_to_matrix(Circuit(2, ()), columns=bad)
