@@ -167,7 +167,6 @@ def _verify_term(
     else:
         circuit = build_ul_circuit(term)
     unit = SigmaTerm(1.0, term.factors)
-    dim = 1 << n
     block = term_matrix(unit).to_dense()
     comp = sigma.completion_matrix(unit) - block
     expected = np.block([[block, comp], [comp, block]])
@@ -189,7 +188,7 @@ def _verify_term(
     return True, f"ok{note}"
 
 
-def _verify_dilation(term: SigmaTerm, completion_matrix: np.ndarray, block: np.ndarray) -> tuple[bool, str]:
+def _verify_dilation(term: SigmaTerm, completion: np.ndarray, block: np.ndarray) -> tuple[bool, str]:
     circuit = build_dilation_circuit(term)
     s = sum(1 for f in term.factors if f.is_ladder)
     counts = gate_count(circuit)
@@ -200,7 +199,7 @@ def _verify_dilation(term: SigmaTerm, completion_matrix: np.ndarray, block: np.n
     matrix = circuit_to_matrix(circuit)
     dim = block.shape[0]
     if s == 0:
-        if not np.array_equal(matrix, completion_matrix):
+        if not np.array_equal(matrix, completion):
             return False, "dilation and completion circuits disagree at s = 0"
     elif not np.array_equal(matrix[:dim, :dim], block):
         return False, "dilation top-left block is not the term matrix"
@@ -245,29 +244,28 @@ def cmd_expval(args: argparse.Namespace) -> int:
     decomposition = sigma.load_decomposition(args.decomp)
     u = load_oracle(args.u, "U")
     v = load_oracle(args.v, "V")
+    terms = decomposition.terms
     if args.m is not None:
         if args.shots is not None:
             raise ValueError("shot sampling supports term expectations only")
         m = load_oracle(args.m, "M")
-        per_term = []
-        total = 0j
-        for i, ti in enumerate(decomposition.terms):
-            for j, tj in enumerate(decomposition.terms):
-                value = expval_sandwich(u, v, m, ti, tj)
-                total += ti.coeff.conjugate() * tj.coeff * value
-                per_term.append({"i": i, "j": j, "re": value.real, "im": value.imag})
+        rows = (
+            ({"i": i, "j": j}, ti.coeff.conjugate() * tj.coeff, expval_sandwich(u, v, m, ti, tj))
+            for i, ti in enumerate(terms)
+            for j, tj in enumerate(terms)
+        )
+    elif args.shots is not None:
+        rows = (
+            ({"factors": t.factor_string}, t.coeff, sample_expval(u, v, t, args.shots, args.seed + i))
+            for i, t in enumerate(terms)
+        )
     else:
-        per_term = []
-        total = 0j
-        for i, term in enumerate(decomposition.terms):
-            if args.shots is not None:
-                value = sample_expval(u, v, term, args.shots, args.seed + i)
-            else:
-                value = expval_term(u, v, term)
-            total += term.coeff * value
-            per_term.append(
-                {"factors": term.factor_string, "re": value.real, "im": value.imag}
-            )
+        rows = (({"factors": t.factor_string}, t.coeff, expval_term(u, v, t)) for t in terms)
+    per_term = []
+    total = 0j
+    for keys, weight, value in rows:
+        total += weight * value
+        per_term.append({**keys, "re": value.real, "im": value.imag})
     payload = {"re": total.real, "im": total.imag, "per_term": per_term}
     text = json.dumps(payload, indent=1)
     if args.out:
@@ -278,13 +276,14 @@ def cmd_expval(args: argparse.Namespace) -> int:
 
 def cmd_block_encode(args: argparse.Namespace) -> int:
     decomposition = sigma.load_decomposition(args.decomp)
+    # Compute everything first, so that invalid input writes no file.
+    resources = blockenc.resource_report(decomposition, args.epsilon)
     encoding = blockenc.assemble(decomposition)
+    report = blockenc.verify_block_encoding(encoding)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_circuit(encoding.overall, str(outdir / "block_encoding.json"))
-    report = blockenc.verify_block_encoding(encoding)
     _codec.write_json(outdir / "verification.json", report, indent=1)
-    resources = blockenc.resource_report(decomposition, args.epsilon)
     _codec.write_json(outdir / "resources.json", resources, indent=1)
     print(
         f"lambda: {report['lambda']:.6g}  frobenius_error: {report['frobenius_error']:.3e}  "
@@ -306,7 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--merge", action="store_true", help="merge projector pairs into identities")
-    p.add_argument("--tol", type=float, default=ZERO_TOL, help="zero-prune tolerance")
+    p.add_argument(
+        "--tol", type=float, default=ZERO_TOL, help=f"zero-prune tolerance (at least {ZERO_TOL:g})"
+    )
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("generate", help="emit a PDE system and its decomposition")

@@ -68,53 +68,50 @@ def _controlled_term_gates(term: SigmaTerm, width: int, polarity: str) -> tuple[
     return controlled(block, 0, polarity).gates
 
 
-def _hadamard_test_circuit(
+def _hadamard_test_circuits(
     u: StateOracle,
     v: StateOracle,
     term: SigmaTerm,
-    imaginary: bool,
     m: StateOracle | None = None,
     ti: SigmaTerm | None = None,
-) -> Circuit:
-    """Interference circuit for <0| U^dag T V |0>, or with an observable
-    ``m`` and left term ``ti`` for <0| U^dag Ti^t M T V |0>.
+) -> tuple[Circuit, Circuit]:
+    """(real, imaginary) interference circuits for <0| U^dag T V |0>, or
+    with an observable ``m`` and left term ``ti`` for <0| U^dag Ti^t M T V |0>.
 
-    Both share the prefix H, optional S^dag, controlled V, open-controlled
-    U, controlled T on a0; the sandwich inserts the doubly controlled M and
-    the open-controlled Ti before the closing H.
+    Both circuits hold the same gate objects: H, controlled V,
+    open-controlled U, controlled T on a0, and for the sandwich the doubly
+    controlled M and the open-controlled Ti, then the closing H.  The
+    imaginary circuit adds an S^dag on a0 after the first H.
     """
     width = term.n_qubits + 2
     system = tuple(range(2, width))
-    gates = [Gate("h", (0,))]
-    if imaginary:
-        gates.append(Gate("sdg", (0,)))
-    gates.append(Gate("dense", system, ((0, CLOSED),), v.matrix, v.label))
-    gates.append(Gate("dense", system, ((0, OPEN),), u.matrix, u.label))
-    gates.extend(_controlled_term_gates(term, width, CLOSED))
+    body = [
+        Gate("dense", system, ((0, CLOSED),), v.matrix, v.label),
+        Gate("dense", system, ((0, OPEN),), u.matrix, u.label),
+        *_controlled_term_gates(term, width, CLOSED),
+    ]
     if m is not None:
         # Observable fires on a0 = 1 and a1 = 0, i.e. on the branch holding
         # T |psi2> rather than its completion remainder.
-        gates.append(Gate("dense", system, ((0, CLOSED), (1, OPEN)), m.matrix, m.label))
-        gates.extend(_controlled_term_gates(ti, width, OPEN))
-    gates.append(Gate("h", (0,)))
-    return Circuit(width, tuple(gates), frozenset({0, 1}))
+        body.append(Gate("dense", system, ((0, CLOSED), (1, OPEN)), m.matrix, m.label))
+        body.extend(_controlled_term_gates(ti, width, OPEN))
+    h = Gate("h", (0,))
+    ancillas = frozenset({0, 1})
+    real = Circuit(width, (h, *body, h), ancillas)
+    imaginary = Circuit(width, (h, Gate("sdg", (0,)), *body, h), ancillas)
+    return real, imaginary
 
 
-def _ancilla_distribution(circuit: Circuit) -> dict[str, float]:
-    state = run(circuit, zero_state(circuit.n_qubits))
-    return ancilla_probs(state, [0, 1])
-
-
-def _interference_value(probs: dict[str, float]) -> float:
-    return probs["00"] - probs["10"]
+def _ancilla_distributions(circuits: tuple[Circuit, Circuit]) -> list[dict[str, float]]:
+    """a0/a1 measurement distribution of each circuit run on |0...0>."""
+    return [ancilla_probs(run(c, zero_state(c.n_qubits)), [0, 1]) for c in circuits]
 
 
 def expval_term(u: StateOracle, v: StateOracle, term: SigmaTerm) -> complex:
     """Exact <0| U^dag T V |0> for the unit-coefficient term T."""
     _check_width(term.n_qubits, u, v)
-    re = _interference_value(_ancilla_distribution(_hadamard_test_circuit(u, v, term, False)))
-    im = _interference_value(_ancilla_distribution(_hadamard_test_circuit(u, v, term, True)))
-    return complex(re, im)
+    real, imaginary = _ancilla_distributions(_hadamard_test_circuits(u, v, term))
+    return complex(real["00"] - real["10"], imaginary["00"] - imaginary["10"])
 
 
 def expval_sandwich(
@@ -128,13 +125,8 @@ def expval_sandwich(
     if ti.n_qubits != tj.n_qubits:
         raise ValueError("terms act on different register widths")
     _check_width(ti.n_qubits, u, v, m)
-    re = _interference_value(
-        _ancilla_distribution(_hadamard_test_circuit(u, v, tj, False, m, ti))
-    )
-    im = _interference_value(
-        _ancilla_distribution(_hadamard_test_circuit(u, v, tj, True, m, ti))
-    )
-    return complex(re, im)
+    real, imaginary = _ancilla_distributions(_hadamard_test_circuits(u, v, tj, m, ti))
+    return complex(real["00"] - real["10"], imaginary["00"] - imaginary["10"])
 
 
 def expval_full(u: StateOracle, v: StateOracle, d: Decomposition) -> complex:
@@ -164,8 +156,7 @@ def sample_expval(
     _check_width(term.n_qubits, u, v)
     rng = np.random.default_rng(seed)
     parts = []
-    for imaginary in (False, True):
-        probs = _ancilla_distribution(_hadamard_test_circuit(u, v, term, imaginary))
+    for probs in _ancilla_distributions(_hadamard_test_circuits(u, v, term)):
         keys = sorted(probs)
         weights = np.clip([probs[k] for k in keys], 0.0, None)
         weights = weights / weights.sum()

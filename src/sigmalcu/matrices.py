@@ -73,12 +73,13 @@ class SparseMatrix:
         tol: float = ZERO_TOL,
     ) -> "SparseMatrix":
         """Accumulate (row, col, value) triples, summing duplicate coordinates
-        and dropping magnitudes at or below ``tol``."""
+        and dropping magnitudes at or below ``max(tol, ZERO_TOL)``."""
         acc: dict[tuple[int, int], complex] = {}
         for r, c, v in items:
             key = (int(r), int(c))
             acc[key] = acc.get(key, 0j) + complex(v)
-        pruned = {k: v for k, v in acc.items() if abs(v) > tol}
+        floor = max(tol, ZERO_TOL)
+        pruned = {k: v for k, v in acc.items() if abs(v) > floor}
         return cls(n_qubits, pruned)
 
     @classmethod
@@ -137,7 +138,7 @@ def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
 
     The declared dimensions must be equal and a power of two.  1-indexed
     file entries become 0-indexed; duplicate coordinates are summed and
-    pruned at ``tol``.
+    pruned at ``tol`` (never below ``ZERO_TOL``).
     """
     _validate_header(path)
     try:

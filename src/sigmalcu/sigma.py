@@ -235,11 +235,14 @@ def merge_terms(d: Decomposition) -> Decomposition:
     strings differ at exactly one position holding {s+s-, s-s+} collapse to
     one term with identity there (|0><0| + |1><1| = I).
 
+    Coefficients a and b count as equal when |a - b| <= ZERO_TOL *
+    max(1, |a|, |b|), so rounding does not block a merge.  The merged term
+    takes their mean; reconstruction stays exact when a == b.
+
     Scans positions left to right until a fixpoint.  At one position every
     s+s- string has exactly one s-s+ partner and no other merge there
-    touches either, so the order of the candidates does not matter.
-    Reconstruction is preserved exactly and the term count never
-    increases; minimality is not claimed.
+    touches either, so the order of the candidates does not matter.  The
+    term count never increases; minimality is not claimed.
     """
     coeffs: dict[tuple[SigmaFactor, ...], complex] = {
         t.factors: t.coeff for t in d.terms
@@ -250,10 +253,11 @@ def merge_terms(d: Decomposition) -> Decomposition:
         for p in range(d.n_qubits):
             for factors in [fs for fs in coeffs if fs[p] is SigmaFactor.SPSM]:
                 partner = factors[:p] + (SigmaFactor.SMSP,) + factors[p + 1 :]
-                if partner not in coeffs or coeffs[partner] != coeffs[factors]:
+                a, b = coeffs[factors], coeffs.get(partner)
+                if b is None or abs(a - b) > ZERO_TOL * max(1.0, abs(a), abs(b)):
                     continue
-                coeff = coeffs.pop(factors)
-                coeffs.pop(partner)
+                del coeffs[factors], coeffs[partner]
+                coeff = (a + b) / 2
                 merged = factors[:p] + (SigmaFactor.IDENT,) + factors[p + 1 :]
                 total = coeffs.get(merged, 0j) + coeff
                 if abs(total) > ZERO_TOL:

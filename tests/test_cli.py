@@ -59,6 +59,33 @@ def test_decompose_merge_identity(tmp_path):
     assert len(load_decomposition(out)) == 1
 
 
+def test_decompose_merge_tolerates_rounded_coefficients(tmp_path, capsys):
+    # Non-integer heat parameters leave partner coefficients a few ulps apart
+    # (0.9999999999999991 vs 0.9999999999999996); they still merge, to the
+    # count the same grid gives with integer parameters.
+    outdir = tmp_path / "heat"
+    args = ["--family", "heat", "--s", "3", "--t", "2", "--outdir", str(outdir)]
+    odd = ["--alpha", "1.673169", "--w1", "0.648434", "--w2", "1.150459"]
+    for extra in (odd, []):
+        assert main(["generate", *args, *extra]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "d.json")
+        assert main(["decompose", "--in", str(outdir / "matrix.mtx"), "--out", out, "--merge"]) == 0
+        assert capsys.readouterr().out.startswith("terms: 27 ")
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-30"])
+def test_decompose_tol_below_floor(tmp_path, capsys, tol):
+    mtx = write(
+        tmp_path / "m.mtx",
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1e-20\n",
+    )
+    out = str(tmp_path / "d.json")
+    assert main(["decompose", "--in", mtx, "--out", out, "--tol", tol]) == 0
+    assert "terms: 1  nnz: 1" in capsys.readouterr().out
+    assert [t.factor_string for t in load_decomposition(out).terms] == ["A"]
+
+
 def test_decompose_rejects_non_power_of_two(tmp_path, capsys):
     mtx = write(
         tmp_path / "bad.mtx",
@@ -189,7 +216,7 @@ def test_circuit_command(tmp_path):
     out = str(tmp_path / "c.json")
     qasm = str(tmp_path / "c.qasm")
     assert main(["circuit", "--term", "M I A", "--out", out, "--qasm", qasm]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert data["n_qubits"] == 4
     kinds = [g["kind"] for g in data["gates"]]
     assert kinds == ["x", "x", "mcx"]
@@ -198,7 +225,7 @@ def test_circuit_command(tmp_path):
         {"q": 1, "pol": "closed"},
         {"q": 3, "pol": "open"},
     ]
-    assert "OPENQASM" in open(qasm).read()
+    assert "OPENQASM" in Path(qasm).read_text()
 
 
 def test_circuit_bare_qasm_flag_derives_path(tmp_path):
@@ -225,7 +252,7 @@ def test_expval_identity(tmp_path, capsys):
     out = str(tmp_path / "ev.json")
     capsys.readouterr()
     assert main(["expval", "--decomp", decomp, "--u", upath, "--v", vpath, "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["re"] == pytest.approx(1.0, abs=1e-12)
     assert payload["im"] == pytest.approx(0.0, abs=1e-12)
     assert len(payload["per_term"]) == 1
@@ -258,7 +285,7 @@ def test_expval_shots_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(args + [out1]) == 0
     assert main(args + [out2]) == 0
-    assert json.loads(open(out1).read()) == json.loads(open(out2).read())
+    assert json.loads(Path(out1).read_text()) == json.loads(Path(out2).read_text())
 
 
 def test_expval_sandwich_mode(tmp_path):
@@ -277,7 +304,7 @@ def test_expval_sandwich_mode(tmp_path):
     assert main(
         ["expval", "--decomp", decomp, "--u", upath, "--v", vpath, "--m", mpath, "--out", out]
     ) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert len(payload["per_term"]) == 4
     # <0| A^dag A |0> for the corner-pair matrix: column 0 holds the value 2
     assert payload["re"] == pytest.approx(4.0, abs=1e-10)
@@ -346,6 +373,19 @@ def test_block_encode_exits_2_above_tolerance(tmp_path, capsys, monkeypatch):
     assert f"frobenius_error: {report['frobenius_error']:.3e}" in capsys.readouterr().out
     assert (bedir / "resources.json").exists()
     assert (bedir / "block_encoding.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["2", "0", "-1"])
+def test_block_encode_bad_epsilon_writes_nothing(tmp_path, capsys, epsilon):
+    outdir = tmp_path / "sys"
+    main(["generate", "--family", "poisson", "--s", "2", "--outdir", str(outdir)])
+    capsys.readouterr()
+    bedir = tmp_path / "be"
+    decomp = str(outdir / "decomposition.json")
+    code = main(["block-encode", "--decomp", decomp, "--outdir", str(bedir), "--epsilon", epsilon])
+    assert code == 1
+    assert "epsilon" in capsys.readouterr().err
+    assert not bedir.exists()
 
 
 def test_missing_file_is_validation_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from sigmalcu.expectation import (
     StateOracle,
-    _hadamard_test_circuit,
+    _hadamard_test_circuits,
     expval_full,
     expval_sandwich,
     expval_term,
@@ -12,7 +12,7 @@ from sigmalcu.expectation import (
 from sigmalcu.pde import HeatParams, heat_1d, poisson_1d
 from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix, term_matrix
 from sigmalcu.simulate import run, zero_state
-from sigmalcu.circuits import Circuit
+from sigmalcu.circuits import Circuit, Gate
 
 I, P, M = SigmaFactor.IDENT, SigmaFactor.SPLUS, SigmaFactor.SMINUS
 
@@ -104,7 +104,7 @@ def test_pre_measurement_state_matches_branch_structure():
     term = SigmaTerm(1.0, (M, I, SigmaFactor.SPSM))
     u = random_oracle(rng, 3, "U")
     v = random_oracle(rng, 3, "V")
-    circuit = _hadamard_test_circuit(u, v, term, imaginary=False)
+    circuit, _ = _hadamard_test_circuits(u, v, term)
     before_h = Circuit(circuit.n_qubits, circuit.gates[:-1], circuit.ancillas)
     state = run(before_h, zero_state(circuit.n_qubits))
     psi1 = u.matrix[:, 0]
@@ -116,6 +116,19 @@ def test_pre_measurement_state_matches_branch_structure():
     expected[16:24] = block @ psi2 / np.sqrt(2)  # |10>
     expected[24:32] = complement @ psi2 / np.sqrt(2)  # |11>
     assert np.allclose(state.amplitudes, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("sandwich", [False, True])
+def test_real_and_imaginary_circuits_share_gate_body(sandwich):
+    rng = np.random.default_rng(63)
+    u, v, m = (random_oracle(rng, 2, label) for label in "UVM")
+    left = (m, SigmaTerm(1.0, (P, SigmaFactor.SMSP))) if sandwich else ()
+    real, imaginary = _hadamard_test_circuits(u, v, SigmaTerm(1.0, (M, I)), *left)
+    assert imaginary.gates[1] == Gate("sdg", (0,))
+    shared = imaginary.gates[:1] + imaginary.gates[2:]
+    assert len(shared) == len(real.gates)
+    assert all(a is b for a, b in zip(real.gates, shared))
+    assert (real.n_qubits, real.ancillas) == (imaginary.n_qubits, imaginary.ancillas)
 
 
 def test_sandwich_trivial():

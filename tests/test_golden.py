@@ -27,7 +27,7 @@ from sigmalcu.circuits import (
     to_qasm,
 )
 from sigmalcu.cli import load_oracle, save_oracle
-from sigmalcu.expectation import StateOracle, _hadamard_test_circuit
+from sigmalcu.expectation import StateOracle, _hadamard_test_circuits
 from sigmalcu.sigma import Decomposition, SigmaTerm, load_decomposition, save_decomposition
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -65,8 +65,8 @@ def circuits():
         "dilation_III": build_dilation_circuit(term("III")),
         "row_swap": row_swap_circuit(4, 3, 12),
         "block_encoding": assemble(Decomposition.build(2, be_terms)).overall,
-        "hadamard_test": _hadamard_test_circuit(U, V, term("PA"), True),
-        "sandwich": _hadamard_test_circuit(U, V, term("PA"), False, M, term("MB")),
+        "hadamard_test": _hadamard_test_circuits(U, V, term("PA"))[1],
+        "sandwich": _hadamard_test_circuits(U, V, term("PA"), M, term("MB"))[0],
         "controlled_h": controlled(
             Circuit(2, (SingleQubit("h", 1), SingleQubit("s", 1))), 0, OPEN
         ),

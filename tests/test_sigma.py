@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmalcu.matrices import SparseMatrix
+from sigmalcu.matrices import ZERO_TOL, SparseMatrix
 from sigmalcu.sigma import (
     Decomposition,
     SigmaFactor,
@@ -216,6 +216,29 @@ def decompositions_with_repeated_coefficients(draw):
 @given(d=decompositions_with_repeated_coefficients())
 def test_merge_matches_sorted_reference(d):
     assert merge_terms(d) == merge_terms_sorted_reference(d)
+
+
+@st.composite
+def nudged_decompositions(draw):
+    """A decomposition with repeated coefficients, and the same one with
+    every coefficient moved by up to four ulps."""
+    d = draw(decompositions_with_repeated_coefficients())
+    ulps = draw(st.lists(st.integers(-4, 4), min_size=len(d), max_size=len(d)))
+    nudged = (SigmaTerm(t.coeff * (1 + k * 2.0**-52), t.factors) for t, k in zip(d.terms, ulps))
+    return d, Decomposition.build(d.n_qubits, nudged)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=nudged_decompositions())
+def test_merge_tolerates_near_equal_coefficients(pair):
+    exact, nudged = pair
+    merged = merge_terms(nudged)
+    assert len(merged) <= len(nudged)
+    # Rounding neither blocks a merge nor makes one that exact values would not.
+    assert [t.factors for t in merged.terms] == [t.factors for t in merge_terms(exact).terms]
+    scale = max([1.0, *(abs(t.coeff) for t in nudged.terms)])
+    diff = reconstruct(merged).to_dense() - reconstruct(nudged).to_dense()
+    assert np.max(np.abs(diff)) <= ZERO_TOL * scale
 
 
 def test_merge_needs_second_pass():
