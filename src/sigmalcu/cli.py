@@ -83,6 +83,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.family in ("heat", "wave") and args.t is None:
         raise ValueError(f"--t is required for the {args.family} family")
     system = _generate_system(args.family, args.s, args.t, args)
+    # Count before creating --outdir, so a refused Pauli size writes nothing.
+    pauli_terms = len(pauli.decompose_pauli(system.matrix)) if args.pauli else ""
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_matrix_market(system.matrix, str(outdir / "matrix.mtx"))
@@ -92,9 +94,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _codec.write_json(outdir / "rhs.json", payload)
     n_x = 1 << args.s
     n_t = "" if args.family == "poisson" else 1 << args.t
-    pauli_terms = ""
-    if args.pauli:
-        pauli_terms = len(pauli.decompose_pauli(system.matrix))
     _append_counts_row(
         outdir / "counts.csv",
         [args.family, n_x, n_t, len(system.decomposition), pauli_terms, system.predicted_term_count],

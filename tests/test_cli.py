@@ -136,6 +136,14 @@ def test_generate_requires_t(tmp_path, capsys):
     assert "--t is required" in capsys.readouterr().err
 
 
+def test_generate_pauli_over_limit_writes_nothing(tmp_path, capsys):
+    outdir = tmp_path / "big"
+    argv = ["generate", "--family", "poisson", "--s", "13", "--pauli", "--outdir", str(outdir)]
+    assert main(argv) == 1
+    assert "limited to 12 qubits" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_generate_emitted_files_round_trip(tmp_path):
     outdir = tmp_path / "rt"
     assert main(["generate", "--family", "poisson", "--s", "2", "--outdir", str(outdir)]) == 0
