@@ -2,11 +2,14 @@
 
 Readers validate the schema as they go and raise ``ValueError`` with a
 one-line message on the first mismatch, so malformed input surfaces as an
-input error instead of a ``TypeError`` deep inside a constructor.
+input error instead of a ``TypeError`` deep inside a constructor.  Numbers
+must be finite both ways: NaN and Infinity literals are refused on read and
+on write, and so is a decoded value that overflows to infinity (``1e400``).
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -32,9 +35,10 @@ def read_json(path: str) -> object:
 
 
 def write_json(path, payload: dict, indent: int | None = None) -> None:
+    """Serialize first, so that a non-finite value leaves no partial file."""
+    text = json.dumps(payload, indent=indent, allow_nan=False)
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=indent)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def field(data: object, key: str, kind: type, default=_MISSING):
@@ -62,10 +66,14 @@ def int_tuple(data: object, key: str, default=_MISSING) -> tuple[int, ...]:
 
 def complex_field(data: object) -> complex:
     """The ``{"re": ..., "im": ...}`` coefficient of a term."""
+    re, im = field(data, "re", float), field(data, "im", float)
     try:
-        return complex(field(data, "re", float), field(data, "im", float))
-    except OverflowError:
-        raise ValueError("coefficient out of floating-point range") from None
+        value = complex(re, im)
+    except OverflowError:  # an integer too large for a float
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise ValueError("coefficient out of floating-point range")
+    return value
 
 
 def complex_pairs(values) -> list[list[float]]:
@@ -86,4 +94,6 @@ def complex_matrix(pairs: list, dim: int | None = None) -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in pairs])
     except (TypeError, ValueError, OverflowError):
         raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix entries out of floating-point range")
     return flat.reshape(dim, dim)

@@ -22,21 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    CLOSED,
-    OPEN,
-    Circuit,
-    Gate,
-    build_ul_circuit,
-    controlled,
-    embedded,
-    gate_count,
-)
-from .matrices import frobenius_distance
+from .circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, build_ul_circuit, gate_count
+from .matrices import ZERO_TOL, _require_dense_size, frobenius_distance
 from .sigma import Decomposition, reconstruct
-from .simulate import MATRIX_QUBIT_LIMIT, circuit_to_matrix
-
-PHASE_TOL = 1e-14
+from .simulate import circuit_to_matrix
 
 # Largest Frobenius distance between the extracted block and A / lambda
 # that counts as an exact encoding.
@@ -74,7 +63,7 @@ def _prep_matrix(amplitudes: np.ndarray) -> np.ndarray:
     target[0] = 1.0
     v = target - amplitudes
     norm = np.linalg.norm(v)
-    if norm < 1e-15:
+    if norm <= ZERO_TOL:
         return np.eye(dim, dtype=complex)
     v = v / norm
     return (np.eye(dim) - 2.0 * np.outer(v, v)).astype(complex)
@@ -98,16 +87,6 @@ def prep_circuit(coeffs: list[complex]) -> Circuit:
     return Circuit(width, (gate,))
 
 
-def _selector_controls(circuit: Circuit, value: int, width: int) -> Circuit:
-    """Wrap every gate with one control per selector qubit matching the
-    binary selector value (qubit 0 is the most significant)."""
-    out = circuit
-    for sq in range(width):
-        bit = (value >> (width - 1 - sq)) & 1
-        out = controlled(out, sq, CLOSED if bit else OPEN)
-    return out
-
-
 def _phase_gate(phase: complex, selector_value: int, width: int) -> Gate:
     """Diagonal gate applying the phase on one selector value; for a
     degenerate selector the phase is global and lands on the ancilla."""
@@ -127,11 +106,14 @@ def select_circuit(d: Decomposition) -> Circuit:
     total = width + 1 + d.n_qubits
     gates: list[Gate] = []
     for value, term in enumerate(d.terms):
-        block = embedded(build_ul_circuit(term), total, offset=width)
-        block = _selector_controls(block, value, width)
-        gates.extend(block.gates)
+        # One control per selector qubit matching the binary selector value
+        # (qubit 0 is the most significant).
+        controls = tuple(
+            (sq, CLOSED if (value >> (width - 1 - sq)) & 1 else OPEN) for sq in range(width)
+        )
+        gates.extend(_controlled_term(term, total, controls).gates)
         phase = cmath.exp(1j * cmath.phase(term.coeff))
-        if abs(phase - 1.0) > PHASE_TOL:
+        if abs(phase - 1.0) > ZERO_TOL:
             gates.append(_phase_gate(phase, value, width))
     ancillas = frozenset(range(width + 1))
     return Circuit(total, tuple(gates), ancillas)
@@ -140,18 +122,17 @@ def select_circuit(d: Decomposition) -> Circuit:
 def assemble(d: Decomposition) -> BlockEncoding:
     """Full encoding W = PREP^dag . SELECT . PREP.
 
-    Guarded to registers simulable by exact statevector extraction
-    (selector + 1 + system <= 12 qubits).
+    Refused before PREP is built when selector + 1 + system exceeds the
+    dense limit, since the encoding could never be verified.
     """
     if not d.terms:
         raise ValueError("cannot block-encode an empty decomposition")
     width = _selector_width(len(d.terms))
     total = width + 1 + d.n_qubits
-    if total > MATRIX_QUBIT_LIMIT:
-        raise ValueError(
-            f"block encoding needs {total} qubits, above the {MATRIX_QUBIT_LIMIT}-qubit guard"
-        )
+    _require_dense_size(total, "block encoding")
     lam = float(sum(abs(t.coeff) for t in d.terms))
+    if not math.isfinite(lam):
+        raise ValueError("lambda = sum |coeff| out of floating-point range")
     gates = select_circuit(d).gates
     if width > 0:
         prep = prep_circuit([t.coeff for t in d.terms]).gates[0]

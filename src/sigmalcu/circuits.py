@@ -325,6 +325,18 @@ def embedded(c: Circuit, n_qubits: int, offset: int) -> Circuit:
     return Circuit(n_qubits, gates, frozenset(q + offset for q in c.ancillas))
 
 
+def _controlled_term(
+    term: SigmaTerm, width: int, controls: tuple[tuple[int, str], ...]
+) -> Circuit:
+    """The term's completion circuit on the last n + 1 of ``width`` wires,
+    with each (qubit, polarity) control added to every gate in turn, so the
+    last one listed leads each gate's controls."""
+    out = embedded(build_ul_circuit(term), width, offset=width - term.n_qubits - 1)
+    for q, pol in controls:
+        out = controlled(out, q, pol)
+    return out
+
+
 def _gate_to_json(g: Gate) -> dict:
     kind = _file_kind(g)
     if kind == "mcx":

@@ -165,11 +165,12 @@ def _verify_term(
             return False, "circuit width mismatch"
     else:
         circuit = build_ul_circuit(term)
+    # Extract first: its size check fires before any dense array exists.
+    actual = circuit_to_matrix(circuit)
     unit = SigmaTerm(1.0, term.factors)
     block = term_matrix(unit).to_dense()
     comp = sigma.completion_matrix(unit) - block
     expected = np.block([[block, comp], [comp, block]])
-    actual = circuit_to_matrix(circuit)
     if not np.array_equal(actual, expected):
         return False, "matrix does not match completion block structure"
     counts = gate_count(circuit)
@@ -266,7 +267,7 @@ def cmd_expval(args: argparse.Namespace) -> int:
         total += weight * value
         per_term.append({**keys, "re": value.real, "im": value.imag})
     payload = {"re": total.real, "im": total.imag, "per_term": per_term}
-    text = json.dumps(payload, indent=1)
+    text = json.dumps(payload, indent=1, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="ascii")
     print(text)

@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    CLOSED,
-    OPEN,
-    Circuit,
-    Gate,
-    _check_unitary,
-    build_ul_circuit,
-    controlled,
-    embedded,
-)
+from .circuits import CLOSED, OPEN, Circuit, Gate, _check_unitary, _controlled_term
 from .matrices import _require_power_of_two
 from .sigma import Decomposition, SigmaTerm
 from .simulate import ancilla_probs, run, zero_state
@@ -61,13 +52,6 @@ def _check_width(n: int, *oracles: StateOracle) -> None:
             )
 
 
-def _controlled_term_gates(term: SigmaTerm, width: int, polarity: str) -> tuple[Gate, ...]:
-    """Gates of the term's completion circuit on (a1, system), every gate
-    picking up a control of the given polarity on a0."""
-    block = embedded(build_ul_circuit(term), width, offset=1)
-    return controlled(block, 0, polarity).gates
-
-
 def _hadamard_test_circuits(
     u: StateOracle,
     v: StateOracle,
@@ -88,13 +72,13 @@ def _hadamard_test_circuits(
     body = [
         Gate("dense", system, ((0, CLOSED),), v.matrix, v.label),
         Gate("dense", system, ((0, OPEN),), u.matrix, u.label),
-        *_controlled_term_gates(term, width, CLOSED),
+        *_controlled_term(term, width, ((0, CLOSED),)).gates,
     ]
     if m is not None:
         # Observable fires on a0 = 1 and a1 = 0, i.e. on the branch holding
         # T |psi2> rather than its completion remainder.
         body.append(Gate("dense", system, ((0, CLOSED), (1, OPEN)), m.matrix, m.label))
-        body.extend(_controlled_term_gates(ti, width, OPEN))
+        body.extend(_controlled_term(ti, width, ((0, OPEN),)).gates)
     h = Gate("h", (0,))
     ancillas = frozenset({0, 1})
     real = Circuit(width, (h, *body, h), ancillas)

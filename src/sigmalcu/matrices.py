@@ -12,6 +12,7 @@ and are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -19,12 +20,15 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-# Magnitudes at or below this are treated as zero when deduplicating or
-# pruning entries.  All the matrices this package targets have O(1)
-# integer-like entries, far above it.
+# Magnitudes at or below this are zero: pruned from sparse entries and
+# merged coefficients, and skipped as selector phases and PREP reflections.
+# All the matrices this package targets have O(1) integer-like entries, far
+# above it.
 ZERO_TOL = 1e-14
 
-DENSE_QUBIT_LIMIT = 14
+# Widest register held as a dense 2^n x 2^n complex array or a 4^n Pauli
+# vector: 2^24 values, 256 MiB.
+DENSE_QUBIT_LIMIT = 12
 
 
 def _require_power_of_two(dim: int) -> int:
@@ -35,6 +39,13 @@ def _require_power_of_two(dim: int) -> int:
     return n
 
 
+def _require_dense_size(n_qubits: int, what: str) -> None:
+    """Raise ValueError before ``what`` allocates a dense array wider than
+    ``DENSE_QUBIT_LIMIT`` qubits."""
+    if n_qubits > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"{what} limited to {DENSE_QUBIT_LIMIT} qubits, got {n_qubits}")
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
     """Coordinate-form complex matrix of dimension ``2**n_qubits``.
@@ -42,6 +53,7 @@ class SparseMatrix:
     ``entries`` maps ``(row, col)`` to a nonzero complex value.  Use
     :meth:`from_entries` or :meth:`from_dense` to build one from raw data;
     they deduplicate coordinates and prune magnitudes at ``ZERO_TOL``.
+    Non-finite entries are refused, whichever constructor is used.
     """
 
     n_qubits: int
@@ -54,8 +66,9 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"entry ({r}, {c}) outside {dim}x{dim} matrix")
-            if abs(v) <= ZERO_TOL:
-                raise ValueError(f"entry ({r}, {c}) stores a zero value")
+            if not ZERO_TOL < abs(v) < math.inf:
+                kind = "zero" if abs(v) <= ZERO_TOL else "non-finite"
+                raise ValueError(f"entry ({r}, {c}) stores a {kind} value")
 
     @property
     def dim(self) -> int:
@@ -73,13 +86,14 @@ class SparseMatrix:
         tol: float = ZERO_TOL,
     ) -> "SparseMatrix":
         """Accumulate (row, col, value) triples, summing duplicate coordinates
-        and dropping magnitudes at or below ``max(tol, ZERO_TOL)``."""
+        and dropping magnitudes at or below ``max(tol, ZERO_TOL)``.  NaN
+        sums are kept, so that construction refuses them."""
         acc: dict[tuple[int, int], complex] = {}
         for r, c, v in items:
             key = (int(r), int(c))
             acc[key] = acc.get(key, 0j) + complex(v)
         floor = max(tol, ZERO_TOL)
-        pruned = {k: v for k, v in acc.items() if abs(v) > floor}
+        pruned = {k: v for k, v in acc.items() if not abs(v) <= floor}
         return cls(n_qubits, pruned)
 
     @classmethod
@@ -88,17 +102,14 @@ class SparseMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square 2-d array, got shape {arr.shape}")
         n = _require_power_of_two(arr.shape[0])
-        rows, cols = np.nonzero(np.abs(arr) > tol)
+        rows, cols = np.nonzero(~(np.abs(arr) <= tol))
         items = [(int(r), int(c), complex(arr[r, c])) for r, c in zip(rows, cols)]
         return cls.from_entries(n, items, tol=tol)
 
     def to_dense(self) -> np.ndarray:
-        """Dense complex array.  Guarded at n_qubits <= 14 to avoid memory
-        blowup; round trip with :meth:`from_dense` is exact."""
-        if self.n_qubits > DENSE_QUBIT_LIMIT:
-            raise ValueError(
-                f"to_dense limited to {DENSE_QUBIT_LIMIT} qubits, got {self.n_qubits}"
-            )
+        """Dense complex array, at most ``DENSE_QUBIT_LIMIT`` qubits wide;
+        round trip with :meth:`from_dense` is exact."""
+        _require_dense_size(self.n_qubits, "to_dense")
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for (r, c), v in self.entries.items():
             out[r, c] = v

@@ -16,10 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import SparseMatrix
-
-# The transform holds 4**n complex values: 256 MB at 12 qubits, 4 GB at 14.
-PAULI_QUBIT_LIMIT = 12
+from .matrices import SparseMatrix, _require_dense_size
 
 PAULI_CHARS = "IXYZ"
 
@@ -90,10 +87,8 @@ def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
     terms matches the input within tol * L in Frobenius norm.
     """
     n = m.n_qubits
-    if n > PAULI_QUBIT_LIMIT:
-        raise ValueError(
-            f"pauli decomposition limited to {PAULI_QUBIT_LIMIT} qubits, got {n}"
-        )
+    # The transform holds all 4**n coefficients at once.
+    _require_dense_size(n, "pauli decomposition")
     rc = np.array(list(m.entries), dtype=np.int64).reshape(-1, 2)
     # Bit k of the row goes to bit 2k+1 of the flat index, bit k of the
     # column to bit 2k, so qubit p's pair is digit n-1-p in base 4.
@@ -114,6 +109,7 @@ def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
 
 def pauli_matrix(factors: str) -> np.ndarray:
     """Dense matrix of a Pauli string, position 0 most significant."""
+    _require_dense_size(len(factors), "pauli_matrix")
     out = np.array([[1]], dtype=complex)
     for ch in factors:
         out = np.kron(out, PAULI_MATRICES[ch])
@@ -123,6 +119,7 @@ def pauli_matrix(factors: str) -> np.ndarray:
 def pauli_reconstruct(pd: PauliDecomposition) -> np.ndarray:
     """Dense sum of the terms; repeated strings add up."""
     n = pd.n_qubits
+    _require_dense_size(n, "pauli_reconstruct")
     index = []
     for t in pd.terms:
         if len(t.factors) != n:

@@ -19,6 +19,7 @@ position 0 first (most significant qubit):
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _codec
-from .matrices import ZERO_TOL, SparseMatrix
+from .matrices import ZERO_TOL, SparseMatrix, _require_dense_size
 
 
 class SigmaFactor(Enum):
@@ -90,6 +91,8 @@ class SigmaTerm:
     def __post_init__(self) -> None:
         if not self.factors:
             raise ValueError("a sigma term needs at least one factor")
+        if not cmath.isfinite(self.coeff):
+            raise ValueError(f"sigma term coefficient {self.coeff} is not finite")
 
     @property
     def n_qubits(self) -> int:
@@ -141,14 +144,15 @@ class Decomposition:
         terms: Iterable[SigmaTerm],
         tol: float = ZERO_TOL,
     ) -> "Decomposition":
-        """Sum coefficients of equal factor strings, prune, and sort."""
+        """Sum coefficients of equal factor strings, prune, and sort.  A NaN
+        sum is kept, so that the term refuses it."""
         acc: dict[tuple[SigmaFactor, ...], complex] = {}
         for t in terms:
             acc[t.factors] = acc.get(t.factors, 0j) + t.coeff
         kept = [
             SigmaTerm(coeff, factors)
             for factors, coeff in acc.items()
-            if abs(coeff) > tol
+            if not abs(coeff) <= tol
         ]
         kept.sort(key=lambda t: t.factor_string)
         return cls(n_qubits, tuple(kept))
@@ -220,6 +224,7 @@ def completion_matrix(t: SigmaTerm) -> np.ndarray:
     The product flips the bit of every ladder position, so column c has
     its one at row c ^ mask, with mask holding those bits.
     """
+    _require_dense_size(t.n_qubits, "completion_matrix")
     mask = 0
     for f in t.factors:
         mask = (mask << 1) | f.is_ladder

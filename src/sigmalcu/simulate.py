@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CLOSED, Circuit, Gate
-
-MATRIX_QUBIT_LIMIT = 12
+from .matrices import _require_dense_size
 
 NORM_TOL = 1e-10
 
@@ -114,10 +113,7 @@ def circuit_to_matrix(c: Circuit, columns: int | None = None) -> np.ndarray:
     gate by gate.
     """
     n = c.n_qubits
-    if n > MATRIX_QUBIT_LIMIT:
-        raise ValueError(
-            f"circuit_to_matrix limited to {MATRIX_QUBIT_LIMIT} qubits, got {n}"
-        )
+    _require_dense_size(n, "circuit_to_matrix")
     dim = 1 << n
     k = dim if columns is None else columns
     if not 0 <= k <= dim:

@@ -166,7 +166,7 @@ def test_assemble_rejects_empty_and_oversized():
             SigmaTerm(1.0, (B,) * 11),
         ],
     )
-    with pytest.raises(ValueError, match="guard"):
+    with pytest.raises(ValueError, match="limited to 12 qubits, got 14"):
         assemble(wide)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmalcu import blockenc
+from sigmalcu import _codec, blockenc, sigma
 from sigmalcu.circuits import (
     Circuit,
     DenseUnitary,
@@ -619,3 +619,70 @@ def test_malformed_examples_exit_1(tmp_path, command, payload):
         bad.rename(circuit_dir / "term_000.json")
         argv = ["verify", "--decomp", decomp, "--circuits", str(circuit_dir)]
     assert_input_error(argv)
+
+
+def test_verify_refuses_twelve_qubits_before_building_dense_blocks(tmp_path, monkeypatch):
+    def fail(term):
+        pytest.fail("completion_matrix called before the size check")
+
+    monkeypatch.setattr(sigma, "completion_matrix", fail)
+    decomp = write_json(tmp_path / "d.json", {"n_qubits": 12, "terms": [{"re": 1, "im": 0, "factors": "P" * 12}]})
+    err = assert_input_error(["verify", "--decomp", decomp])
+    assert "circuit_to_matrix limited to 12 qubits, got 13" in err
+
+
+# Non-finite numbers never enter a matrix or a decomposition, and no file
+# is written for them.
+NAN_MTX = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 1.0\n"
+INF_MTX = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 inf\n2 2 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "decompose-nan", "decompose-inf", "block-encode-1e400", "block-encode-lambda-overflow",
+        "generate-alpha-1e308", "generate-alpha-nan", "generate-w1-nan",
+    ],
+)
+def test_non_finite_numbers_exit_1_and_write_nothing(tmp_path, case):
+    out = tmp_path / "out"
+    argv = {
+        "decompose-nan": ["decompose", "--in", write(tmp_path / "nan.mtx", NAN_MTX), "--out", str(out)],
+        "decompose-inf": ["decompose", "--in", write(tmp_path / "inf.mtx", INF_MTX), "--out", str(out)],
+        "block-encode-1e400": [
+            "block-encode", "--outdir", str(out), "--decomp",
+            write(tmp_path / "big.json", '{"n_qubits": 1, "terms": [{"re": 1e400, "im": 0, "factors": "P"}]}'),
+        ],
+        # Each coefficient is finite; their sum, lambda, is not.
+        "block-encode-lambda-overflow": [
+            "block-encode", "--outdir", str(out), "--decomp",
+            write_json(tmp_path / "sum.json", {"n_qubits": 1, "terms": [
+                {"re": 1e308, "im": 0, "factors": "P"}, {"re": 1e308, "im": 0, "factors": "M"},
+            ]}),
+        ],
+        "generate-alpha-1e308": [
+            "generate", "--family", "heat", "--s", "2", "--t", "2", "--alpha", "1e308", "--outdir", str(out),
+        ],
+        "generate-alpha-nan": [
+            "generate", "--family", "heat", "--s", "2", "--t", "2", "--alpha", "nan", "--outdir", str(out),
+        ],
+        "generate-w1-nan": [
+            "generate", "--family", "heat", "--s", "2", "--t", "2", "--w1", "nan", "--outdir", str(out),
+        ],
+    }[case]
+    assert_input_error(argv)
+    assert not out.exists()
+
+
+def test_oracle_entry_overflowing_to_infinity_exits_1(tmp_path):
+    decomp = write_json(tmp_path / "d.json", VALID_DECOMPOSITION)
+    oracle = write(tmp_path / "u.json", json.dumps(VALID_ORACLE).replace("1.0", "1e400", 1))
+    err = assert_input_error(["expval", "--decomp", decomp, "--u", oracle, "--v", oracle])
+    assert "floating-point range" in err
+
+
+def test_json_writer_refuses_non_finite_and_leaves_no_file(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _codec.write_json(path, {"values": [[1.0, float("nan")]]})
+    assert not path.exists()

@@ -1,14 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sigmalcu.blockenc import assemble
+from sigmalcu.circuits import Circuit
 from sigmalcu.matrices import (
     SparseMatrix,
     frobenius_distance,
     load_matrix_market,
     save_matrix_market,
 )
+from sigmalcu.pauli import (
+    PauliDecomposition,
+    PauliTerm,
+    decompose_pauli,
+    pauli_matrix,
+    pauli_reconstruct,
+)
+from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix
+from sigmalcu.simulate import circuit_to_matrix
 
 
 def write_mtx(path, text):
@@ -123,7 +135,7 @@ def test_to_dense_cases():
 
 def test_to_dense_guard():
     m = SparseMatrix(15, {(0, 0): 1.0})
-    with pytest.raises(ValueError, match="14"):
+    with pytest.raises(ValueError, match="limited to 12 qubits, got 15"):
         m.to_dense()
 
 
@@ -178,3 +190,48 @@ def test_entries_validated():
         SparseMatrix(1, {(2, 0): 1.0})
     with pytest.raises(ValueError, match="zero"):
         SparseMatrix(1, {(0, 0): 0.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_non_finite_entries_refused_by_every_constructor(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        SparseMatrix(1, {(0, 0): bad})
+    with pytest.raises(ValueError, match="non-finite"):
+        SparseMatrix.from_entries(1, [(0, 0, 1.0), (1, 1, bad)])
+    with pytest.raises(ValueError, match="non-finite"):
+        SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, bad]], dtype=complex))
+
+
+def test_opposite_infinities_are_refused_not_pruned():
+    with pytest.raises(ValueError, match="non-finite"):
+        SparseMatrix.from_entries(1, [(0, 0, math.inf), (0, 0, -math.inf)])
+
+
+# Every builder of a dense 2^n x 2^n (or 4^n) array, called one qubit past
+# the limit, where the array would take 1 GiB (4 GiB for the Pauli vector).
+WIDE = 13
+LADDERS = (SigmaFactor.SPLUS,) * WIDE
+GUARDED_BUILDERS = {
+    "to_dense": lambda: SparseMatrix(WIDE, {(0, 0): 1.0}).to_dense(),
+    "completion_matrix": lambda: completion_matrix(SigmaTerm(1.0, LADDERS)),
+    "circuit_to_matrix": lambda: circuit_to_matrix(Circuit(WIDE, ())),
+    "decompose_pauli": lambda: decompose_pauli(SparseMatrix(WIDE, {(0, 0): 1.0})),
+    "pauli_reconstruct": lambda: pauli_reconstruct(
+        PauliDecomposition(WIDE, (PauliTerm(1.0, "X" * WIDE),))
+    ),
+    "pauli_matrix": lambda: pauli_matrix("X" * WIDE),
+    # 12 system qubits and one term: no selector, plus the completion ancilla.
+    "assemble": lambda: assemble(Decomposition.build(WIDE - 1, [SigmaTerm(1.0, LADDERS[1:])])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_BUILDERS))
+def test_dense_builders_refuse_before_allocating(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limited to 12 qubits, got {WIDE}"):
+            GUARDED_BUILDERS[name]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

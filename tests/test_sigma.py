@@ -284,6 +284,17 @@ def test_decomposition_rejects_width_mismatch():
         Decomposition(2, (SigmaTerm(1.0, (P,)),))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+def test_term_rejects_non_finite_coefficient(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        SigmaTerm(bad, (P,))
+
+
+def test_build_refuses_sums_that_are_not_finite():
+    with pytest.raises(ValueError, match="not finite"):
+        Decomposition.build(1, [SigmaTerm(1e308, (P,)), SigmaTerm(1e308, (P,))])
+
+
 def test_term_from_string_accepts_spaces():
     term = SigmaTerm.from_string(2.0, "M I A")
     assert term.factors == (M, I, A)
