@@ -89,14 +89,13 @@ def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
     n = m.n_qubits
     # The transform holds all 4**n coefficients at once.
     _require_dense_size(n, "pauli decomposition")
-    rc = np.array(list(m.entries), dtype=np.int64).reshape(-1, 2)
     # Bit k of the row goes to bit 2k+1 of the flat index, bit k of the
     # column to bit 2k, so qubit p's pair is digit n-1-p in base 4.
     flat = np.zeros(m.nnz, dtype=np.int64)
     for k in range(n):
-        flat |= ((rc[:, 0] >> k) & 1) << (2 * k + 1) | ((rc[:, 1] >> k) & 1) << (2 * k)
+        flat |= ((m.rows >> k) & 1) << (2 * k + 1) | ((m.cols >> k) & 1) << (2 * k)
     a = np.zeros(4**n, dtype=complex)
-    a[flat] = np.fromiter(m.entries.values(), dtype=complex, count=m.nnz)
+    a[flat] = m.vals
     _transform(a, n, inverse=False)
     a /= m.dim
 

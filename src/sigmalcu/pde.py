@@ -23,6 +23,7 @@ directly assembled difference operator entry for entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,6 +77,8 @@ class HeatParams:
             raise ValueError("s and t must be >= 1")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if not self.k_cond > 0:
+            raise ValueError("k_cond must be positive")
         if self.length is not None and self.length <= 0:
             raise ValueError("length must be positive")
         if self.T is not None and self.T <= 0:
@@ -196,7 +199,10 @@ def heat_1d(p: HeatParams) -> PdeSystem:
     terms.extend(_space_block_terms(t, _diffusion_terms(s, p.corner_value), -gamma))
     decomposition = Decomposition.build(t + s, terms)
 
-    flux = p.q_flux * p.dt / (p.k_cond * p.dx)
+    conduction = p.k_cond * p.dx  # positive unless the product underflows
+    flux = p.q_flux * p.dt / conduction if conduction else math.inf
+    if not math.isfinite(flux):
+        raise ValueError(f"boundary flux q * dt / (k * dx) = {flux} is not finite")
     rhs = np.zeros(p.n_t * p.n_x, dtype=complex)
     rhs[: p.n_x] = 1.0
     rhs[p.n_x :: p.n_x] = flux

@@ -19,16 +19,16 @@ position 0 first (most significant qubit):
 
 from __future__ import annotations
 
-import cmath
-import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from . import _codec
-from .matrices import ZERO_TOL, SparseMatrix, _require_dense_size
+from .matrices import ZERO_TOL, Coo, SparseMatrix, _require_dense_size
 
 
 class SigmaFactor(Enum):
@@ -80,6 +80,34 @@ _LADDER_FACTORS = frozenset(
     f for f, pairs in _FACTOR_BIT_PAIRS.items() if all(r != c for r, c in pairs)
 )
 
+_FACTOR_BY_CHAR = {f.value: f for f in SigmaFactor}
+
+# str.translate tables from a factor string to base-2 digits: the row bit
+# and the column bit of each single-entry factor's 1 (0 at the identity),
+# and a 1 at the identity.
+_ROW_DIGITS, _COL_DIGITS = (
+    str.maketrans(
+        {SigmaFactor.IDENT.value: "0"} | {f.value: str(bits[k]) for bits, f in FACTOR_FROM_BITS.items()}
+    )
+    for k in (0, 1)
+)
+_IDENT_DIGITS = str.maketrans({f.value: str(int(f is SigmaFactor.IDENT)) for f in SigmaFactor})
+
+# Character of the single-entry factor at (row_bit, col_bit), indexed by
+# 2 * row_bit + col_bit.
+_CHAR_AT_BITS = np.frombuffer(
+    "".join(FACTOR_FROM_BITS[(k >> 1, k & 1)].value for k in range(4)).encode("ascii"),
+    dtype=np.uint8,
+)
+
+
+def _magnitude(c: complex) -> float:
+    """``|c|``, reading inf where a finite ``c``'s magnitude overflows."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
 
 @dataclass(frozen=True)
 class SigmaTerm:
@@ -91,25 +119,29 @@ class SigmaTerm:
     def __post_init__(self) -> None:
         if not self.factors:
             raise ValueError("a sigma term needs at least one factor")
-        if not cmath.isfinite(self.coeff):
-            raise ValueError(f"sigma term coefficient {self.coeff} is not finite")
+        if not _magnitude(self.coeff) < math.inf:
+            raise ValueError(f"sigma term coefficient {self.coeff} is not finite in magnitude")
 
     @property
     def n_qubits(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def factor_string(self) -> str:
+        """The factors as text; the term's key wherever terms are summed,
+        merged or sorted."""
         return "".join(f.value for f in self.factors)
 
     @classmethod
     def from_string(cls, coeff: complex, factors: str) -> "SigmaTerm":
         cleaned = factors.replace(" ", "")
         try:
-            parsed = tuple(SigmaFactor(ch) for ch in cleaned)
-        except ValueError as exc:
-            raise ValueError(f"invalid factor string {factors!r}") from exc
-        return cls(complex(coeff), parsed)
+            parsed = tuple(map(_FACTOR_BY_CHAR.__getitem__, cleaned))
+        except KeyError:
+            raise ValueError(f"invalid factor string {factors!r}") from None
+        term = cls(complex(coeff), parsed)
+        term.__dict__["factor_string"] = cleaned  # fills the cache
+        return term
 
 
 @dataclass(frozen=True)
@@ -146,15 +178,21 @@ class Decomposition:
     ) -> "Decomposition":
         """Sum coefficients of equal factor strings, prune, and sort.  A NaN
         sum is kept, so that the term refuses it."""
-        acc: dict[tuple[SigmaFactor, ...], complex] = {}
+        sums: dict[str, complex] = {}
         for t in terms:
-            acc[t.factors] = acc.get(t.factors, 0j) + t.coeff
-        kept = [
-            SigmaTerm(coeff, factors)
-            for factors, coeff in acc.items()
-            if not abs(coeff) <= tol
-        ]
-        kept.sort(key=lambda t: t.factor_string)
+            key = t.factor_string
+            sums[key] = sums.get(key, 0j) + t.coeff
+        return cls._from_sums(n_qubits, sums, tol)
+
+    @classmethod
+    def _from_sums(
+        cls, n_qubits: int, sums: dict[str, complex], tol: float = ZERO_TOL
+    ) -> "Decomposition":
+        """Terms from coefficients keyed by factor string, pruned and
+        sorted.  Each coefficient is added to 0j, as in :meth:`build`, which
+        turns negative zero parts positive."""
+        coeffs = ((key, 0j + sums[key]) for key in sorted(sums))
+        kept = [SigmaTerm.from_string(c, key) for key, c in coeffs if not _magnitude(c) <= tol]
         return cls(n_qubits, tuple(kept))
 
     def __len__(self) -> int:
@@ -168,17 +206,14 @@ def decompose_numerical(m: SparseMatrix) -> Decomposition:
     factor has its single 1 at ``(bit_p(r), bit_p(c))``; the identity factor
     is never emitted on this path.  ``reconstruct`` inverts it exactly.
     """
-    if not m.entries:
+    if not m.nnz:
         raise ValueError("cannot decompose an empty matrix")
     n = m.n_qubits
-    terms = []
-    for (r, c), v in m.entries.items():
-        factors = tuple(
-            FACTOR_FROM_BITS[((r >> (n - 1 - p)) & 1, (c >> (n - 1 - p)) & 1)]
-            for p in range(n)
-        )
-        terms.append(SigmaTerm(v, factors))
-    return Decomposition.build(n, terms)
+    shifts = np.arange(n - 1, -1, -1)
+    pairs = 2 * ((m.rows[:, None] >> shifts) & 1) + ((m.cols[:, None] >> shifts) & 1)
+    keys = _CHAR_AT_BITS[pairs].view(f"S{n}").ravel().astype(str).tolist()
+    # Distinct entries give distinct strings, so nothing is summed.
+    return Decomposition._from_sums(n, dict(zip(keys, m.vals.tolist())))
 
 
 def term_matrix(t: SigmaTerm) -> SparseMatrix:
@@ -188,23 +223,41 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
     pick a 1 in every factor, so a term with k identity factors has 2**k
     nonzeros.
     """
-    entries = []
-    for pairs in itertools.product(*(f.bit_pairs for f in t.factors)):
-        r = 0
-        c = 0
-        for row_bit, col_bit in pairs:
-            r = (r << 1) | row_bit
-            c = (c << 1) | col_bit
-        entries.append((r, c, t.coeff))
-    return SparseMatrix.from_entries(t.n_qubits, entries)
+    if _magnitude(t.coeff) <= ZERO_TOL:
+        return SparseMatrix(t.n_qubits, {})
+    key = t.factor_string
+    # Every identity factor doubles the entries: the offsets are the sums
+    # of all subsets of the identity bit weights, built in increasing order
+    # by adding each weight, lowest first, to the offsets so far.
+    ident = int(key.translate(_IDENT_DIGITS), 2)
+    offsets = np.zeros(1 << ident.bit_count(), dtype=np.int64)
+    size = 1
+    while ident:
+        weight = ident & -ident
+        np.add(offsets[:size], weight, out=offsets[size : 2 * size])
+        ident ^= weight
+        size *= 2
+    rows = int(key.translate(_ROW_DIGITS), 2) + offsets
+    cols = int(key.translate(_COL_DIGITS), 2) + offsets
+    # Sorted and unique by construction, and the term's coefficient is
+    # finite; 0j + coeff matches the sums of SparseMatrix.from_entries,
+    # which start from 0j.
+    vals = np.full(offsets.size, 0j + t.coeff)
+    return SparseMatrix._from_sorted(t.n_qubits, rows, cols, vals)
 
 
 def reconstruct(d: Decomposition) -> SparseMatrix:
-    """Entrywise sum of all term matrices, pruned at ``ZERO_TOL``."""
-    items: list[tuple[int, int, complex]] = []
-    for t in d.terms:
-        items.extend((r, c, v) for (r, c), v in term_matrix(t).entries.items())
-    return SparseMatrix.from_entries(d.n_qubits, items)
+    """Entrywise sum of all term matrices, pruned at ``ZERO_TOL``: one
+    coalescing pass over the terms' arrays, summed in term order."""
+    parts = [term_matrix(t) for t in d.terms]
+    if not parts:
+        return SparseMatrix(d.n_qubits, {})
+    coo = Coo(
+        np.concatenate([p.rows for p in parts]),
+        np.concatenate([p.cols for p in parts]),
+        np.concatenate([p.vals for p in parts]),
+    )
+    return SparseMatrix.from_entries(d.n_qubits, coo)
 
 
 def completion(t: SigmaTerm) -> list[str]:
@@ -249,30 +302,28 @@ def merge_terms(d: Decomposition) -> Decomposition:
     touches either, so the order of the candidates does not matter.  The
     term count never increases; minimality is not claimed.
     """
-    coeffs: dict[tuple[SigmaFactor, ...], complex] = {
-        t.factors: t.coeff for t in d.terms
-    }
+    spsm, smsp, ident = (f.value for f in (SigmaFactor.SPSM, SigmaFactor.SMSP, SigmaFactor.IDENT))
+    coeffs = {t.factor_string: t.coeff for t in d.terms}
     changed = True
     while changed:
         changed = False
         for p in range(d.n_qubits):
-            for factors in [fs for fs in coeffs if fs[p] is SigmaFactor.SPSM]:
-                partner = factors[:p] + (SigmaFactor.SMSP,) + factors[p + 1 :]
-                a, b = coeffs[factors], coeffs.get(partner)
-                if b is None or abs(a - b) > ZERO_TOL * max(1.0, abs(a), abs(b)):
+            for key in [k for k in coeffs if k[p] == spsm]:
+                head, tail = key[:p], key[p + 1 :]
+                partner = head + smsp + tail
+                a, b = coeffs[key], coeffs.get(partner)
+                if b is None or _magnitude(a - b) > ZERO_TOL * max(1.0, abs(a), abs(b)):
                     continue
-                del coeffs[factors], coeffs[partner]
+                del coeffs[key], coeffs[partner]
                 coeff = (a + b) / 2
-                merged = factors[:p] + (SigmaFactor.IDENT,) + factors[p + 1 :]
+                merged = head + ident + tail
                 total = coeffs.get(merged, 0j) + coeff
-                if abs(total) > ZERO_TOL:
+                if _magnitude(total) > ZERO_TOL:
                     coeffs[merged] = total
                 elif merged in coeffs:
                     coeffs.pop(merged)
                 changed = True
-    return Decomposition.build(
-        d.n_qubits, (SigmaTerm(c, fs) for fs, c in coeffs.items())
-    )
+    return Decomposition._from_sums(d.n_qubits, coeffs)
 
 
 def to_json_dict(d: Decomposition) -> dict:

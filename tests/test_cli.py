@@ -635,6 +635,7 @@ def test_verify_refuses_twelve_qubits_before_building_dense_blocks(tmp_path, mon
 # is written for them.
 NAN_MTX = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 1.0\n"
 INF_MTX = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 inf\n2 2 1.0\n"
+BIG_MTX = "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.7e308 1.7e308\n"
 
 
 @pytest.mark.parametrize(
@@ -642,6 +643,8 @@ INF_MTX = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 inf\n2 2 1.
     [
         "decompose-nan", "decompose-inf", "block-encode-1e400", "block-encode-lambda-overflow",
         "generate-alpha-1e308", "generate-alpha-nan", "generate-w1-nan",
+        "decompose-magnitude-overflow", "block-encode-magnitude-overflow", "generate-k-cond-0",
+        "generate-k-cond-nan", "generate-q-flux-nan", "generate-flux-overflow",
     ],
 )
 def test_non_finite_numbers_exit_1_and_write_nothing(tmp_path, case):
@@ -669,9 +672,40 @@ def test_non_finite_numbers_exit_1_and_write_nothing(tmp_path, case):
         "generate-w1-nan": [
             "generate", "--family", "heat", "--s", "2", "--t", "2", "--w1", "nan", "--outdir", str(out),
         ],
+        # Finite parts whose magnitude overflows a float.
+        "decompose-magnitude-overflow": ["decompose", "--in", write(tmp_path / "big.mtx", BIG_MTX), "--out", str(out)],
+        "block-encode-magnitude-overflow": [
+            "block-encode", "--outdir", str(out), "--decomp",
+            write_json(tmp_path / "big_magnitude.json", {"n_qubits": 1, "terms": [{"re": 1.7e308, "im": 1.7e308, "factors": "P"}]}),
+        ],
+        # The boundary flux q * dt / (k * dx) must be finite.
+        **{
+            f"generate-{name}": [
+                "generate", "--family", "heat", "--s", "2", "--t", "2", *flags, "--outdir", str(out),
+            ]
+            for name, flags in (
+                ("k-cond-0", ["--k-cond", "0"]),
+                ("k-cond-nan", ["--k-cond", "nan"]),
+                ("q-flux-nan", ["--q-flux", "nan"]),
+                ("flux-overflow", ["--q-flux", "1e308", "--k-cond", "1e-10"]),
+            )
+        },
     }[case]
     assert_input_error(argv)
     assert not out.exists()
+
+
+def test_merge_of_coefficients_whose_difference_overflows(tmp_path, capsys):
+    """Each entry has a finite magnitude; the difference of the projector
+    pair does not, so the pair is not merged."""
+    mtx = write(
+        tmp_path / "m.mtx",
+        "%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1.2e308 1.2e308\n2 2 -1e307 -1e307\n",
+    )
+    out = tmp_path / "d.json"
+    assert main(["decompose", "--in", mtx, "--out", str(out), "--merge"]) == 0
+    assert capsys.readouterr().out == "terms: 2  nnz: 2\n"
+    assert [t.factor_string for t in load_decomposition(str(out)).terms] == ["A", "B"]
 
 
 def test_oracle_entry_overflowing_to_infinity_exits_1(tmp_path):

@@ -3,10 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from sigmalcu.blockenc import assemble
 from sigmalcu.circuits import Circuit
 from sigmalcu.matrices import (
+    ZERO_TOL,
+    Coo,
     SparseMatrix,
     frobenius_distance,
     load_matrix_market,
@@ -192,7 +197,8 @@ def test_entries_validated():
         SparseMatrix(1, {(0, 0): 0.0})
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+# The last is finite, but its magnitude overflows a float.
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf), complex(1.7e308, 1.7e308)])
 def test_non_finite_entries_refused_by_every_constructor(bad):
     with pytest.raises(ValueError, match="non-finite"):
         SparseMatrix(1, {(0, 0): bad})
@@ -200,6 +206,15 @@ def test_non_finite_entries_refused_by_every_constructor(bad):
         SparseMatrix.from_entries(1, [(0, 0, 1.0), (1, 1, bad)])
     with pytest.raises(ValueError, match="non-finite"):
         SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, bad]], dtype=complex))
+
+
+def test_overflowing_magnitude_in_matrix_market_is_refused(tmp_path):
+    path = write_mtx(
+        tmp_path / "m.mtx",
+        "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.7e308 1.7e308\n",
+    )
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) stores a non-finite value"):
+        load_matrix_market(path)
 
 
 def test_opposite_infinities_are_refused_not_pruned():
@@ -235,3 +250,51 @@ def test_dense_builders_refuse_before_allocating(name):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# Signed zeros, values pruned at ZERO_TOL, values whose sum overflows, and
+# non-finite values, next to ordinary ones.
+EDGE_PARTS = [0.0, -0.0, 1.0, -1.0, 2.5, 1e-15, -3e-15, 1e308, -1.7e308, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def triples(draw):
+    """A width and (row, col, value) triples on few coordinates, so that
+    most draws repeat a coordinate and some sums cancel to zero."""
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, (1 << n) - 1)
+    part = st.one_of(st.sampled_from(EDGE_PARTS), st.floats(-4, 4))
+    items = draw(st.lists(st.tuples(index, index, part, part), max_size=24))
+    return n, [(r, c, complex(re, im)) for r, c, re, im in items]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=triples(), tol=st.sampled_from([ZERO_TOL, 0.75]))
+@example(case=(2, []), tol=ZERO_TOL)
+@example(case=(1, [(0, 0, 1.0), (0, 0, -1.0), (1, 0, complex(-0.0, 2.0))]), tol=ZERO_TOL)
+@example(case=(1, [(1, 1, complex(-0.0, -0.0)), (1, 1, 3.0)]), tol=ZERO_TOL)
+@example(case=(1, [(0, 1, math.inf), (0, 1, -math.inf)]), tol=ZERO_TOL)
+def test_from_entries_matches_dict_reference(case, tol):
+    """Triples and Coo arrays coalesce to the bytes of the dict loop, and
+    sums the loop refuses (NaN, infinite or overflowing) are refused."""
+    n, items = case
+    coo = Coo(*(np.array(column) for column in zip(*items))) if items else None
+    try:
+        want = reference.from_entries(n, items, tol)
+    except (ValueError, OverflowError):
+        with pytest.raises(ValueError, match="non-finite"):
+            SparseMatrix.from_entries(n, items, tol)
+        return
+    reference.assert_same_arrays(SparseMatrix.from_entries(n, items, tol), want)
+    if coo is not None:
+        reference.assert_same_arrays(SparseMatrix.from_entries(n, coo, tol), want)
+    assert SparseMatrix(n, dict(want.entries)) == want
+
+
+def test_entries_is_a_read_only_view():
+    m = SparseMatrix.from_entries(1, [(1, 0, 2.0), (0, 1, 1.0)])
+    assert list(m.entries.items()) == [((0, 1), 1.0), ((1, 0), 2.0)]
+    with pytest.raises(TypeError):
+        m.entries[(0, 0)] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        m.vals[0] = 5.0

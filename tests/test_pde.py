@@ -157,6 +157,19 @@ def test_heat_rejects_degenerate_robin():
         HeatParams(s=1, t=1, robin_w1=0.0, robin_w2=0.0)
 
 
+@pytest.mark.parametrize("k_cond", [0.0, -1.0, float("nan")])
+def test_heat_rejects_non_positive_conductivity(k_cond):
+    with pytest.raises(ValueError, match="k_cond must be positive"):
+        HeatParams(s=1, t=1, k_cond=k_cond)
+
+
+# The last conductivity is positive, but k * dx underflows to zero.
+@pytest.mark.parametrize("q_flux, k_cond", [(float("nan"), 1.0), (1e308, 1e-10), (1.0, 5e-324)])
+def test_heat_rejects_boundary_flux_that_is_not_finite(q_flux, k_cond):
+    with pytest.raises(ValueError, match="boundary flux .* is not finite"):
+        heat_1d(HeatParams(s=1, t=1, q_flux=q_flux, k_cond=k_cond, length=1.0))
+
+
 @pytest.mark.parametrize("s,t", [(1, 1), (1, 2), (2, 2), (3, 3), (4, 4)])
 def test_heat_exact_for_integer_defaults(s, t):
     p = HeatParams(s=s, t=t)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from sigmalcu.matrices import ZERO_TOL, SparseMatrix
 from sigmalcu.sigma import (
     Decomposition,
@@ -284,7 +285,10 @@ def test_decomposition_rejects_width_mismatch():
         Decomposition(2, (SigmaTerm(1.0, (P,)),))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+# The last is finite, but its magnitude overflows a float.
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), complex(0.0, float("-inf")), complex(1.7e308, 1.7e308)]
+)
 def test_term_rejects_non_finite_coefficient(bad):
     with pytest.raises(ValueError, match="not finite"):
         SigmaTerm(bad, (P,))
@@ -330,3 +334,97 @@ def test_completion_matrix_matches_kron_reference(factors):
     expected = kron_completion_matrix(term)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def assert_same_terms(got: Decomposition, want: Decomposition) -> None:
+    """Equal factor strings, and coefficients equal to the bit."""
+    assert got.n_qubits == want.n_qubits
+    assert [t.factor_string for t in got.terms] == [t.factor_string for t in want.terms]
+    got_coeffs = np.array([t.coeff for t in got.terms], dtype=complex)
+    want_coeffs = np.array([t.coeff for t in want.terms], dtype=complex)
+    assert got_coeffs.tobytes() == want_coeffs.tobytes()
+
+
+# Finite coefficient parts: signed zeros, parts pruned at ZERO_TOL, and
+# 1e308, so that some sums overflow to infinity or in magnitude.
+COEFF_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-15, -1e308, 1e308]), st.floats(-4, 4)
+)
+COEFFS = st.builds(complex, COEFF_PARTS, COEFF_PARTS)
+FACTORS = st.sampled_from([I, P, M, A, B])
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors=st.lists(FACTORS, min_size=1, max_size=8), coeff=COEFFS)
+@example(factors=[I, I, I], coeff=complex(-0.0, 2.0))
+@example(factors=[A, I], coeff=1e-15)
+def test_term_matrix_matches_product_reference(factors, coeff):
+    term = SigmaTerm(coeff, tuple(factors))
+    reference.assert_same_arrays(term_matrix(term), reference.term_matrix(term))
+
+
+@st.composite
+def term_lists(draw):
+    """Terms on few strings, so that strings repeat and sums cancel."""
+    n = draw(st.integers(1, 4))
+    strings = st.lists(st.sampled_from([I, A, B, P]), min_size=n, max_size=n).map(tuple)
+    coeff = st.one_of(st.sampled_from([1.0, -1.0, complex(-0.0, 1.0), 0.5j]), COEFFS)
+    return n, draw(st.lists(st.builds(SigmaTerm, coeff, strings), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=term_lists())
+@example(case=(1, [SigmaTerm(1.0, (I,)), SigmaTerm(-1.0, (A,))]))
+@example(case=(2, []))
+def test_build_and_reconstruct_match_references(case):
+    n, terms = case
+    try:
+        want = reference.build(n, terms)
+    except (ValueError, OverflowError):
+        # A sum that is not finite, or whose magnitude overflows.
+        with pytest.raises(ValueError, match="not finite"):
+            Decomposition.build(n, terms)
+        return
+    got = Decomposition.build(n, terms)
+    assert_same_terms(got, want)
+    try:
+        want_matrix = reference.reconstruct(got)
+    except (ValueError, OverflowError):
+        with pytest.raises(ValueError, match="non-finite"):
+            reconstruct(got)
+        return
+    reference.assert_same_arrays(reconstruct(got), want_matrix)
+
+
+@st.composite
+def stored_matrices(draw):
+    """Matrices built from a dict, which keeps negative zero parts."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, (1 << n) - 1)
+    value = st.builds(complex, st.sampled_from([-0.0, 0.0, 1.0, -2.0]), st.floats(-4, 4))
+    entries = draw(st.dictionaries(st.tuples(index, index), value, min_size=1, max_size=20))
+    assume(all(abs(v) > ZERO_TOL for v in entries.values()))
+    return SparseMatrix(n, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=stored_matrices())
+@example(m=SparseMatrix(2, {(3, 0): complex(-0.0, -1.0), (0, 3): -0.5}))
+def test_decompose_numerical_matches_per_entry_reference(m):
+    assert_same_terms(decompose_numerical(m), reference.decompose_numerical(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=decompositions_with_repeated_coefficients())
+@example(d=Decomposition(1, (SigmaTerm(complex(-0.0, 1.0), (A,)), SigmaTerm(complex(-0.0, 1.0), (B,)))))
+@example(d=Decomposition(2, (SigmaTerm(complex(2.0, -0.0), (A, P)),)))
+def test_merge_matches_enum_tuple_reference(d):
+    assert_same_terms(merge_terms(d), reference.merge_terms(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=nudged_decompositions())
+def test_merge_of_nudged_coefficients_matches_enum_tuple_reference(pair):
+    _, nudged = pair
+    assert_same_terms(merge_terms(nudged), reference.merge_terms(nudged))
+
