@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, build_ul_circuit, gate_count
+from .circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _term_controls
 from .matrices import ZERO_TOL, _require_dense_size, frobenius_distance
 from .sigma import Decomposition, reconstruct
 from .simulate import circuit_to_matrix
@@ -167,7 +167,8 @@ def resource_report(d: Decomposition, epsilon: float) -> dict:
     The numbers restate published near-optimal PREP/SELECT complexities for
     an L-term combination on an N-dimensional system at state-preparation
     accuracy epsilon; they are reported, not measured.  Concrete per-term
-    control arities come from the completion circuits.
+    control arities are those of the completion circuits, read off each
+    term's control pattern without building the circuit.
     """
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
@@ -176,7 +177,8 @@ def resource_report(d: Decomposition, epsilon: float) -> dict:
     N = 1 << n
     lam = float(sum(abs(t.coeff) for t in d.terms))
     log_inv_eps = math.log2(1.0 / epsilon)
-    arities = [gate_count(build_ul_circuit(t)).mcx for t in d.terms]
+    # One MCX per completion; an all-identity term has a bare X instead.
+    arities = [(len(c),) if (c := _term_controls(t, offset=1)) else () for t in d.terms]
     return {
         "L": L,
         "n": n,

@@ -11,18 +11,31 @@ observable unitary.  The a0 measurement statistics give the real part as
 P00 - P10; inserting an S^dag on a0 after the first Hadamard turns the
 same statistic into the imaginary part.  Coefficients are excluded: every
 routine returns the bare matrix element of the unit-coefficient term.
+
+The circuits are not simulated one by one.  Their H, controlled-V and
+open-controlled-U prefix does not depend on the term, so it runs once per
+(U, V) pair, and every term's completion is X/MCX gates, which only move
+amplitudes: each term scatters the cached prefix state through its index
+permutation before the closing H.  A sandwich caches, per (M, Tj), the
+state after controlled Tj and the doubly controlled M.  Cached states live
+as long as the oracles they were computed from.  ``_hadamard_test_circuits``
+builds the full circuits, which tests run as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuits import CLOSED, OPEN, Circuit, Gate, _check_unitary, _controlled_term
 from .matrices import _require_power_of_two
 from .sigma import Decomposition, SigmaTerm
-from .simulate import ancilla_probs, run, zero_state
+from .simulate import StateVector, _apply_to_tensor, _permuted_indices, ancilla_probs, run, zero_state
+
+# Largest shot count a seeded multinomial draw accepts.
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,10 +46,12 @@ class StateOracle:
     label: str = "U"
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=complex)
+        matrix = np.array(self.matrix, dtype=complex)
         dim = matrix.shape[0] if matrix.ndim == 2 else 0
         _require_power_of_two(dim)
         _check_unitary(matrix, dim, self.label)
+        # A private read-only copy: states cached for this oracle stay valid.
+        matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -86,15 +101,99 @@ def _hadamard_test_circuits(
     return real, imaginary
 
 
-def _ancilla_distributions(circuits: tuple[Circuit, Circuit]) -> list[dict[str, float]]:
-    """a0/a1 measurement distribution of each circuit run on |0...0>."""
-    return [ancilla_probs(run(c, zero_state(c.n_qubits)), [0, 1]) for c in circuits]
+@dataclass
+class _Prefix:
+    """Cached start of every Hadamard test on one (U, V) pair.
+
+    ``state`` holds the real and imaginary circuits' states after H (and
+    S^dag), controlled V and open-controlled U as the two columns of a
+    (2^width, 2) array.  ``perms`` holds each a0-controlled completion's
+    index permutation, keyed by factor string and polarity; ``after_m``
+    holds, per observable M and keyed by Tj's factor string, the state
+    after controlled Tj and the doubly controlled M.
+    """
+
+    width: int
+    state: np.ndarray
+    perms: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    after_m: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary)
+
+
+# _PREFIXES[u][v] is the (U, V) prefix; an entry goes with either oracle.
+_PREFIXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+_H = Gate("h", (0,))
+
+
+def _prefix(u: StateOracle, v: StateOracle) -> _Prefix:
+    by_v = _PREFIXES.setdefault(u, weakref.WeakKeyDictionary())
+    entry = by_v.get(v)
+    if entry is None:
+        width = u.n_qubits + 2
+        system = tuple(range(2, width))
+        body = (
+            Gate("dense", system, ((0, CLOSED),), v.matrix, v.label),
+            Gate("dense", system, ((0, OPEN),), u.matrix, u.label),
+        )
+        columns = [
+            run(Circuit(width, gates, frozenset({0, 1})), zero_state(width)).amplitudes
+            for gates in ((_H, *body), (_H, Gate("sdg", (0,)), *body))
+        ]
+        entry = by_v[v] = _Prefix(width, np.stack(columns, axis=1))
+    return entry
+
+
+def _permuted(entry: _Prefix, state: np.ndarray, term: SigmaTerm, polarity: str) -> np.ndarray:
+    """``state`` after the term's completion controlled on a0 with the
+    given polarity, applied as a scatter through its index permutation."""
+    key = (term.factor_string, polarity)
+    perm = entry.perms.get(key)
+    if perm is None:
+        gates = _controlled_term(term, entry.width, ((0, polarity),)).gates
+        perm = entry.perms[key] = _permuted_indices(gates, entry.width, 1 << entry.width)
+    out = np.empty_like(state)
+    out[perm] = state
+    return out
+
+
+def _after_m(entry: _Prefix, m: StateOracle, tj: SigmaTerm) -> np.ndarray:
+    by_term = entry.after_m.setdefault(m, {})
+    state = by_term.get(tj.factor_string)
+    if state is None:
+        width = entry.width
+        gate = Gate("dense", tuple(range(2, width)), ((0, CLOSED), (1, OPEN)), m.matrix, m.label)
+        tensor = _permuted(entry, entry.state, tj, CLOSED).reshape([2] * width + [2])
+        # One column at a time: M then multiplies the same operand shape as
+        # in the one-state reference circuit, which keeps values bit for bit.
+        columns = [_apply_to_tensor(tensor[..., c : c + 1], gate) for c in (0, 1)]
+        state = by_term[tj.factor_string] = np.concatenate(columns, axis=-1).reshape(-1, 2)
+    return state
+
+
+def _distributions(
+    u: StateOracle,
+    v: StateOracle,
+    term: SigmaTerm,
+    m: StateOracle | None = None,
+    ti: SigmaTerm | None = None,
+) -> list[dict[str, float]]:
+    """a0/a1 distributions of the (real, imaginary) circuits that
+    :func:`_hadamard_test_circuits` builds from the same arguments, taken
+    from the cached prefix."""
+    entry = _prefix(u, v)
+    if m is None:
+        state = _permuted(entry, entry.state, term, CLOSED)
+    else:
+        state = _permuted(entry, _after_m(entry, m, term), ti, OPEN)
+    width = entry.width
+    final = _apply_to_tensor(state.reshape([2] * width + [2]), _H).reshape(-1, 2)
+    return [ancilla_probs(StateVector(width, final[:, c]), [0, 1]) for c in (0, 1)]
 
 
 def expval_term(u: StateOracle, v: StateOracle, term: SigmaTerm) -> complex:
     """Exact <0| U^dag T V |0> for the unit-coefficient term T."""
     _check_width(term.n_qubits, u, v)
-    real, imaginary = _ancilla_distributions(_hadamard_test_circuits(u, v, term))
+    real, imaginary = _distributions(u, v, term)
     return complex(real["00"] - real["10"], imaginary["00"] - imaginary["10"])
 
 
@@ -109,7 +208,7 @@ def expval_sandwich(
     if ti.n_qubits != tj.n_qubits:
         raise ValueError("terms act on different register widths")
     _check_width(ti.n_qubits, u, v, m)
-    real, imaginary = _ancilla_distributions(_hadamard_test_circuits(u, v, tj, m, ti))
+    real, imaginary = _distributions(u, v, tj, m, ti)
     return complex(real["00"] - real["10"], imaginary["00"] - imaginary["10"])
 
 
@@ -131,21 +230,22 @@ def sample_expval(
 ) -> complex:
     """Finite-shot estimate of :func:`expval_term`.
 
-    Draws ancilla outcomes from the exact distribution of each circuit
-    with a seeded generator; the estimate is (count00 - count10) / shots
-    per part and is reproducible for a fixed seed.
+    Draws the four ancilla outcome counts of each circuit from the exact
+    distribution with one seeded multinomial draw; the estimate is
+    (count00 - count10) / shots per part and is reproducible for a fixed
+    seed.  Memory does not grow with ``shots``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS}")
     _check_width(term.n_qubits, u, v)
     rng = np.random.default_rng(seed)
     parts = []
-    for probs in _ancilla_distributions(_hadamard_test_circuits(u, v, term)):
+    for probs in _distributions(u, v, term):
         keys = sorted(probs)
         weights = np.clip([probs[k] for k in keys], 0.0, None)
         weights = weights / weights.sum()
-        outcomes = rng.choice(len(keys), size=shots, p=weights)
-        counts = np.bincount(outcomes, minlength=len(keys))
-        count = dict(zip(keys, counts))
+        count = dict(zip(keys, rng.multinomial(shots, weights)))
         parts.append((count["00"] - count["10"]) / shots)
     return complex(parts[0], parts[1])

@@ -185,6 +185,19 @@ def _space_block_terms(
     return lifted
 
 
+def _square(name: str, x: float) -> float:
+    """x**2, refused unless it is positive and finite: a tiny grid spacing
+    would otherwise divide by zero, and a huge one or a huge wave speed
+    overflow."""
+    try:
+        square = x**2
+    except OverflowError:
+        square = math.inf
+    if not 0 < square < math.inf:
+        raise ValueError(f"{name} = {x} squares to {square}, outside floating-point range")
+    return square
+
+
 def heat_1d(p: HeatParams) -> PdeSystem:
     """Implicit-Euler heat system over n_t * n_x unknowns.
 
@@ -194,7 +207,7 @@ def heat_1d(p: HeatParams) -> PdeSystem:
     q * dt / (k * dx) in the first component of every later block.
     """
     s, t = p.s, p.t
-    gamma = p.alpha * p.dt / p.dx**2
+    gamma = p.alpha * p.dt / _square("grid spacing dx", p.dx)
     terms = list(ode_extended_a1(t, s).terms)
     terms.extend(_space_block_terms(t, _diffusion_terms(s, p.corner_value), -gamma))
     decomposition = Decomposition.build(t + s, terms)
@@ -230,7 +243,7 @@ def wave_1d(
     dx = (length if length is not None else float(n_x)) / n_x
     dt = (T if T is not None else float(n_t - 1)) / (n_t - 1)
 
-    speed = c**2 / dx**2
+    speed = _square("wave speed c", c) / _square("grid spacing dx", dx)
     generator = [
         SigmaTerm(speed * term.coeff, (M,) + term.factors)
         for term in _diffusion_terms(s, corner=1.0)

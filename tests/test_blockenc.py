@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmalcu.blockenc import (
@@ -11,6 +11,7 @@ from sigmalcu.blockenc import (
     select_circuit,
     verify_block_encoding,
 )
+from sigmalcu.circuits import build_ul_circuit, gate_count
 from sigmalcu.matrices import frobenius_distance
 from sigmalcu.pde import HeatParams, heat_1d, poisson_1d, wave_1d
 from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, reconstruct
@@ -216,3 +217,14 @@ def test_column_restricted_check_matches_full_matrix(d):
     full_error = frobenius_distance(block, reconstruct(d).to_dense() / encoding.lam)
     assert abs(report["frobenius_error"] - full_error) <= 1e-15
     assert report["frobenius_error"] <= BLOCK_TOL
+
+
+# The all-identity term's completion has a bare X and no MCX.
+@settings(max_examples=60, deadline=None)
+@given(d=small_decompositions())
+@example(d=Decomposition.build(2, [SigmaTerm(1.0, (I, I)), SigmaTerm(0.5, (P, I)), SigmaTerm(2.0, (A, M))]))
+@example(d=Decomposition.build(1, [SigmaTerm(1.0, (I,))]))
+def test_report_arities_match_built_completion_circuits(d):
+    report = resource_report(d, epsilon=1e-3)
+    expected = [list(gate_count(build_ul_circuit(t)).mcx) for t in d.terms]
+    assert report["per_term_mcx_arities"] == expected

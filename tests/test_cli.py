@@ -144,6 +144,16 @@ def test_generate_pauli_over_limit_writes_nothing(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("family", ["heat", "wave"])
+def test_generate_refuses_tiny_length_and_writes_nothing(tmp_path, capsys, family):
+    outdir = tmp_path / "sys"
+    argv = ["generate", "--family", family, "--s", "2", "--t", "2", "--length", "1e-200"]
+    assert main(argv + ["--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: grid spacing dx")
+    assert not outdir.exists()
+
+
 def test_generate_emitted_files_round_trip(tmp_path):
     outdir = tmp_path / "rt"
     assert main(["generate", "--family", "poisson", "--s", "2", "--outdir", str(outdir)]) == 0
@@ -294,6 +304,27 @@ def test_expval_shots_deterministic(tmp_path):
     assert main(args + [out1]) == 0
     assert main(args + [out2]) == 0
     assert json.loads(Path(out1).read_text()) == json.loads(Path(out2).read_text())
+
+
+@pytest.mark.parametrize("shots, code", [("1000000000000000000", 0), ("100000000000000000000", 1)])
+def test_expval_shots_up_to_int64_range(tmp_path, capsys, shots, code):
+    mtx = write(tmp_path / "m.mtx", CORNER_PAIR_MTX)
+    decomp = str(tmp_path / "d.json")
+    main(["decompose", "--in", mtx, "--out", decomp])
+    oracle = str(tmp_path / "id.json")
+    save_oracle(StateOracle(np.eye(4, dtype=complex), "id"), oracle)
+    capsys.readouterr()
+    argv = ["expval", "--decomp", decomp, "--u", oracle, "--v", oracle, "--shots", shots]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.splitlines() == [f"error: shots must be <= {2**63 - 1}"]
+    else:
+        # Both corner-pair terms vanish on |0>; each estimate has a standard
+        # deviation of at most 1e-9 at 1e18 shots.
+        payload = json.loads(captured.out)
+        parts = [part for p in payload["per_term"] for part in (p["re"], p["im"])]
+        assert len(parts) == 4 and max(map(abs, parts)) <= 6e-9
 
 
 def test_expval_sandwich_mode(tmp_path):

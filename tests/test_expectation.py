@@ -1,8 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigmalcu import expectation
 from sigmalcu.expectation import (
     StateOracle,
+    _distributions,
     _hadamard_test_circuits,
     expval_full,
     expval_sandwich,
@@ -11,7 +18,7 @@ from sigmalcu.expectation import (
 )
 from sigmalcu.pde import HeatParams, heat_1d, poisson_1d
 from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix, term_matrix
-from sigmalcu.simulate import run, zero_state
+from sigmalcu.simulate import ancilla_probs, run, zero_state
 from sigmalcu.circuits import Circuit, Gate
 
 I, P, M = SigmaFactor.IDENT, SigmaFactor.SPLUS, SigmaFactor.SMINUS
@@ -30,6 +37,11 @@ def identity_oracle(n):
 
 def x_oracle():
     return StateOracle(np.array([[0, 1], [1, 0]], dtype=complex), "x")
+
+
+def reference_distributions(*args):
+    """a0/a1 distributions from running each full Hadamard-test circuit."""
+    return [ancilla_probs(run(c, zero_state(c.n_qubits)), [0, 1]) for c in _hadamard_test_circuits(*args)]
 
 
 def dense_term_value(u, v, term):
@@ -232,3 +244,100 @@ def test_width_mismatch_rejected():
     term = SigmaTerm(1.0, (P,))
     with pytest.raises(ValueError, match="qubits"):
         expval_term(u, u, term)
+
+
+def assert_distributions_close(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.keys() == w.keys()
+        assert all(abs(g[k] - w[k]) <= 1e-12 for k in g)
+
+
+def value_of(distributions):
+    real, imaginary = distributions
+    return complex(real["00"] - real["10"], imaginary["00"] - imaginary["10"])
+
+
+@st.composite
+def oracle_call_sequences(draw):
+    """Three oracles of one width and a sequence of term and sandwich calls
+    that reuse and swap them, so calls hit and miss the prefix cache."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    oracles = [random_oracle(rng, n, label) for label in "ABC"]
+    factor = st.sampled_from(list(SigmaFactor))
+    term = st.lists(factor, min_size=n, max_size=n).map(lambda fs: SigmaTerm(1.0, tuple(fs)))
+    index = st.integers(0, 2)
+    call = st.tuples(index, index, st.none() | index, term, term)
+    return oracles, draw(st.lists(call, min_size=1, max_size=6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=oracle_call_sequences())
+def test_shared_prefix_matches_circuit_reference(case):
+    oracles, calls = case
+    for ui, vi, mi, ti, tj in calls:
+        u, v = oracles[ui], oracles[vi]
+        if mi is None:
+            want = reference_distributions(u, v, tj)
+            # sample_expval draws from these same distributions.
+            assert_distributions_close(_distributions(u, v, tj), want)
+            assert abs(expval_term(u, v, tj) - value_of(want)) <= 1e-12
+        else:
+            m = oracles[mi]
+            want = reference_distributions(u, v, tj, m, ti)
+            assert_distributions_close(_distributions(u, v, tj, m, ti), want)
+            assert abs(expval_sandwich(u, v, m, ti, tj) - value_of(want)) <= 1e-12
+
+
+def test_cached_states_go_with_their_oracles():
+    gc.collect()
+    before = len(expectation._PREFIXES)
+    rng = np.random.default_rng(91)
+    u, v, m = (random_oracle(rng, 2, label) for label in "UVM")
+    term = SigmaTerm(1.0, (P, SigmaFactor.SMSP))
+    expval_term(u, v, term)
+    expval_sandwich(u, v, m, term, term)
+    entry = expectation._PREFIXES[u][v]
+    assert len(entry.after_m) == 1
+    del m
+    gc.collect()
+    assert len(entry.after_m) == 0
+    refs = [weakref.ref(o) for o in (u, v)]
+    del u, v, entry
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(expectation._PREFIXES) == before
+
+
+def test_oracle_matrix_is_a_read_only_copy():
+    source = np.eye(2, dtype=complex)
+    oracle = StateOracle(source, "id")
+    source[0, 0] = -1.0
+    assert oracle.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        oracle.matrix[0, 0] = -1.0
+
+
+def test_sample_is_one_multinomial_draw_per_part():
+    rng = np.random.default_rng(93)
+    u = random_oracle(rng, 2, "U")
+    v = random_oracle(rng, 2, "V")
+    term = SigmaTerm(1.0, (M, SigmaFactor.SPSM))
+    draws = np.random.default_rng(5)
+    parts = []
+    for probs in _distributions(u, v, term):
+        weights = np.array([probs[k] for k in ("00", "01", "10", "11")])
+        counts = draws.multinomial(10**6, weights / weights.sum())
+        parts.append((counts[0] - counts[2]) / 10**6)
+    assert sample_expval(u, v, term, shots=10**6, seed=5) == complex(*parts)
+
+
+def test_sample_accepts_int64_shots_and_refuses_more():
+    rng = np.random.default_rng(95)
+    u = random_oracle(rng, 1, "U")
+    term = SigmaTerm(1.0, (P,))
+    exact = expval_term(u, u, term)
+    estimate = sample_expval(u, u, term, shots=2**63 - 1, seed=0)
+    assert abs(estimate - exact) < 1e-8
+    with pytest.raises(ValueError, match="shots must be <="):
+        sample_expval(u, u, term, shots=2**63, seed=0)

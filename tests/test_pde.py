@@ -170,6 +170,13 @@ def test_heat_rejects_boundary_flux_that_is_not_finite(q_flux, k_cond):
         heat_1d(HeatParams(s=1, t=1, q_flux=q_flux, k_cond=k_cond, length=1.0))
 
 
+# dx**2 underflows to zero for the tiny length and overflows for the huge one.
+@pytest.mark.parametrize("length", [1e-200, 1e200])
+def test_heat_rejects_grid_spacing_squared_outside_float_range(length):
+    with pytest.raises(ValueError, match="grid spacing dx = .* outside floating-point range"):
+        heat_1d(HeatParams(s=2, t=2, length=length))
+
+
 @pytest.mark.parametrize("s,t", [(1, 1), (1, 2), (2, 2), (3, 3), (4, 4)])
 def test_heat_exact_for_integer_defaults(s, t):
     p = HeatParams(s=s, t=t)
@@ -230,6 +237,15 @@ def test_wave_rejects_bad_params():
         wave_1d(0, 1)
     with pytest.raises(ValueError):
         wave_1d(1, 1, c=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"length": 1e-200}, "grid spacing dx"), ({"length": 1e200}, "grid spacing dx"), ({"c": 1e200}, "wave speed c")],
+)
+def test_wave_rejects_squares_outside_float_range(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} = .* outside floating-point range"):
+        wave_1d(2, 2, **kwargs)
 
 
 def test_counts_survive_merge():
