@@ -112,7 +112,8 @@ def select_circuit(d: Decomposition) -> Circuit:
             (sq, CLOSED if (value >> (width - 1 - sq)) & 1 else OPEN) for sq in range(width)
         )
         gates.extend(_controlled_term(term, total, controls).gates)
-        phase = cmath.exp(1j * cmath.phase(term.coeff))
+        # cmath.phase, but 0.0 where the angle underflows instead of raising.
+        phase = cmath.exp(1j * math.atan2(term.coeff.imag, term.coeff.real))
         if abs(phase - 1.0) > ZERO_TOL:
             gates.append(_phase_gate(phase, value, width))
     ancillas = frozenset(range(width + 1))

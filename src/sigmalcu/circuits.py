@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _codec
-from .sigma import SigmaFactor, SigmaTerm, completion
+from .sigma import SigmaTerm, _digits, completion
 
 OPEN = "open"
 CLOSED = "closed"
@@ -177,11 +177,9 @@ def _term_controls(term: SigmaTerm, offset: int) -> tuple[tuple[int, str], ...]:
     those with row bit 0 (s+, s+s-) open controls; identity factors need
     no control.
     """
-    return tuple(
-        (offset + p, CLOSED if f.bit_pairs[0][0] else OPEN)
-        for p, f in enumerate(term.factors)
-        if f is not SigmaFactor.IDENT
-    )
+    ident, row, _ = _digits(term)
+    fixed = (p for p, i in enumerate(ident) if i == "0")
+    return tuple((offset + p, CLOSED if row[p] == "1" else OPEN) for p in fixed)
 
 
 def build_ul_circuit(term: SigmaTerm) -> Circuit:
@@ -260,20 +258,12 @@ def build_dilation_circuit(term: SigmaTerm) -> Circuit:
     permutation costs 2s + 1 gates; for s = 0 it degenerates to the single
     gate of the completion circuit.
     """
-    n = term.n_qubits
-    active = [0]
-    bits_row = {0: 0}
-    bits_col = {0: 1}
-    for p, f in enumerate(term.factors):
-        if f is SigmaFactor.IDENT:
-            continue
-        (row_bit, col_bit), = f.bit_pairs
-        active.append(p + 1)
-        bits_row[p + 1] = row_bit
-        bits_col[p + 1] = col_bit
-    gates: list[Gate] = [Gate("x", (0,))]
-    gates.extend(_pattern_swap_gates(tuple(active), bits_row, bits_col))
-    return Circuit(n + 1, tuple(gates), frozenset({0}))
+    ident, row, col = _digits(term)
+    fixed = [p for p, i in enumerate(ident, start=1) if i == "0"]
+    bits_row = {0: 0} | {p: int(row[p - 1]) for p in fixed}
+    bits_col = {0: 1} | {p: int(col[p - 1]) for p in fixed}
+    gates = [Gate("x", (0,)), *_pattern_swap_gates((0, *fixed), bits_row, bits_col)]
+    return Circuit(term.n_qubits + 1, tuple(gates), frozenset({0}))
 
 
 def _folded_matrix(g: Gate) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _codec, blockenc, pauli, pde, sigma
+from . import _codec, blockenc, matrices, pauli, pde, sigma
 from .circuits import (
     build_dilation_circuit,
     build_ul_circuit,
@@ -52,6 +52,13 @@ def save_oracle(oracle: StateOracle, path: str) -> None:
     _codec.write_json(path, payload)
 
 
+def _require_pauli_size(family: str, s: int, t: int | None) -> None:
+    """Refuse a grid point too wide for the Pauli decomposition without
+    building it: poisson takes s qubits, heat s + t and wave s + t + 1."""
+    width = s if family == "poisson" else s + t + (family == "wave")
+    matrices._require_dense_size(width, "pauli decomposition")
+
+
 def _generate_system(
     family: str, s: int, t: int | None, args: argparse.Namespace | None = None
 ) -> pde.PdeSystem:
@@ -82,8 +89,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.family in ("heat", "wave") and args.t is None:
         raise ValueError(f"--t is required for the {args.family} family")
+    if args.pauli:  # refused before anything is built or written
+        _require_pauli_size(args.family, args.s, args.t)
     system = _generate_system(args.family, args.s, args.t, args)
-    # Count before creating --outdir, so a refused Pauli size writes nothing.
     pauli_terms = len(pauli.decompose_pauli(system.matrix)) if args.pauli else ""
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -139,8 +147,11 @@ def _parse_compare_range(family: str, text: str | None) -> list[tuple[int, int |
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    points = _parse_compare_range(args.family, args.range)
+    for s, t in points:
+        _require_pauli_size(args.family, s, t)
     rows = []
-    for s, t in _parse_compare_range(args.family, args.range):
+    for s, t in points:
         system = _generate_system(args.family, s, t)
         n_t = "" if t is None else 1 << t
         pauli_terms = len(pauli.decompose_pauli(system.matrix))
@@ -174,7 +185,7 @@ def _verify_term(
     if not np.array_equal(actual, expected):
         return False, "matrix does not match completion block structure"
     counts = gate_count(circuit)
-    k = sum(1 for f in term.factors if f is SigmaFactor.IDENT)
+    k = term.factors.count(SigmaFactor.IDENT)
     if circuit_dir is None:
         if counts.single_qubit > n + 1:
             return False, f"{counts.single_qubit} single-qubit gates exceeds n + 1"
@@ -190,10 +201,10 @@ def _verify_term(
 
 def _verify_dilation(term: SigmaTerm, completion: np.ndarray, block: np.ndarray) -> tuple[bool, str]:
     circuit = build_dilation_circuit(term)
-    s = sum(1 for f in term.factors if f.is_ladder)
+    s = term.factors.count(SigmaFactor.SPLUS) + term.factors.count(SigmaFactor.SMINUS)
     counts = gate_count(circuit)
     # The all-identity term normalizes its single zero-control gate to X.
-    expected_mcx = 0 if all(f is SigmaFactor.IDENT for f in term.factors) else 2 * s + 1
+    expected_mcx = 0 if term.factors.count(SigmaFactor.IDENT) == term.n_qubits else 2 * s + 1
     if len(counts.mcx) != expected_mcx:
         return False, f"dilation used {len(counts.mcx)} multi-controlled X, expected {expected_mcx}"
     matrix = circuit_to_matrix(circuit)
@@ -216,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
-        print(f"{index:>4}  {term.factor_string:<12} {status}: {message}")
+        print(f"{index:>4}  {term.factors:<12} {status}: {message}")
     if failures:
         print(f"{failures} of {len(decomposition)} terms failed")
         return EXIT_VERIFY_FAILED
@@ -256,11 +267,11 @@ def cmd_expval(args: argparse.Namespace) -> int:
         )
     elif args.shots is not None:
         rows = (
-            ({"factors": t.factor_string}, t.coeff, sample_expval(u, v, t, args.shots, args.seed + i))
+            ({"factors": t.factors}, t.coeff, sample_expval(u, v, t, args.shots, args.seed + i))
             for i, t in enumerate(terms)
         )
     else:
-        rows = (({"factors": t.factor_string}, t.coeff, expval_term(u, v, t)) for t in terms)
+        rows = (({"factors": t.factors}, t.coeff, expval_term(u, v, t)) for t in terms)
     per_term = []
     total = 0j
     for keys, weight, value in rows:

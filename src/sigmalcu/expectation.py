@@ -67,6 +67,14 @@ def _check_width(n: int, *oracles: StateOracle) -> None:
             )
 
 
+_H = Gate("h", (0,))
+
+
+def _oracle_gate(o: StateOracle, *controls: tuple[int, str]) -> Gate:
+    """``o`` on the system register: qubits 2 onward, after a0 and a1."""
+    return Gate("dense", tuple(range(2, o.n_qubits + 2)), controls, o.matrix, o.label)
+
+
 def _hadamard_test_circuits(
     u: StateOracle,
     v: StateOracle,
@@ -83,21 +91,19 @@ def _hadamard_test_circuits(
     imaginary circuit adds an S^dag on a0 after the first H.
     """
     width = term.n_qubits + 2
-    system = tuple(range(2, width))
     body = [
-        Gate("dense", system, ((0, CLOSED),), v.matrix, v.label),
-        Gate("dense", system, ((0, OPEN),), u.matrix, u.label),
+        _oracle_gate(v, (0, CLOSED)),
+        _oracle_gate(u, (0, OPEN)),
         *_controlled_term(term, width, ((0, CLOSED),)).gates,
     ]
     if m is not None:
         # Observable fires on a0 = 1 and a1 = 0, i.e. on the branch holding
         # T |psi2> rather than its completion remainder.
-        body.append(Gate("dense", system, ((0, CLOSED), (1, OPEN)), m.matrix, m.label))
+        body.append(_oracle_gate(m, (0, CLOSED), (1, OPEN)))
         body.extend(_controlled_term(ti, width, ((0, OPEN),)).gates)
-    h = Gate("h", (0,))
     ancillas = frozenset({0, 1})
-    real = Circuit(width, (h, *body, h), ancillas)
-    imaginary = Circuit(width, (h, Gate("sdg", (0,)), *body, h), ancillas)
+    real = Circuit(width, (_H, *body, _H), ancillas)
+    imaginary = Circuit(width, (_H, Gate("sdg", (0,)), *body, _H), ancillas)
     return real, imaginary
 
 
@@ -122,19 +128,13 @@ class _Prefix:
 # _PREFIXES[u][v] is the (U, V) prefix; an entry goes with either oracle.
 _PREFIXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-_H = Gate("h", (0,))
-
 
 def _prefix(u: StateOracle, v: StateOracle) -> _Prefix:
     by_v = _PREFIXES.setdefault(u, weakref.WeakKeyDictionary())
     entry = by_v.get(v)
     if entry is None:
         width = u.n_qubits + 2
-        system = tuple(range(2, width))
-        body = (
-            Gate("dense", system, ((0, CLOSED),), v.matrix, v.label),
-            Gate("dense", system, ((0, OPEN),), u.matrix, u.label),
-        )
+        body = (_oracle_gate(v, (0, CLOSED)), _oracle_gate(u, (0, OPEN)))
         columns = [
             run(Circuit(width, gates, frozenset({0, 1})), zero_state(width)).amplitudes
             for gates in ((_H, *body), (_H, Gate("sdg", (0,)), *body))
@@ -146,7 +146,7 @@ def _prefix(u: StateOracle, v: StateOracle) -> _Prefix:
 def _permuted(entry: _Prefix, state: np.ndarray, term: SigmaTerm, polarity: str) -> np.ndarray:
     """``state`` after the term's completion controlled on a0 with the
     given polarity, applied as a scatter through its index permutation."""
-    key = (term.factor_string, polarity)
+    key = (term.factors, polarity)
     perm = entry.perms.get(key)
     if perm is None:
         gates = _controlled_term(term, entry.width, ((0, polarity),)).gates
@@ -158,15 +158,15 @@ def _permuted(entry: _Prefix, state: np.ndarray, term: SigmaTerm, polarity: str)
 
 def _after_m(entry: _Prefix, m: StateOracle, tj: SigmaTerm) -> np.ndarray:
     by_term = entry.after_m.setdefault(m, {})
-    state = by_term.get(tj.factor_string)
+    state = by_term.get(tj.factors)
     if state is None:
         width = entry.width
-        gate = Gate("dense", tuple(range(2, width)), ((0, CLOSED), (1, OPEN)), m.matrix, m.label)
+        gate = _oracle_gate(m, (0, CLOSED), (1, OPEN))
         tensor = _permuted(entry, entry.state, tj, CLOSED).reshape([2] * width + [2])
         # One column at a time: M then multiplies the same operand shape as
         # in the one-state reference circuit, which keeps values bit for bit.
         columns = [_apply_to_tensor(tensor[..., c : c + 1], gate) for c in (0, 1)]
-        state = by_term[tj.factor_string] = np.concatenate(columns, axis=-1).reshape(-1, 2)
+        state = by_term[tj.factors] = np.concatenate(columns, axis=-1).reshape(-1, 2)
     return state
 
 

@@ -118,14 +118,14 @@ def _poisson_terms(s: int) -> list[SigmaTerm]:
     the two corner couplings s- x (-s+ x ... x s+) and its transpose.
     """
     terms = [
-        SigmaTerm(2.0, (I,) * s),
-        SigmaTerm(-1.0, (I,) * (s - 1) + (M,)),
-        SigmaTerm(-1.0, (I,) * (s - 1) + (P,)),
+        SigmaTerm(2.0, I * s),
+        SigmaTerm(-1.0, I * (s - 1) + M),
+        SigmaTerm(-1.0, I * (s - 1) + P),
     ]
     for level in range(2, s + 1):
-        prefix = (I,) * (s - level)
-        terms.append(SigmaTerm(-1.0, prefix + (M,) + (P,) * (level - 1)))
-        terms.append(SigmaTerm(-1.0, prefix + (P,) + (M,) * (level - 1)))
+        prefix = I * (s - level)
+        terms.append(SigmaTerm(-1.0, prefix + M + P * (level - 1)))
+        terms.append(SigmaTerm(-1.0, prefix + P + M * (level - 1)))
     return terms
 
 
@@ -156,9 +156,9 @@ def ode_extended_a1(t: int, s: int) -> Decomposition:
     """
     if t < 1 or s < 0:
         raise ValueError("need t >= 1 and s >= 0")
-    terms = [SigmaTerm(1.0, (I,) * (t + s))]
+    terms = [SigmaTerm(1.0, I * (t + s))]
     for level in range(t):
-        factors = (I,) * level + (M,) + (P,) * (t - 1 - level) + (I,) * s
+        factors = I * level + M + P * (t - 1 - level) + I * s
         terms.append(SigmaTerm(-1.0, factors))
     return Decomposition.build(t + s, terms)
 
@@ -168,8 +168,8 @@ def _diffusion_terms(s: int, corner: float) -> list[SigmaTerm]:
     two corner projectors scaled by the boundary correction."""
     terms = [SigmaTerm(-t.coeff, t.factors) for t in _poisson_terms(s)]
     if corner != 0.0:
-        terms.append(SigmaTerm(corner, (A,) * s))
-        terms.append(SigmaTerm(corner, (B,) * s))
+        terms.append(SigmaTerm(corner, A * s))
+        terms.append(SigmaTerm(corner, B * s))
     return terms
 
 
@@ -180,8 +180,8 @@ def _space_block_terms(
     identity prefix minus the all-|0><0| prefix selecting block zero."""
     lifted = []
     for term in spatial_terms:
-        lifted.append(SigmaTerm(scale * term.coeff, (I,) * t + term.factors))
-        lifted.append(SigmaTerm(-(scale * term.coeff), (A,) * t + term.factors))
+        lifted.append(SigmaTerm(scale * term.coeff, I * t + term.factors))
+        lifted.append(SigmaTerm(-(scale * term.coeff), A * t + term.factors))
     return lifted
 
 
@@ -245,10 +245,10 @@ def wave_1d(
 
     speed = _square("wave speed c", c) / _square("grid spacing dx", dx)
     generator = [
-        SigmaTerm(speed * term.coeff, (M,) + term.factors)
+        SigmaTerm(speed * term.coeff, M + term.factors)
         for term in _diffusion_terms(s, corner=1.0)
     ]
-    generator.append(SigmaTerm(1.0, (P,) + (I,) * s))
+    generator.append(SigmaTerm(1.0, P + I * s))
 
     terms = list(ode_extended_a1(t, s + 1).terms)
     terms.extend(_space_block_terms(t, generator, -dt))

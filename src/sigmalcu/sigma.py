@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -31,8 +30,9 @@ from . import _codec
 from .matrices import ZERO_TOL, Coo, SparseMatrix, _require_dense_size
 
 
-class SigmaFactor(Enum):
-    """Single-qubit factor; the value is its canonical text encoding."""
+class SigmaFactor(str, Enum):
+    """Single-qubit factor.  Each member is its own one-character text
+    encoding, so tables keyed by members answer lookups by character."""
 
     IDENT = "I"
     SPLUS = "P"  # |0><1|
@@ -52,7 +52,7 @@ class SigmaFactor(Enum):
     @property
     def is_ladder(self) -> bool:
         """True for s+ and s-, the factors completed by X."""
-        return self in _LADDER_FACTORS
+        return all(r != c for r, c in self.bit_pairs)
 
 
 _FACTOR_MATRICES = {
@@ -63,8 +63,7 @@ _FACTOR_MATRICES = {
     SigmaFactor.SMSP: np.array([[0, 0], [0, 1]], dtype=complex),
 }
 
-# Derived from the matrices once, at import: bit_pairs is read on the
-# circuit builders' hot path.
+# Derived from the matrices once, at import.
 _FACTOR_BIT_PAIRS = {
     f: tuple((int(r), int(c)) for r, c in zip(*np.nonzero(m)))
     for f, m in _FACTOR_MATRICES.items()
@@ -76,12 +75,6 @@ FACTOR_FROM_BITS = {
     pairs[0]: f for f, pairs in _FACTOR_BIT_PAIRS.items() if len(pairs) == 1
 }
 
-_LADDER_FACTORS = frozenset(
-    f for f, pairs in _FACTOR_BIT_PAIRS.items() if all(r != c for r, c in pairs)
-)
-
-_FACTOR_BY_CHAR = {f.value: f for f in SigmaFactor}
-
 # str.translate tables from a factor string to base-2 digits: the row bit
 # and the column bit of each single-entry factor's 1 (0 at the identity),
 # and a 1 at the identity.
@@ -92,6 +85,8 @@ _ROW_DIGITS, _COL_DIGITS = (
     for k in (0, 1)
 )
 _IDENT_DIGITS = str.maketrans({f.value: str(int(f is SigmaFactor.IDENT)) for f in SigmaFactor})
+
+_ALPHABET = "".join(SigmaFactor)
 
 # Character of the single-entry factor at (row_bit, col_bit), indexed by
 # 2 * row_bit + col_bit.
@@ -109,15 +104,22 @@ def _magnitude(c: complex) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SigmaTerm:
-    """Complex coefficient times an ordered string of sigma factors."""
+    """Complex coefficient times a factor string, the term's key wherever
+    terms are summed, merged or sorted.  Factor members are joined into it."""
 
     coeff: complex
-    factors: tuple[SigmaFactor, ...]
+    factors: str
 
     def __post_init__(self) -> None:
-        if not self.factors:
+        factors = self.factors
+        if type(factors) is not str:  # a sequence of members, or one member
+            factors = "".join(factors)
+            object.__setattr__(self, "factors", factors)
+        if factors.strip(_ALPHABET):
+            raise ValueError(f"invalid factor string {factors!r}")
+        if not factors:
             raise ValueError("a sigma term needs at least one factor")
         if not _magnitude(self.coeff) < math.inf:
             raise ValueError(f"sigma term coefficient {self.coeff} is not finite in magnitude")
@@ -126,22 +128,13 @@ class SigmaTerm:
     def n_qubits(self) -> int:
         return len(self.factors)
 
-    @cached_property
-    def factor_string(self) -> str:
-        """The factors as text; the term's key wherever terms are summed,
-        merged or sorted."""
-        return "".join(f.value for f in self.factors)
-
     @classmethod
     def from_string(cls, coeff: complex, factors: str) -> "SigmaTerm":
+        """The term of a factor string; spaces between factors are ignored."""
         cleaned = factors.replace(" ", "")
-        try:
-            parsed = tuple(map(_FACTOR_BY_CHAR.__getitem__, cleaned))
-        except KeyError:
-            raise ValueError(f"invalid factor string {factors!r}") from None
-        term = cls(complex(coeff), parsed)
-        term.__dict__["factor_string"] = cleaned  # fills the cache
-        return term
+        if cleaned.strip(_ALPHABET):  # refused here to quote the text as given
+            raise ValueError(f"invalid factor string {factors!r}")
+        return cls(complex(coeff), cleaned)
 
 
 @dataclass(frozen=True)
@@ -165,9 +158,9 @@ class Decomposition:
                 raise ValueError(
                     f"term width {t.n_qubits} does not match register {self.n_qubits}"
                 )
-            if t.factor_string in seen:
-                raise ValueError(f"duplicate factor string {t.factor_string}")
-            seen.add(t.factor_string)
+            if t.factors in seen:
+                raise ValueError(f"duplicate factor string {t.factors}")
+            seen.add(t.factors)
 
     @classmethod
     def build(
@@ -180,8 +173,7 @@ class Decomposition:
         sum is kept, so that the term refuses it."""
         sums: dict[str, complex] = {}
         for t in terms:
-            key = t.factor_string
-            sums[key] = sums.get(key, 0j) + t.coeff
+            sums[t.factors] = sums.get(t.factors, 0j) + t.coeff
         return cls._from_sums(n_qubits, sums, tol)
 
     @classmethod
@@ -192,7 +184,7 @@ class Decomposition:
         sorted.  Each coefficient is added to 0j, as in :meth:`build`, which
         turns negative zero parts positive."""
         coeffs = ((key, 0j + sums[key]) for key in sorted(sums))
-        kept = [SigmaTerm.from_string(c, key) for key, c in coeffs if not _magnitude(c) <= tol]
+        kept = [SigmaTerm(c, key) for key, c in coeffs if not _magnitude(c) <= tol]
         return cls(n_qubits, tuple(kept))
 
     def __len__(self) -> int:
@@ -216,6 +208,13 @@ def decompose_numerical(m: SparseMatrix) -> Decomposition:
     return Decomposition._from_sums(n, dict(zip(keys, m.vals.tolist())))
 
 
+def _digits(t: SigmaTerm) -> tuple[str, str, str]:
+    """The term's identity, row-bit and column-bit digit strings, one digit
+    per position; only the ladders s+ and s- have unequal row and column."""
+    f = t.factors
+    return f.translate(_IDENT_DIGITS), f.translate(_ROW_DIGITS), f.translate(_COL_DIGITS)
+
+
 def term_matrix(t: SigmaTerm) -> SparseMatrix:
     """Kronecker product of the factors scaled by the coefficient.
 
@@ -225,11 +224,10 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
     """
     if _magnitude(t.coeff) <= ZERO_TOL:
         return SparseMatrix(t.n_qubits, {})
-    key = t.factor_string
+    ident, row, col = (int(d, 2) for d in _digits(t))
     # Every identity factor doubles the entries: the offsets are the sums
     # of all subsets of the identity bit weights, built in increasing order
     # by adding each weight, lowest first, to the offsets so far.
-    ident = int(key.translate(_IDENT_DIGITS), 2)
     offsets = np.zeros(1 << ident.bit_count(), dtype=np.int64)
     size = 1
     while ident:
@@ -237,8 +235,8 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
         np.add(offsets[:size], weight, out=offsets[size : 2 * size])
         ident ^= weight
         size *= 2
-    rows = int(key.translate(_ROW_DIGITS), 2) + offsets
-    cols = int(key.translate(_COL_DIGITS), 2) + offsets
+    rows = row + offsets
+    cols = col + offsets
     # Sorted and unique by construction, and the term's coefficient is
     # finite; 0j + coeff matches the sums of SparseMatrix.from_entries,
     # which start from 0j.
@@ -268,7 +266,7 @@ def completion(t: SigmaTerm) -> list[str]:
     completion of the term's 0/1 matrix: it agrees with the term on the
     term's column span and extends it to a permutation matrix.
     """
-    return ["X" if f.is_ladder else "I" for f in t.factors]
+    return ["X" if r != c else "I" for _, r, c in zip(*_digits(t))]
 
 
 def completion_matrix(t: SigmaTerm) -> np.ndarray:
@@ -278,9 +276,8 @@ def completion_matrix(t: SigmaTerm) -> np.ndarray:
     its one at row c ^ mask, with mask holding those bits.
     """
     _require_dense_size(t.n_qubits, "completion_matrix")
-    mask = 0
-    for f in t.factors:
-        mask = (mask << 1) | f.is_ladder
+    _, row, col = _digits(t)
+    mask = int(row, 2) ^ int(col, 2)
     dim = 1 << t.n_qubits
     cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
@@ -303,7 +300,7 @@ def merge_terms(d: Decomposition) -> Decomposition:
     term count never increases; minimality is not claimed.
     """
     spsm, smsp, ident = (f.value for f in (SigmaFactor.SPSM, SigmaFactor.SMSP, SigmaFactor.IDENT))
-    coeffs = {t.factor_string: t.coeff for t in d.terms}
+    coeffs = {t.factors: t.coeff for t in d.terms}
     changed = True
     while changed:
         changed = False
@@ -330,7 +327,7 @@ def to_json_dict(d: Decomposition) -> dict:
     return {
         "n_qubits": d.n_qubits,
         "terms": [
-            {"re": t.coeff.real, "im": t.coeff.imag, "factors": t.factor_string}
+            {"re": t.coeff.real, "im": t.coeff.imag, "factors": t.factors}
             for t in d.terms
         ],
     }

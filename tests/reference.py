@@ -2,9 +2,11 @@
 
 Each function is the one-entry-at-a-time loop the package used before its
 sparse matrices became sorted COO arrays and its sigma terms were keyed by
-factor string.  The property tests in ``test_matrices.py`` and
-``test_sigma.py`` require the fast versions to agree with these bit for bit
-(:func:`assert_same_arrays`).
+factor string.  They still work on tuples of factor enums, converted from
+each term's string with ``tuple(map(SigmaFactor, t.factors))``, so they
+stay independent of the string tables.  The property tests in
+``test_matrices.py`` and ``test_sigma.py`` require the fast versions to
+agree with these bit for bit (:func:`assert_same_arrays`).
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ def build(n_qubits: int, terms: Iterable[SigmaTerm], tol: float = ZERO_TOL) -> D
     """``Decomposition.build`` keyed by tuples of factor enums."""
     acc: dict[tuple[SigmaFactor, ...], complex] = {}
     for t in terms:
-        acc[t.factors] = acc.get(t.factors, 0j) + t.coeff
+        factors = tuple(map(SigmaFactor, t.factors))
+        acc[factors] = acc.get(factors, 0j) + t.coeff
     kept = [SigmaTerm(c, fs) for fs, c in acc.items() if not abs(c) <= tol]
-    kept.sort(key=lambda t: "".join(f.value for f in t.factors))
+    kept.sort(key=lambda t: t.factors)
     return Decomposition(n_qubits, tuple(kept))
 
 
@@ -51,7 +54,7 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
     """One entry per choice of a 1 in every factor, summed by
     :func:`from_entries`."""
     entries = []
-    for pairs in itertools.product(*(f.bit_pairs for f in t.factors)):
+    for pairs in itertools.product(*(f.bit_pairs for f in map(SigmaFactor, t.factors))):
         r = 0
         c = 0
         for row_bit, col_bit in pairs:
@@ -84,7 +87,7 @@ def decompose_numerical(m: SparseMatrix) -> Decomposition:
 def merge_terms(d: Decomposition) -> Decomposition:
     """Projector merging over tuples of factor enums."""
     A, B, I = SigmaFactor.SPSM, SigmaFactor.SMSP, SigmaFactor.IDENT
-    coeffs = {t.factors: t.coeff for t in d.terms}
+    coeffs = {tuple(map(SigmaFactor, t.factors)): t.coeff for t in d.terms}
     changed = True
     while changed:
         changed = False

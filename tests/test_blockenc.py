@@ -219,6 +219,13 @@ def test_column_restricted_check_matches_full_matrix(d):
     assert report["frobenius_error"] <= BLOCK_TOL
 
 
+def test_select_accepts_a_coefficient_whose_phase_underflows():
+    """The angle of 2 + 5e-324j underflows to 0, where cmath.phase raises
+    OverflowError."""
+    d = Decomposition(1, (SigmaTerm(2 + 5e-324j, I), SigmaTerm(1.0, P)))
+    assert verify_block_encoding(assemble(d))["frobenius_error"] <= BLOCK_TOL
+
+
 # The all-identity term's completion has a bare X and no MCX.
 @settings(max_examples=60, deadline=None)
 @given(d=small_decompositions())

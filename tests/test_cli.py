@@ -45,7 +45,7 @@ def test_decompose(tmp_path, capsys):
     out = str(tmp_path / "d.json")
     assert main(["decompose", "--in", mtx, "--out", out]) == 0
     decomposition = load_decomposition(out)
-    assert {t.factor_string for t in decomposition.terms} == {"PP", "MM"}
+    assert {t.factors for t in decomposition.terms} == {"PP", "MM"}
     captured = capsys.readouterr().out
     assert "terms: 2" in captured and "nnz: 2" in captured
 
@@ -83,7 +83,7 @@ def test_decompose_tol_below_floor(tmp_path, capsys, tol):
     out = str(tmp_path / "d.json")
     assert main(["decompose", "--in", mtx, "--out", out, "--tol", tol]) == 0
     assert "terms: 1  nnz: 1" in capsys.readouterr().out
-    assert [t.factor_string for t in load_decomposition(out).terms] == ["A"]
+    assert [t.factors for t in load_decomposition(out).terms] == ["A"]
 
 
 def test_decompose_rejects_non_power_of_two(tmp_path, capsys):
@@ -182,6 +182,33 @@ def test_compare_heat_point(tmp_path, capsys):
     family, n_x, n_t, sigma_terms, pauli_terms = lines[1].split(",")
     assert (family, n_x, n_t) == ("heat", "4", "4")
     assert int(pauli_terms) >= int(sigma_terms)
+
+
+# One 13-qubit point per family (poisson s, heat s + t, wave s + t + 1),
+# for compare after a point that fits and for generate --pauli.
+WIDE_POINTS = [
+    ("poisson", "poisson_1d", "16,8192", ["--s", "13"]),
+    ("heat", "heat_1d", "4(4),1024(8)", ["--s", "10", "--t", "3"]),
+    ("wave", "wave_1d", "4(4),512(8)", ["--s", "9", "--t", "3"]),
+]
+
+
+@pytest.mark.parametrize("family, builder, points, grid", WIDE_POINTS)
+def test_pauli_guard_refuses_before_any_system_is_built(
+    tmp_path, capsys, monkeypatch, family, builder, points, grid
+):
+    def refuse_to_build(*args, **kwargs):
+        raise AssertionError("system built before the Pauli guard")
+
+    monkeypatch.setattr(f"sigmalcu.pde.{builder}", refuse_to_build)
+    expected = ["error: pauli decomposition limited to 12 qubits, got 13"]
+    assert main(["compare", "--family", family, "--range", points]) == 1
+    assert capsys.readouterr().err.splitlines() == expected
+    outdir = tmp_path / "sys"
+    argv = ["generate", "--family", family, *grid, "--pauli", "--outdir", str(outdir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == expected
+    assert not outdir.exists()
 
 
 def test_compare_rejects_bad_range(capsys):
@@ -736,7 +763,7 @@ def test_merge_of_coefficients_whose_difference_overflows(tmp_path, capsys):
     out = tmp_path / "d.json"
     assert main(["decompose", "--in", mtx, "--out", str(out), "--merge"]) == 0
     assert capsys.readouterr().out == "terms: 2  nnz: 2\n"
-    assert [t.factor_string for t in load_decomposition(str(out)).terms] == ["A", "B"]
+    assert [t.factors for t in load_decomposition(str(out)).terms] == ["A", "B"]
 
 
 def test_oracle_entry_overflowing_to_infinity_exits_1(tmp_path):

@@ -49,7 +49,7 @@ def wave_dense(s, t, c=1.0, length=None, T=None):
 def test_poisson_base_case():
     system = poisson_1d(1)
     assert np.array_equal(system.matrix.to_dense(), np.array([[2, -1], [-1, 2]], dtype=complex))
-    assert {(t.factor_string, t.coeff) for t in system.decomposition.terms} == {
+    assert {(t.factors, t.coeff) for t in system.decomposition.terms} == {
         ("I", 2.0),
         ("M", -1.0),
         ("P", -1.0),
@@ -78,7 +78,7 @@ def test_poisson_rejects_bad_size():
 
 def test_ode_extended_base_case():
     d = ode_extended_a1(1, 0)
-    assert {(t.factor_string, t.coeff) for t in d.terms} == {("I", 1.0), ("M", -1.0)}
+    assert {(t.factors, t.coeff) for t in d.terms} == {("I", 1.0), ("M", -1.0)}
     assert np.array_equal(
         reconstruct(d).to_dense(), np.array([[1, 0], [-1, 1]], dtype=complex)
     )

@@ -47,7 +47,7 @@ def random_sparse(rng, n, density=0.1, integer=False):
 
 
 def random_term(rng, n, coeff=1.0):
-    factors = tuple(rng.choice(list(SigmaFactor)) for _ in range(n))
+    factors = tuple(rng.choice(list("IPMAB")) for _ in range(n))
     return SigmaTerm(coeff, factors)
 
 
@@ -69,7 +69,7 @@ def test_term_matrix_matches_kron():
         n = int(rng.integers(1, 5))
         term = random_term(rng, n, coeff=complex(rng.standard_normal(), rng.standard_normal()))
         dense = np.array([[1]], dtype=complex)
-        for f in term.factors:
+        for f in map(SigmaFactor, term.factors):
             dense = np.kron(dense, f.matrix)
         assert np.array_equal(term_matrix(term).to_dense(), term.coeff * dense)
 
@@ -87,25 +87,25 @@ def test_term_matrix_nonzero_count():
     for _ in range(50):
         n = int(rng.integers(1, 7))
         term = random_term(rng, n)
-        k = sum(1 for f in term.factors if f is I)
+        k = term.factors.count(I)
         assert term_matrix(term).nnz == 1 << k
 
 
 def test_decompose_corner_pair():
     d = decompose_numerical(CORNER_PAIR)
-    assert {(t.factor_string, t.coeff) for t in d.terms} == {("PP", 1.0), ("MM", 2.0)}
+    assert {(t.factors, t.coeff) for t in d.terms} == {("PP", 1.0), ("MM", 2.0)}
 
 
 def test_decompose_single_lowering():
     m = SparseMatrix.from_entries(1, [(1, 0, 1.0)])
     d = decompose_numerical(m)
-    assert [(t.factor_string, t.coeff) for t in d.terms] == [("M", 1.0)]
+    assert [(t.factors, t.coeff) for t in d.terms] == [("M", 1.0)]
 
 
 def test_decompose_identity_avoids_ident_factor():
     m = SparseMatrix.from_entries(1, [(0, 0, 1.0), (1, 1, 1.0)])
     d = decompose_numerical(m)
-    assert {t.factor_string for t in d.terms} == {"A", "B"}
+    assert {t.factors for t in d.terms} == {"A", "B"}
 
 
 def test_decompose_empty_errors():
@@ -130,7 +130,7 @@ def test_reconstruct_empty_is_zero():
 def test_merge_projector_pair():
     d = Decomposition.build(1, [SigmaTerm(1.0, (A,)), SigmaTerm(1.0, (B,))])
     merged = merge_terms(d)
-    assert [(t.factor_string, t.coeff) for t in merged.terms] == [("I", 1.0)]
+    assert [(t.factors, t.coeff) for t in merged.terms] == [("I", 1.0)]
 
 
 def test_merge_poisson_numerical():
@@ -141,8 +141,8 @@ def test_merge_poisson_numerical():
     merged = merge_terms(numeric)
     assert len(merged) <= 5
     assert reconstruct(merged) == system.matrix
-    assert {t.factor_string for t in merged.terms} == {
-        t.factor_string for t in system.decomposition.terms
+    assert {t.factors for t in merged.terms} == {
+        t.factors for t in system.decomposition.terms
     }
 
 
@@ -161,7 +161,7 @@ def test_merge_collides_with_existing_identity():
         1, [SigmaTerm(1.0, (A,)), SigmaTerm(1.0, (B,)), SigmaTerm(5.0, (I,))]
     )
     merged = merge_terms(d)
-    assert [(t.factor_string, t.coeff) for t in merged.terms] == [("I", 6.0)]
+    assert [(t.factors, t.coeff) for t in merged.terms] == [("I", 6.0)]
 
 
 def test_merge_preserves_reconstruct_and_count():
@@ -178,7 +178,7 @@ def test_merge_preserves_reconstruct_and_count():
 def merge_terms_sorted_reference(d):
     """Slow reference for ``merge_terms``: the loop as first written, which
     re-sorts every candidate string at each position of each pass."""
-    coeffs = {t.factors: t.coeff for t in d.terms}
+    coeffs = {tuple(map(SigmaFactor, t.factors)): t.coeff for t in d.terms}
     changed = True
     while changed:
         changed = False
@@ -277,7 +277,7 @@ def test_decomposition_build_sums_and_sorts():
         1,
         [SigmaTerm(1.0, (P,)), SigmaTerm(1.0, (M,)), SigmaTerm(-1.0, (P,))],
     )
-    assert [(t.factor_string, t.coeff) for t in d.terms] == [("M", 1.0)]
+    assert [(t.factors, t.coeff) for t in d.terms] == [("M", 1.0)]
 
 
 def test_decomposition_rejects_width_mismatch():
@@ -301,9 +301,57 @@ def test_build_refuses_sums_that_are_not_finite():
 
 def test_term_from_string_accepts_spaces():
     term = SigmaTerm.from_string(2.0, "M I A")
-    assert term.factors == (M, I, A)
+    assert term.factors == "MIA"
     with pytest.raises(ValueError, match="invalid factor"):
         SigmaTerm.from_string(1.0, "MXQ")
+
+
+@st.composite
+def spaced_factor_texts(draw):
+    """Factor members, and their string with runs of spaces drawn between,
+    before and after the characters."""
+    members = draw(st.lists(st.sampled_from(list(SigmaFactor)), min_size=1, max_size=8))
+    size = len(members) + 1
+    gaps = draw(st.lists(st.sampled_from(["", " ", "  "]), min_size=size, max_size=size))
+    spaced = gaps[0] + "".join(f + gap for f, gap in zip(members, gaps[1:]))
+    return members, spaced
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=spaced_factor_texts(),
+    coeff=st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+)
+def test_members_string_and_spaced_text_build_one_term(case, coeff):
+    members, spaced = case
+    term = SigmaTerm(coeff, members)
+    assert term == SigmaTerm(coeff, tuple(members))
+    assert term == SigmaTerm(coeff, "".join(members))
+    assert term == SigmaTerm.from_string(coeff, spaced)
+    assert type(term.factors) is str and term.factors == spaced.replace(" ", "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet="IPMAB Xx1-", min_size=1, max_size=8))
+def test_strings_outside_the_alphabet_are_refused_with_the_text_as_given(text):
+    assume(text.replace(" ", "").strip("IPMAB"))
+    message = f"invalid factor string {text!r}"
+    for build in (SigmaTerm, SigmaTerm.from_string):
+        with pytest.raises(ValueError) as info:
+            build(1.0, text)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, factors", [
+    (SigmaTerm, ""),
+    (SigmaTerm, ()),
+    (SigmaTerm.from_string, ""),
+    (SigmaTerm.from_string, "   "),
+])
+def test_empty_factor_strings_are_refused(build, factors):
+    with pytest.raises(ValueError) as info:
+        build(1.0, factors)
+    assert str(info.value) == "a sigma term needs at least one factor"
 
 
 def test_json_round_trip(tmp_path):
@@ -339,7 +387,7 @@ def test_completion_matrix_matches_kron_reference(factors):
 def assert_same_terms(got: Decomposition, want: Decomposition) -> None:
     """Equal factor strings, and coefficients equal to the bit."""
     assert got.n_qubits == want.n_qubits
-    assert [t.factor_string for t in got.terms] == [t.factor_string for t in want.terms]
+    assert [t.factors for t in got.terms] == [t.factors for t in want.terms]
     got_coeffs = np.array([t.coeff for t in got.terms], dtype=complex)
     want_coeffs = np.array([t.coeff for t in want.terms], dtype=complex)
     assert got_coeffs.tobytes() == want_coeffs.tobytes()
