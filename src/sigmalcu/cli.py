@@ -396,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

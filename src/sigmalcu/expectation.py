@@ -18,8 +18,8 @@ open-controlled-U prefix does not depend on the term, so it runs once per
 amplitudes: each term scatters the cached prefix state through its index
 permutation before the closing H.  A sandwich caches, per (M, Tj), the
 state after controlled Tj and the doubly controlled M.  Cached states live
-as long as the oracles they were computed from.  ``_hadamard_test_circuits``
-builds the full circuits, which tests run as the reference.
+as long as the oracles they were computed from.  The test suite builds
+the full circuits and runs them gate by gate as the reference.
 """
 
 from __future__ import annotations
@@ -73,38 +73,6 @@ _H = Gate("h", (0,))
 def _oracle_gate(o: StateOracle, *controls: tuple[int, str]) -> Gate:
     """``o`` on the system register: qubits 2 onward, after a0 and a1."""
     return Gate("dense", tuple(range(2, o.n_qubits + 2)), controls, o.matrix, o.label)
-
-
-def _hadamard_test_circuits(
-    u: StateOracle,
-    v: StateOracle,
-    term: SigmaTerm,
-    m: StateOracle | None = None,
-    ti: SigmaTerm | None = None,
-) -> tuple[Circuit, Circuit]:
-    """(real, imaginary) interference circuits for <0| U^dag T V |0>, or
-    with an observable ``m`` and left term ``ti`` for <0| U^dag Ti^t M T V |0>.
-
-    Both circuits hold the same gate objects: H, controlled V,
-    open-controlled U, controlled T on a0, and for the sandwich the doubly
-    controlled M and the open-controlled Ti, then the closing H.  The
-    imaginary circuit adds an S^dag on a0 after the first H.
-    """
-    width = term.n_qubits + 2
-    body = [
-        _oracle_gate(v, (0, CLOSED)),
-        _oracle_gate(u, (0, OPEN)),
-        *_controlled_term(term, width, ((0, CLOSED),)).gates,
-    ]
-    if m is not None:
-        # Observable fires on a0 = 1 and a1 = 0, i.e. on the branch holding
-        # T |psi2> rather than its completion remainder.
-        body.append(_oracle_gate(m, (0, CLOSED), (1, OPEN)))
-        body.extend(_controlled_term(ti, width, ((0, OPEN),)).gates)
-    ancillas = frozenset({0, 1})
-    real = Circuit(width, (_H, *body, _H), ancillas)
-    imaginary = Circuit(width, (_H, Gate("sdg", (0,)), *body, _H), ancillas)
-    return real, imaginary
 
 
 @dataclass
@@ -177,9 +145,8 @@ def _distributions(
     m: StateOracle | None = None,
     ti: SigmaTerm | None = None,
 ) -> list[dict[str, float]]:
-    """a0/a1 distributions of the (real, imaginary) circuits that
-    :func:`_hadamard_test_circuits` builds from the same arguments, taken
-    from the cached prefix."""
+    """a0/a1 distributions of the (real, imaginary) Hadamard-test circuits
+    of the same arguments, taken from the cached prefix."""
     entry = _prefix(u, v)
     if m is None:
         state = _permuted(entry, entry.state, term, CLOSED)

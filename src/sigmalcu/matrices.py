@@ -55,10 +55,35 @@ def _require_dense_size(n_qubits: int, what: str) -> None:
         raise ValueError(f"{what} limited to {DENSE_QUBIT_LIMIT} qubits, got {n_qubits}")
 
 
+def _require_sparse_size(n_qubits: int) -> None:
+    """Raise ValueError unless 1 <= n_qubits <= ``SPARSE_QUBIT_LIMIT``."""
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    if n_qubits > SPARSE_QUBIT_LIMIT:
+        raise ValueError(f"sparse matrices limited to {SPARSE_QUBIT_LIMIT} qubits, got {n_qubits}")
+
+
 def _magnitudes(vals: np.ndarray) -> np.ndarray:
     """``|v|`` per value; a finite value whose magnitude overflows reads inf."""
     with np.errstate(over="ignore"):
         return np.abs(vals)
+
+
+def _coalesce(keys, vals, tol: float = ZERO_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique keys (packed coordinates or factor strings) and the
+    sums of their complex values: the package's one summation rule.  Each
+    key's values are added in input order from 0.0, real and imaginary
+    parts apart, and sums of magnitude at or below ``max(tol, ZERO_TOL)``
+    dropped; NaN and infinite sums are kept for the caller to refuse."""
+    if math.isnan(tol):
+        raise ValueError(f"zero-prune tolerance must be a number, got {tol}")
+    keys, slot = np.unique(keys, return_inverse=True)
+    vals = np.asarray(vals, dtype=complex)
+    sums = np.empty(keys.size, dtype=complex)
+    sums.real = np.bincount(slot, weights=vals.real, minlength=keys.size)
+    sums.imag = np.bincount(slot, weights=vals.imag, minlength=keys.size)
+    keep = ~(_magnitudes(sums) <= max(tol, ZERO_TOL))
+    return keys[keep], sums[keep]
 
 
 class Coo(NamedTuple):
@@ -135,28 +160,15 @@ class SparseMatrix:
         tol: float = ZERO_TOL,
     ) -> "SparseMatrix":
         """Accumulate (row, col, value) triples, given one by one or as
-        :class:`Coo` arrays, summing repeated coordinates in input order
-        and dropping magnitudes at or below ``max(tol, ZERO_TOL)``.  NaN
-        sums are kept, so that construction refuses them."""
+        :class:`Coo` arrays, coalesced by :func:`_coalesce`; a NaN or
+        infinite sum is refused."""
         if not isinstance(items, Coo):
             triples = [(int(r), int(c), complex(v)) for r, c, v in items]
-            items = Coo(
-                np.array([t[0] for t in triples], dtype=np.int64),
-                np.array([t[1] for t in triples], dtype=np.int64),
-                np.array([t[2] for t in triples], dtype=complex),
-            )
+            items = Coo(*zip(*triples)) if triples else Coo((), (), ())
         rows = np.asarray(items.rows, dtype=np.int64)
         cols = np.asarray(items.cols, dtype=np.int64)
-        vals = np.asarray(items.vals, dtype=complex)
         _check_coords(n_qubits, rows, cols)
-        keys, slot = np.unique((rows << n_qubits) | cols, return_inverse=True)
-        # bincount adds each slot's values in input order, starting from
-        # 0.0, as a dict of running sums started at 0j would.
-        sums = np.empty(keys.size, dtype=complex)
-        sums.real = np.bincount(slot, weights=vals.real, minlength=keys.size)
-        sums.imag = np.bincount(slot, weights=vals.imag, minlength=keys.size)
-        keep = ~(_magnitudes(sums) <= max(tol, ZERO_TOL))  # NaN is kept, so that it is refused
-        keys, sums = keys[keep], sums[keep]
+        keys, sums = _coalesce((rows << n_qubits) | cols, items.vals, tol)
         rows, cols = keys >> n_qubits, keys & ((1 << n_qubits) - 1)
         _check_values(rows, cols, sums)
         return cls._from_sorted(n_qubits, rows, cols, sums)
@@ -203,10 +215,7 @@ def _check_values(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
 def _check_coords(n_qubits: int, rows: np.ndarray, cols: np.ndarray) -> None:
     """Raise ValueError unless the register width is supported and every
     coordinate lies inside the ``2**n_qubits`` square."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    if n_qubits > SPARSE_QUBIT_LIMIT:
-        raise ValueError(f"sparse matrices limited to {SPARSE_QUBIT_LIMIT} qubits, got {n_qubits}")
+    _require_sparse_size(n_qubits)
     dim = 1 << n_qubits
     outside = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
     if outside.any():

@@ -85,6 +85,8 @@ class HeatParams:
             raise ValueError("final time must be positive")
         if self.robin_w1 == 0 and self.robin_w2 == 0:
             raise ValueError("robin weights cannot both be zero")
+        if self.robin_w1 * self.dx + self.robin_w2 == 0:
+            raise ValueError("robin weights give w1 * dx + w2 = 0, dividing the corner value by zero")
 
     @property
     def n_x(self) -> int:
@@ -211,6 +213,7 @@ def heat_1d(p: HeatParams) -> PdeSystem:
     terms = list(ode_extended_a1(t, s).terms)
     terms.extend(_space_block_terms(t, _diffusion_terms(s, p.corner_value), -gamma))
     decomposition = Decomposition.build(t + s, terms)
+    matrix = reconstruct(decomposition)  # refuses a register too wide before rhs is allocated
 
     conduction = p.k_cond * p.dx  # positive unless the product underflows
     flux = p.q_flux * p.dt / conduction if conduction else math.inf
@@ -221,7 +224,7 @@ def heat_1d(p: HeatParams) -> PdeSystem:
     rhs[p.n_x :: p.n_x] = flux
 
     predicted = (t + 1) + (4 * s + 6)
-    return PdeSystem(reconstruct(decomposition), rhs, decomposition, predicted)
+    return PdeSystem(matrix, rhs, decomposition, predicted)
 
 
 def wave_1d(
@@ -253,9 +256,10 @@ def wave_1d(
     terms = list(ode_extended_a1(t, s + 1).terms)
     terms.extend(_space_block_terms(t, generator, -dt))
     decomposition = Decomposition.build(t + s + 1, terms)
+    matrix = reconstruct(decomposition)
 
     rhs = np.zeros(n_t * 2 * n_x, dtype=complex)
     rhs[: 2 * n_x] = 1.0
 
     predicted = (t + 1) + 2 * (2 * (s + 1) + 4)
-    return PdeSystem(reconstruct(decomposition), rhs, decomposition, predicted)
+    return PdeSystem(matrix, rhs, decomposition, predicted)

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _codec
-from .matrices import ZERO_TOL, Coo, SparseMatrix, _require_dense_size
+from .matrices import ZERO_TOL, Coo, SparseMatrix, _coalesce, _require_dense_size, _require_sparse_size
 
 
 class SigmaFactor(str, Enum):
@@ -163,29 +163,17 @@ class Decomposition:
             seen.add(t.factors)
 
     @classmethod
-    def build(
-        cls,
-        n_qubits: int,
-        terms: Iterable[SigmaTerm],
-        tol: float = ZERO_TOL,
-    ) -> "Decomposition":
-        """Sum coefficients of equal factor strings, prune, and sort.  A NaN
-        sum is kept, so that the term refuses it."""
-        sums: dict[str, complex] = {}
-        for t in terms:
-            sums[t.factors] = sums.get(t.factors, 0j) + t.coeff
-        return cls._from_sums(n_qubits, sums, tol)
+    def build(cls, n_qubits: int, terms: Iterable[SigmaTerm]) -> "Decomposition":
+        """Sum the coefficients of equal factor strings, prune and sort."""
+        terms = list(terms)
+        return cls._coalesced(n_qubits, [t.factors for t in terms], [t.coeff for t in terms])
 
     @classmethod
-    def _from_sums(
-        cls, n_qubits: int, sums: dict[str, complex], tol: float = ZERO_TOL
-    ) -> "Decomposition":
-        """Terms from coefficients keyed by factor string, pruned and
-        sorted.  Each coefficient is added to 0j, as in :meth:`build`, which
-        turns negative zero parts positive."""
-        coeffs = ((key, 0j + sums[key]) for key in sorted(sums))
-        kept = [SigmaTerm(c, key) for key, c in coeffs if not _magnitude(c) <= tol]
-        return cls(n_qubits, tuple(kept))
+    def _coalesced(cls, n_qubits: int, factors, coeffs) -> "Decomposition":
+        """Terms from parallel factor strings and coefficients, coalesced
+        by :func:`matrices._coalesce`; a term refuses a non-finite sum."""
+        factors, coeffs = _coalesce(factors, coeffs)
+        return cls(n_qubits, tuple(map(SigmaTerm, coeffs.tolist(), factors.tolist())))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -203,9 +191,8 @@ def decompose_numerical(m: SparseMatrix) -> Decomposition:
     n = m.n_qubits
     shifts = np.arange(n - 1, -1, -1)
     pairs = 2 * ((m.rows[:, None] >> shifts) & 1) + ((m.cols[:, None] >> shifts) & 1)
-    keys = _CHAR_AT_BITS[pairs].view(f"S{n}").ravel().astype(str).tolist()
-    # Distinct entries give distinct strings, so nothing is summed.
-    return Decomposition._from_sums(n, dict(zip(keys, m.vals.tolist())))
+    keys = _CHAR_AT_BITS[pairs].view(f"S{n}").ravel().astype(str)
+    return Decomposition._coalesced(n, keys, m.vals)
 
 
 def _digits(t: SigmaTerm) -> tuple[str, str, str]:
@@ -222,6 +209,7 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
     pick a 1 in every factor, so a term with k identity factors has 2**k
     nonzeros.
     """
+    _require_sparse_size(t.n_qubits)  # before 2**k offsets are allocated
     if _magnitude(t.coeff) <= ZERO_TOL:
         return SparseMatrix(t.n_qubits, {})
     ident, row, col = (int(d, 2) for d in _digits(t))
@@ -238,8 +226,7 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
     rows = row + offsets
     cols = col + offsets
     # Sorted and unique by construction, and the term's coefficient is
-    # finite; 0j + coeff matches the sums of SparseMatrix.from_entries,
-    # which start from 0j.
+    # finite; 0j + coeff is its sum as matrices._coalesce forms it.
     vals = np.full(offsets.size, 0j + t.coeff)
     return SparseMatrix._from_sorted(t.n_qubits, rows, cols, vals)
 
@@ -320,7 +307,7 @@ def merge_terms(d: Decomposition) -> Decomposition:
                 elif merged in coeffs:
                     coeffs.pop(merged)
                 changed = True
-    return Decomposition._from_sums(d.n_qubits, coeffs)
+    return Decomposition._coalesced(d.n_qubits, list(coeffs), list(coeffs.values()))
 
 
 def to_json_dict(d: Decomposition) -> dict:

@@ -1,12 +1,18 @@
-"""Slow references for the vectorized sparse core, kept for property tests.
+"""Slow references for the package's fast paths, kept for property tests.
 
-Each function is the one-entry-at-a-time loop the package used before its
-sparse matrices became sorted COO arrays and its sigma terms were keyed by
-factor string.  They still work on tuples of factor enums, converted from
-each term's string with ``tuple(map(SigmaFactor, t.factors))``, so they
-stay independent of the string tables.  The property tests in
-``test_matrices.py`` and ``test_sigma.py`` require the fast versions to
-agree with these bit for bit (:func:`assert_same_arrays`).
+The sparse-core functions are the one-entry-at-a-time loops the package
+used before its sparse matrices became sorted COO arrays and its sigma
+terms were keyed by factor string.  They still work on tuples of factor
+enums, converted from each term's string with
+``tuple(map(SigmaFactor, t.factors))``, so they stay independent of the
+string tables.  The property tests in ``test_matrices.py`` and
+``test_sigma.py`` require the fast versions to agree with these bit for
+bit (:func:`assert_same_arrays`).
+
+:func:`hadamard_test_circuits` builds the full Hadamard-test circuits
+that ``expectation`` evaluates from a cached prefix and index
+permutations; ``test_expectation.py`` runs them gate by gate as the
+reference, and ``test_golden.py`` pins their file format.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
+from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term
+from sigmalcu.expectation import _H, StateOracle, _oracle_gate
 from sigmalcu.matrices import ZERO_TOL, SparseMatrix
 from sigmalcu.sigma import FACTOR_FROM_BITS, Decomposition, SigmaFactor, SigmaTerm
 
@@ -107,3 +115,35 @@ def merge_terms(d: Decomposition) -> Decomposition:
                     coeffs.pop(merged)
                 changed = True
     return build(d.n_qubits, (SigmaTerm(c, fs) for fs, c in coeffs.items()))
+
+
+def hadamard_test_circuits(
+    u: StateOracle,
+    v: StateOracle,
+    term: SigmaTerm,
+    m: StateOracle | None = None,
+    ti: SigmaTerm | None = None,
+) -> tuple[Circuit, Circuit]:
+    """(real, imaginary) interference circuits for <0| U^dag T V |0>, or
+    with an observable ``m`` and left term ``ti`` for <0| U^dag Ti^t M T V |0>.
+
+    Both circuits hold the same gate objects: H, controlled V,
+    open-controlled U, controlled T on a0, and for the sandwich the doubly
+    controlled M and the open-controlled Ti, then the closing H.  The
+    imaginary circuit adds an S^dag on a0 after the first H.
+    """
+    width = term.n_qubits + 2
+    body = [
+        _oracle_gate(v, (0, CLOSED)),
+        _oracle_gate(u, (0, OPEN)),
+        *_controlled_term(term, width, ((0, CLOSED),)).gates,
+    ]
+    if m is not None:
+        # Observable fires on a0 = 1 and a1 = 0, i.e. on the branch holding
+        # T |psi2> rather than its completion remainder.
+        body.append(_oracle_gate(m, (0, CLOSED), (1, OPEN)))
+        body.extend(_controlled_term(ti, width, ((0, OPEN),)).gates)
+    ancillas = frozenset({0, 1})
+    real = Circuit(width, (_H, *body, _H), ancillas)
+    imaginary = Circuit(width, (_H, Gate("sdg", (0,)), *body, _H), ancillas)
+    return real, imaginary

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmalcu import _codec, blockenc, sigma
+from sigmalcu import _codec, blockenc, pde, sigma
 from sigmalcu.circuits import (
     Circuit,
     DenseUnitary,
@@ -152,6 +152,48 @@ def test_generate_refuses_tiny_length_and_writes_nothing(tmp_path, capsys, famil
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: grid spacing dx")
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        # w1 * dx + w2 = 0 would divide the Robin corner correction by zero.
+        (["--family", "heat", "--s", "2", "--t", "2", "--w1", "-1", "--w2", "1"], "w1 * dx + w2 = 0"),
+        # Refused before a 2^40-entry identity term is allocated.
+        (["--family", "poisson", "--s", "40"], "sparse matrices limited to 31 qubits, got 40"),
+    ],
+)
+def test_generate_input_errors_write_nothing(tmp_path, options, message):
+    outdir = tmp_path / "sys"
+    err = assert_input_error(["generate", *options, "--outdir", str(outdir)])
+    assert message in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 16.0 GiB")])
+def test_generate_out_of_memory_is_an_input_error(tmp_path, monkeypatch, exc):
+    def exhaust(s):
+        raise exc
+
+    monkeypatch.setattr(pde, "poisson_1d", exhaust)
+    outdir = tmp_path / "sys"
+    err = assert_input_error(["generate", "--family", "poisson", "--s", "31", "--outdir", str(outdir)])
+    assert err.startswith("error: out of memory")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("small", ["1.0", "1e-16"])
+def test_decompose_refuses_nan_tolerance(tmp_path, small):
+    # Without the check a NaN tolerance kept every entry: the 1e-16 one was
+    # then refused as a stored zero, and ordinary files passed unpruned.
+    mtx = write(
+        tmp_path / "m.mtx",
+        f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 {small}\n",
+    )
+    out = tmp_path / "d.json"
+    err = assert_input_error(["decompose", "--in", mtx, "--out", str(out), "--tol", "nan"])
+    assert err == "error: zero-prune tolerance must be a number, got nan\n"
+    assert not out.exists()
 
 
 def test_generate_emitted_files_round_trip(tmp_path):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from sigmalcu import expectation
 from sigmalcu.expectation import (
     StateOracle,
     _distributions,
-    _hadamard_test_circuits,
     expval_full,
     expval_sandwich,
     expval_term,
@@ -41,7 +41,8 @@ def x_oracle():
 
 def reference_distributions(*args):
     """a0/a1 distributions from running each full Hadamard-test circuit."""
-    return [ancilla_probs(run(c, zero_state(c.n_qubits)), [0, 1]) for c in _hadamard_test_circuits(*args)]
+    circuits = reference.hadamard_test_circuits(*args)
+    return [ancilla_probs(run(c, zero_state(c.n_qubits)), [0, 1]) for c in circuits]
 
 
 def dense_term_value(u, v, term):
@@ -116,7 +117,7 @@ def test_pre_measurement_state_matches_branch_structure():
     term = SigmaTerm(1.0, (M, I, SigmaFactor.SPSM))
     u = random_oracle(rng, 3, "U")
     v = random_oracle(rng, 3, "V")
-    circuit, _ = _hadamard_test_circuits(u, v, term)
+    circuit, _ = reference.hadamard_test_circuits(u, v, term)
     before_h = Circuit(circuit.n_qubits, circuit.gates[:-1], circuit.ancillas)
     state = run(before_h, zero_state(circuit.n_qubits))
     psi1 = u.matrix[:, 0]
@@ -135,7 +136,7 @@ def test_real_and_imaginary_circuits_share_gate_body(sandwich):
     rng = np.random.default_rng(63)
     u, v, m = (random_oracle(rng, 2, label) for label in "UVM")
     left = (m, SigmaTerm(1.0, (P, SigmaFactor.SMSP))) if sandwich else ()
-    real, imaginary = _hadamard_test_circuits(u, v, SigmaTerm(1.0, (M, I)), *left)
+    real, imaginary = reference.hadamard_test_circuits(u, v, SigmaTerm(1.0, (M, I)), *left)
     assert imaginary.gates[1] == Gate("sdg", (0,))
     shared = imaginary.gates[:1] + imaginary.gates[2:]
     assert len(shared) == len(real.gates)

@@ -3,7 +3,9 @@
 The files under tests/data/golden were written by the gate-class
 implementation that preceded the single gate record; the writers must keep
 reproducing them exactly, and reading a file back and writing it again
-must not change a byte.  Every oracle matrix has dyadic entries and every
+must not change a byte.  The ``decompose`` outputs under
+tests/data/decompose were written by the dict-accumulator sigma layer
+that preceded the shared coalescing routine.  Every oracle matrix has dyadic entries and every
 block-encoding weight a dyadic square root, so the files do not depend on
 the platform's BLAS.
 """
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from sigmalcu.blockenc import assemble
 from sigmalcu.circuits import (
     OPEN,
@@ -26,11 +29,12 @@ from sigmalcu.circuits import (
     save_circuit,
     to_qasm,
 )
-from sigmalcu.cli import load_oracle, save_oracle
-from sigmalcu.expectation import StateOracle, _hadamard_test_circuits
+from sigmalcu.cli import load_oracle, main, save_oracle
+from sigmalcu.expectation import StateOracle
 from sigmalcu.sigma import Decomposition, SigmaTerm, load_decomposition, save_decomposition
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+DECOMPOSE = Path(__file__).parent / "data" / "decompose"
 
 H2 = 0.5 * np.array(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex
@@ -65,8 +69,8 @@ def circuits():
         "dilation_III": build_dilation_circuit(term("III")),
         "row_swap": row_swap_circuit(4, 3, 12),
         "block_encoding": assemble(Decomposition.build(2, be_terms)).overall,
-        "hadamard_test": _hadamard_test_circuits(U, V, term("PA"))[1],
-        "sandwich": _hadamard_test_circuits(U, V, term("PA"), M, term("MB"))[0],
+        "hadamard_test": reference.hadamard_test_circuits(U, V, term("PA"))[1],
+        "sandwich": reference.hadamard_test_circuits(U, V, term("PA"), M, term("MB"))[0],
         "controlled_h": controlled(
             Circuit(2, (SingleQubit("h", 1), SingleQubit("s", 1))), 0, OPEN
         ),
@@ -110,3 +114,30 @@ def test_oracle_bytes(tmp_path):
     assert path.read_bytes() == (GOLDEN / "oracle.json").read_bytes()
     save_oracle(load_oracle(str(path), "X"), str(path))
     assert path.read_bytes() == (GOLDEN / "oracle.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "source, merge, stdout",
+    [
+        ("random_complex", False, "terms: 20  nnz: 20"),
+        ("random_complex", True, "terms: 19  nnz: 20"),
+        ("heat", False, "terms: 98  nnz: 98"),
+        ("heat", True, "terms: 27  nnz: 98"),
+    ],
+)
+def test_decompose_bytes(source, merge, stdout, tmp_path, capsys):
+    """``decompose`` end to end.  The random complex file repeats
+    coordinates, holds -0.0 parts and a cancelling pair; the heat matrix
+    has non-integer alpha and Robin weight."""
+    if source == "heat":
+        options = ["--s", "3", "--t", "2", "--alpha", "0.7", "--w1", "0.3"]
+        assert main(["generate", "--family", "heat", *options, "--outdir", str(tmp_path)]) == 0
+        matrix = tmp_path / "matrix.mtx"
+    else:
+        matrix = DECOMPOSE / f"{source}.mtx"
+    capsys.readouterr()
+    out = tmp_path / "d.json"
+    assert main(["decompose", "--in", str(matrix), "--out", str(out), *["--merge"] * merge]) == 0
+    assert capsys.readouterr().out == stdout + "\n"
+    suffix = "_merged" if merge else ""
+    assert out.read_bytes() == (DECOMPOSE / f"{source}{suffix}.json").read_bytes()

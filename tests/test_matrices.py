@@ -24,7 +24,7 @@ from sigmalcu.pauli import (
     pauli_matrix,
     pauli_reconstruct,
 )
-from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix
+from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix, term_matrix
 from sigmalcu.simulate import circuit_to_matrix
 
 
@@ -250,6 +250,33 @@ def test_dense_builders_refuse_before_allocating(name):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SparseMatrix(40, {}),
+    lambda: SparseMatrix.from_entries(32, []),
+    # An all-identity term would hold 2^40 entries.
+    lambda: term_matrix(SigmaTerm(1.0, "I" * 40)),
+])
+def test_sparse_width_refused_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^sparse matrices limited to 31 qubits, got (40|32)$"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SparseMatrix.from_entries(1, [(0, 0, 1.0)], tol=math.nan),
+    # A NaN tolerance would otherwise keep the zeros of the diagonal.
+    lambda: SparseMatrix.from_dense(np.diag([1.0, 2.0]), tol=math.nan),
+])
+def test_nan_tolerance_is_refused(build):
+    with pytest.raises(ValueError, match="^zero-prune tolerance must be a number, got nan$"):
+        build()
 
 
 # Signed zeros, values pruned at ZERO_TOL, values whose sum overflows, and

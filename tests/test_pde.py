@@ -71,6 +71,17 @@ def test_poisson_matches_direct_assembly(s):
     assert reconstruct(system.decomposition) == system.matrix
 
 
+@pytest.mark.parametrize("build", [
+    lambda: poisson_1d(40),
+    lambda: heat_1d(HeatParams(s=20, t=20)),
+    lambda: wave_1d(20, 20),
+])
+def test_generators_refuse_registers_past_the_sparse_limit(build):
+    # The matrix is refused before its 2^40-entry terms or right-hand side exist.
+    with pytest.raises(ValueError, match=r"^sparse matrices limited to 31 qubits, got 4[01]$"):
+        build()
+
+
 def test_poisson_rejects_bad_size():
     with pytest.raises(ValueError):
         poisson_1d(0)
@@ -155,6 +166,13 @@ def test_heat_rhs_layout():
 def test_heat_rejects_degenerate_robin():
     with pytest.raises(ValueError, match="robin"):
         HeatParams(s=1, t=1, robin_w1=0.0, robin_w2=0.0)
+
+
+@pytest.mark.parametrize("w1, w2, length", [(-1.0, 1.0, None), (2.0, -0.5, 1.0)])
+def test_heat_rejects_robin_weights_with_zero_corner_denominator(w1, w2, length):
+    # dx = 1 and 1/4: w1 * dx + w2 = 0 would divide the corner correction by zero.
+    with pytest.raises(ValueError, match=r"w1 \* dx \+ w2 = 0"):
+        HeatParams(s=2, t=2, robin_w1=w1, robin_w2=w2, length=length)
 
 
 @pytest.mark.parametrize("k_cond", [0.0, -1.0, float("nan")])
