@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _term_controls
-from .matrices import ZERO_TOL, _require_dense_size, frobenius_distance
+from .matrices import ZERO_TOL, _require_width, frobenius_distance
 from .sigma import Decomposition, reconstruct
 from .simulate import circuit_to_matrix
 
@@ -130,7 +130,7 @@ def assemble(d: Decomposition) -> BlockEncoding:
         raise ValueError("cannot block-encode an empty decomposition")
     width = _selector_width(len(d.terms))
     total = width + 1 + d.n_qubits
-    _require_dense_size(total, "block encoding")
+    _require_width(total, "block encoding")
     lam = float(sum(abs(t.coeff) for t in d.terms))
     if not math.isfinite(lam):
         raise ValueError("lambda = sum |coeff| out of floating-point range")

@@ -56,7 +56,7 @@ def _require_pauli_size(family: str, s: int, t: int | None) -> None:
     """Refuse a grid point too wide for the Pauli decomposition without
     building it: poisson takes s qubits, heat s + t and wave s + t + 1."""
     width = s if family == "poisson" else s + t + (family == "wave")
-    matrices._require_dense_size(width, "pauli decomposition")
+    matrices._require_width(width, "pauli decomposition")
 
 
 def _generate_system(
@@ -93,13 +93,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _require_pauli_size(args.family, args.s, args.t)
     system = _generate_system(args.family, args.s, args.t, args)
     pauli_terms = len(pauli.decompose_pauli(system.matrix)) if args.pauli else ""
+    if system.rhs is not None:  # the largest payload, built before any file is written
+        rhs = {"length": int(system.rhs.size), "values": _codec.complex_pairs(system.rhs)}
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_matrix_market(system.matrix, str(outdir / "matrix.mtx"))
     sigma.save_decomposition(system.decomposition, str(outdir / "decomposition.json"))
     if system.rhs is not None:
-        payload = {"length": int(system.rhs.size), "values": _codec.complex_pairs(system.rhs)}
-        _codec.write_json(outdir / "rhs.json", payload)
+        _codec.write_json(outdir / "rhs.json", rhs)
     n_x = 1 << args.s
     n_t = "" if args.family == "poisson" else 1 << args.t
     _append_counts_row(

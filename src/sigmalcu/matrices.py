@@ -48,19 +48,11 @@ def _require_power_of_two(dim: int) -> int:
     return n
 
 
-def _require_dense_size(n_qubits: int, what: str) -> None:
-    """Raise ValueError before ``what`` allocates a dense array wider than
-    ``DENSE_QUBIT_LIMIT`` qubits."""
-    if n_qubits > DENSE_QUBIT_LIMIT:
-        raise ValueError(f"{what} limited to {DENSE_QUBIT_LIMIT} qubits, got {n_qubits}")
-
-
-def _require_sparse_size(n_qubits: int) -> None:
-    """Raise ValueError unless 1 <= n_qubits <= ``SPARSE_QUBIT_LIMIT``."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    if n_qubits > SPARSE_QUBIT_LIMIT:
-        raise ValueError(f"sparse matrices limited to {SPARSE_QUBIT_LIMIT} qubits, got {n_qubits}")
+def _require_width(n_qubits: int, what: str, limit: int = DENSE_QUBIT_LIMIT) -> None:
+    """Raise ValueError before ``what`` allocates arrays for a register wider
+    than ``limit`` qubits (by default the dense limit)."""
+    if n_qubits > limit:
+        raise ValueError(f"{what} limited to {limit} qubits, got {n_qubits}")
 
 
 def _magnitudes(vals: np.ndarray) -> np.ndarray:
@@ -164,7 +156,11 @@ class SparseMatrix:
         infinite sum is refused."""
         if not isinstance(items, Coo):
             triples = [(int(r), int(c), complex(v)) for r, c, v in items]
-            items = Coo(*zip(*triples)) if triples else Coo((), (), ())
+            items = Coo(
+                np.array([t[0] for t in triples], dtype=np.int64),
+                np.array([t[1] for t in triples], dtype=np.int64),
+                np.array([t[2] for t in triples], dtype=complex),
+            )
         rows = np.asarray(items.rows, dtype=np.int64)
         cols = np.asarray(items.cols, dtype=np.int64)
         _check_coords(n_qubits, rows, cols)
@@ -185,7 +181,7 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         """Dense complex array, at most ``DENSE_QUBIT_LIMIT`` qubits wide;
         round trip with :meth:`from_dense` is exact."""
-        _require_dense_size(self.n_qubits, "to_dense")
+        _require_width(self.n_qubits, "to_dense")
         out = np.zeros((self.dim, self.dim), dtype=complex)
         out[self.rows, self.cols] = self.vals
         return out
@@ -215,7 +211,9 @@ def _check_values(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
 def _check_coords(n_qubits: int, rows: np.ndarray, cols: np.ndarray) -> None:
     """Raise ValueError unless the register width is supported and every
     coordinate lies inside the ``2**n_qubits`` square."""
-    _require_sparse_size(n_qubits)
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    _require_width(n_qubits, "sparse matrices", SPARSE_QUBIT_LIMIT)
     dim = 1 << n_qubits
     outside = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
     if outside.any():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import SparseMatrix, _require_dense_size
+from .matrices import SparseMatrix, _require_width
 
 PAULI_CHARS = "IXYZ"
 
@@ -88,7 +88,7 @@ def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
     """
     n = m.n_qubits
     # The transform holds all 4**n coefficients at once.
-    _require_dense_size(n, "pauli decomposition")
+    _require_width(n, "pauli decomposition")
     # Bit k of the row goes to bit 2k+1 of the flat index, bit k of the
     # column to bit 2k, so qubit p's pair is digit n-1-p in base 4.
     flat = np.zeros(m.nnz, dtype=np.int64)
@@ -108,7 +108,7 @@ def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
 
 def pauli_matrix(factors: str) -> np.ndarray:
     """Dense matrix of a Pauli string, position 0 most significant."""
-    _require_dense_size(len(factors), "pauli_matrix")
+    _require_width(len(factors), "pauli_matrix")
     out = np.array([[1]], dtype=complex)
     for ch in factors:
         out = np.kron(out, PAULI_MATRICES[ch])
@@ -118,7 +118,7 @@ def pauli_matrix(factors: str) -> np.ndarray:
 def pauli_reconstruct(pd: PauliDecomposition) -> np.ndarray:
     """Dense sum of the terms; repeated strings add up."""
     n = pd.n_qubits
-    _require_dense_size(n, "pauli_reconstruct")
+    _require_width(n, "pauli_reconstruct")
     index = []
     for t in pd.terms:
         if len(t.factors) != n:

@@ -213,12 +213,12 @@ def heat_1d(p: HeatParams) -> PdeSystem:
     terms = list(ode_extended_a1(t, s).terms)
     terms.extend(_space_block_terms(t, _diffusion_terms(s, p.corner_value), -gamma))
     decomposition = Decomposition.build(t + s, terms)
-    matrix = reconstruct(decomposition)  # refuses a register too wide before rhs is allocated
 
     conduction = p.k_cond * p.dx  # positive unless the product underflows
     flux = p.q_flux * p.dt / conduction if conduction else math.inf
     if not math.isfinite(flux):
         raise ValueError(f"boundary flux q * dt / (k * dx) = {flux} is not finite")
+    matrix = reconstruct(decomposition)  # refuses a register too wide before rhs is allocated
     rhs = np.zeros(p.n_t * p.n_x, dtype=complex)
     rhs[: p.n_x] = 1.0
     rhs[p.n_x :: p.n_x] = flux

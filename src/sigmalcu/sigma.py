@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _codec
-from .matrices import ZERO_TOL, Coo, SparseMatrix, _coalesce, _require_dense_size, _require_sparse_size
+from .matrices import SPARSE_QUBIT_LIMIT, ZERO_TOL, Coo, SparseMatrix, _coalesce, _require_width
 
 
 class SigmaFactor(str, Enum):
@@ -209,7 +209,8 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
     pick a 1 in every factor, so a term with k identity factors has 2**k
     nonzeros.
     """
-    _require_sparse_size(t.n_qubits)  # before 2**k offsets are allocated
+    # Refused before 2**k offsets are allocated.
+    _require_width(t.n_qubits, "sparse matrices", SPARSE_QUBIT_LIMIT)
     if _magnitude(t.coeff) <= ZERO_TOL:
         return SparseMatrix(t.n_qubits, {})
     ident, row, col = (int(d, 2) for d in _digits(t))
@@ -262,7 +263,7 @@ def completion_matrix(t: SigmaTerm) -> np.ndarray:
     The product flips the bit of every ladder position, so column c has
     its one at row c ^ mask, with mask holding those bits.
     """
-    _require_dense_size(t.n_qubits, "completion_matrix")
+    _require_width(t.n_qubits, "completion_matrix")
     _, row, col = _digits(t)
     mask = int(row, 2) ^ int(col, 2)
     dim = 1 << t.n_qubits

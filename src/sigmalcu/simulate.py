@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CLOSED, Circuit, Gate
-from .matrices import _require_dense_size
+from .matrices import _require_width
 
 NORM_TOL = 1e-10
 
@@ -113,7 +113,7 @@ def circuit_to_matrix(c: Circuit, columns: int | None = None) -> np.ndarray:
     gate by gate.
     """
     n = c.n_qubits
-    _require_dense_size(n, "circuit_to_matrix")
+    _require_width(n, "circuit_to_matrix")
     dim = 1 << n
     k = dim if columns is None else columns
     if not 0 <= k <= dim:

@@ -6,11 +6,14 @@ that imports ``libcst``, which raises a ``DeprecationWarning`` on import.
 Under ``-W error`` the warning became an error inside pytest's report hook
 and ended the session with an INTERNALERROR, naming no failing test.  The
 module is imported once here with that warning silenced, so a failure is
-reported like any other.  Warnings raised by sigmalcu are not affected.
+reported like any other.  Without ``libcst`` (it is an optional hypothesis
+extra) hypothesis writes no patch, the import fails and nothing is needed.
+Warnings raised by sigmalcu are not affected.
 """
 
+import contextlib
 import warnings
 
-with warnings.catch_warnings():
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401

@@ -182,6 +182,24 @@ def test_generate_out_of_memory_is_an_input_error(tmp_path, monkeypatch, exc):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("writer", ["complex_pairs", "write_json"])
+def test_generate_out_of_memory_while_writing_is_an_input_error(tmp_path, monkeypatch, writer):
+    # The rhs payload is built before the output directory is made; memory
+    # that runs out while files are written leaves the earlier files.
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(_codec, writer, exhaust)
+    outdir = tmp_path / "sys"
+    argv = ["generate", "--family", "heat", "--s", "2", "--t", "2", "--outdir", str(outdir)]
+    err = assert_input_error(argv)
+    assert err == "error: out of memory: Unable to allocate 8.00 GiB\n"
+    if writer == "complex_pairs":
+        assert not outdir.exists()
+    else:
+        assert [p.name for p in outdir.iterdir()] == ["matrix.mtx"]  # decomposition.json failed
+
+
 @pytest.mark.parametrize("small", ["1.0", "1e-16"])
 def test_decompose_refuses_nan_tolerance(tmp_path, small):
     # Without the check a NaN tolerance kept every entry: the 1e-16 one was

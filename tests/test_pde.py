@@ -188,6 +188,13 @@ def test_heat_rejects_boundary_flux_that_is_not_finite(q_flux, k_cond):
         heat_1d(HeatParams(s=1, t=1, q_flux=q_flux, k_cond=k_cond, length=1.0))
 
 
+def test_heat_refuses_flux_before_building_the_matrix():
+    # At s + t = 40 the matrix would be refused as too wide; the flux, an
+    # input error found without building anything, is reported first.
+    with pytest.raises(ValueError, match="boundary flux .* is not finite"):
+        heat_1d(HeatParams(s=20, t=20, q_flux=float("nan")))
+
+
 # dx**2 underflows to zero for the tiny length and overflows for the huge one.
 @pytest.mark.parametrize("length", [1e-200, 1e200])
 def test_heat_rejects_grid_spacing_squared_outside_float_range(length):
