@@ -109,25 +109,6 @@ class Gate:
         return hash(self._key())
 
 
-def SingleQubit(kind: str, target: int) -> Gate:
-    return Gate(kind, (target,))
-
-
-def MCX(controls: tuple[tuple[int, str], ...], target: int) -> Gate:
-    """X on ``target`` conditioned on every control; no controls is a plain X."""
-    return Gate("x", (target,), tuple(controls))
-
-
-def DenseUnitary(targets: tuple[int, ...], matrix: np.ndarray, label: str = "U") -> Gate:
-    return Gate("dense", tuple(targets), (), matrix, label)
-
-
-def ControlledDense(
-    control: tuple[int, str], targets: tuple[int, ...], matrix: np.ndarray, label: str = "U"
-) -> Gate:
-    return Gate("dense", tuple(targets), (tuple(control),), matrix, label)
-
-
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
@@ -200,35 +181,26 @@ def build_ul_circuit(term: SigmaTerm) -> Circuit:
     return Circuit(n + 1, tuple(gates), frozenset({0}))
 
 
-def _pattern_swap_gates(
-    active: tuple[int, ...],
-    bits_a: dict[int, int],
-    bits_b: dict[int, int],
-) -> list[Gate]:
-    """MCX sequence exchanging the two basis patterns given on ``active``.
+def _pattern_swap_gates(active: tuple[int, ...], a: str, b: str) -> list[Gate]:
+    """MCX sequence exchanging the basis patterns ``a`` and ``b`` on the
+    ``active`` qubits, given in increasing order; digit q of each string
+    is the bit of qubit q.
 
     Qubits outside ``active`` are untouched, so the exchange applies
     simultaneously to every assignment of the inactive qubits.  Patterns
-    differing in m bits take 2m - 1 gates: flip the first differing bit,
-    recurse on the rest, and flip back.
+    differing in m bits take 2m - 1 gates: a walk from ``a`` to ``b`` that
+    flips each differing bit in turn, controlled on every other active
+    qubit, then the walk's flips but the last in reverse order.
     """
-    diff = [q for q in active if bits_a[q] != bits_b[q]]
-    if not diff:
+    walk = []
+    for q in active:
+        if a[q] != b[q]:
+            here = b[:q] + a[q:]  # the bits before q are already flipped
+            controls = tuple((p, CLOSED if here[p] == "1" else OPEN) for p in active if p != q)
+            walk.append(Gate("x", (q,), controls))
+    if not walk:
         raise ValueError("patterns are identical")
-
-    def controls_for(bits: dict[int, int], target: int) -> tuple[tuple[int, str], ...]:
-        return tuple(
-            (q, CLOSED if bits[q] else OPEN) for q in active if q != target
-        )
-
-    if len(diff) == 1:
-        return [Gate("x", (diff[0],), controls_for(bits_a, diff[0]))]
-    pivot = diff[0]
-    outer = Gate("x", (pivot,), controls_for(bits_a, pivot))
-    flipped = dict(bits_a)
-    flipped[pivot] = 1 - flipped[pivot]
-    inner = _pattern_swap_gates(active, flipped, bits_b)
-    return [outer, *inner, outer]
+    return walk + walk[-2::-1]
 
 
 def row_swap_circuit(n_qubits: int, row_a: int, row_b: int) -> Circuit:
@@ -242,10 +214,8 @@ def row_swap_circuit(n_qubits: int, row_a: int, row_b: int) -> Circuit:
         raise ValueError("row index out of range")
     if row_a == row_b:
         raise ValueError("rows must differ")
-    active = tuple(range(n_qubits))
-    bits_a = {q: (row_a >> (n_qubits - 1 - q)) & 1 for q in active}
-    bits_b = {q: (row_b >> (n_qubits - 1 - q)) & 1 for q in active}
-    return Circuit(n_qubits, tuple(_pattern_swap_gates(active, bits_a, bits_b)))
+    a, b = (format(row, f"0{n_qubits}b") for row in (row_a, row_b))
+    return Circuit(n_qubits, tuple(_pattern_swap_gates(tuple(range(n_qubits)), a, b)))
 
 
 def build_dilation_circuit(term: SigmaTerm) -> Circuit:
@@ -259,10 +229,8 @@ def build_dilation_circuit(term: SigmaTerm) -> Circuit:
     gate of the completion circuit.
     """
     ident, row, col = _digits(term)
-    fixed = [p for p, i in enumerate(ident, start=1) if i == "0"]
-    bits_row = {0: 0} | {p: int(row[p - 1]) for p in fixed}
-    bits_col = {0: 1} | {p: int(col[p - 1]) for p in fixed}
-    gates = [Gate("x", (0,)), *_pattern_swap_gates((0, *fixed), bits_row, bits_col)]
+    fixed = (p for p, i in enumerate(ident, start=1) if i == "0")
+    gates = [Gate("x", (0,)), *_pattern_swap_gates((0, *fixed), "0" + row, "1" + col)]
     return Circuit(term.n_qubits + 1, tuple(gates), frozenset({0}))
 
 

@@ -22,8 +22,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 # Magnitudes at or below this are zero: pruned from sparse entries and
 # merged coefficients, and skipped as selector phases and PREP reflections.
@@ -251,6 +249,9 @@ def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
     file entries become 0-indexed; duplicate coordinates are summed and
     pruned at ``tol`` (never below ``ZERO_TOL``).
     """
+    import scipy.io  # imported here: only Matrix Market files need scipy
+    import scipy.sparse
+
     _validate_header(path)
     try:
         coo = scipy.sparse.coo_matrix(scipy.io.mmread(path))
@@ -265,6 +266,9 @@ def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
 
 def save_matrix_market(m: SparseMatrix, path: str) -> None:
     """Write coordinate Matrix Market; complex field iff any imaginary part."""
+    import scipy.io
+    import scipy.sparse
+
     data = m.vals
     if not np.any(np.abs(data.imag) > 0):
         data = data.real

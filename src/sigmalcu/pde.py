@@ -5,7 +5,8 @@ with a sigma decomposition obtained from the recursive block structure of
 the matrix, so the term count grows with the logarithm of the grid sizes
 instead of the grid sizes themselves:
 
-* Poisson (Dirichlet):  tridiagonal (2, -1) stencil, 2s + 1 terms for
+* Poisson (Dirichlet):  tridiagonal (2, -1) stencil, 2I minus the
+  increment operator |i+1><i| and its transpose: 2s + 1 terms for
   n_x = 2**s grid points.
 * Heat (Robin/Neumann): implicit Euler in time over a diffusion stencil,
   at most (t + 1) + (4s + 6) terms for n_t = 2**t time steps.
@@ -54,6 +55,13 @@ class PdeSystem:
     predicted_term_count: int
 
 
+def _require_positive(params: dict[str, Optional[float]]) -> None:
+    """Refuse, by name, each given parameter that is not positive and finite."""
+    for name, value in params.items():
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class HeatParams:
     """Discretization and material parameters for the heat system.
@@ -75,14 +83,12 @@ class HeatParams:
     def __post_init__(self) -> None:
         if self.s < 1 or self.t < 1:
             raise ValueError("s and t must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not self.k_cond > 0:
-            raise ValueError("k_cond must be positive")
-        if self.length is not None and self.length <= 0:
-            raise ValueError("length must be positive")
-        if self.T is not None and self.T <= 0:
-            raise ValueError("final time must be positive")
+        _require_positive(
+            {"alpha": self.alpha, "k_cond": self.k_cond, "length": self.length, "final time T": self.T}
+        )
+        for name, w in (("robin_w1", self.robin_w1), ("robin_w2", self.robin_w2)):
+            if not math.isfinite(w):
+                raise ValueError(f"{name} must be finite, got {w}")
         if self.robin_w1 == 0 and self.robin_w2 == 0:
             raise ValueError("robin weights cannot both be zero")
         if self.robin_w1 * self.dx + self.robin_w2 == 0:
@@ -113,22 +119,22 @@ class HeatParams:
         return self.robin_w2 / (self.robin_w1 * self.dx + self.robin_w2)
 
 
-def _poisson_terms(s: int) -> list[SigmaTerm]:
-    """Recursive terms of the (2, -1) tridiagonal operator on 2**s points.
+def _increment(n: int) -> list[str]:
+    """Factor strings of the +1 shift |i+1><i| on n qubits, one per bit k
+    that rises (s-) while every lower bit falls (s+)."""
+    return [I * k + M + P * (n - 1 - k) for k in range(n)]
 
-    Level 1 is 2I - s- - s+; each further level prefixes identity and adds
-    the two corner couplings s- x (-s+ x ... x s+) and its transpose.
-    """
-    terms = [
+
+def _poisson_terms(s: int) -> list[SigmaTerm]:
+    """Terms of the (2, -1) tridiagonal operator on 2**s points: 2I minus
+    the increment operator and minus its transpose."""
+    shift = _increment(s)
+    transpose = str.maketrans("PM", "MP")
+    return [
         SigmaTerm(2.0, I * s),
-        SigmaTerm(-1.0, I * (s - 1) + M),
-        SigmaTerm(-1.0, I * (s - 1) + P),
+        *(SigmaTerm(-1.0, f) for f in shift),
+        *(SigmaTerm(-1.0, f.translate(transpose)) for f in shift),
     ]
-    for level in range(2, s + 1):
-        prefix = I * (s - level)
-        terms.append(SigmaTerm(-1.0, prefix + M + P * (level - 1)))
-        terms.append(SigmaTerm(-1.0, prefix + P + M * (level - 1)))
-    return terms
 
 
 def poisson_1d(s: int) -> PdeSystem:
@@ -153,15 +159,14 @@ def ode_extended_a1(t: int, s: int) -> Decomposition:
     """Time-stepping block of an extended Euler system.
 
     Block-bidiagonal matrix with identity blocks of size 2**s on the
-    diagonal and negated identities on the subdiagonal, over 2**t blocks;
+    diagonal and negated identities on the subdiagonal, over 2**t blocks:
+    I minus the time register's increment operator, times I on space;
     exactly t + 1 terms.
     """
     if t < 1 or s < 0:
         raise ValueError("need t >= 1 and s >= 0")
     terms = [SigmaTerm(1.0, I * (t + s))]
-    for level in range(t):
-        factors = I * level + M + P * (t - 1 - level) + I * s
-        terms.append(SigmaTerm(-1.0, factors))
+    terms += [SigmaTerm(-1.0, f + I * s) for f in _increment(t)]
     return Decomposition.build(t + s, terms)
 
 
@@ -239,8 +244,7 @@ def wave_1d(
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be >= 1")
-    if c <= 0 or (length is not None and length <= 0) or (T is not None and T <= 0):
-        raise ValueError("physical parameters must be positive")
+    _require_positive({"wave speed c": c, "length": length, "final time T": T})
     n_x = 1 << s
     n_t = 1 << t
     dx = (length if length is not None else float(n_x)) / n_x

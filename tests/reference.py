@@ -13,6 +13,12 @@ bit (:func:`assert_same_arrays`).
 that ``expectation`` evaluates from a cached prefix and index
 permutations; ``test_expectation.py`` runs them gate by gate as the
 reference, and ``test_golden.py`` pins their file format.
+
+:func:`row_swap_circuit` and :func:`build_dilation_circuit` build the
+pattern swap by the recursion the package used before its one-loop
+ladder: flip the first differing bit, recurse on a copy of the bits with
+that flip applied, and flip back.  ``test_circuits.py`` requires equal
+gate lists.
 """
 
 from __future__ import annotations
@@ -147,3 +153,44 @@ def hadamard_test_circuits(
     real = Circuit(width, (_H, *body, _H), ancillas)
     imaginary = Circuit(width, (_H, Gate("sdg", (0,)), *body, _H), ancillas)
     return real, imaginary
+
+
+def pattern_swap_gates(
+    active: tuple[int, ...], bits_a: dict[int, int], bits_b: dict[int, int]
+) -> list[Gate]:
+    """MCX sequence exchanging the two patterns given as {qubit: bit} on
+    ``active``: 2m - 1 gates for patterns differing in m bits."""
+    diff = [q for q in active if bits_a[q] != bits_b[q]]
+    if not diff:
+        raise ValueError("patterns are identical")
+
+    def controls_for(bits: dict[int, int], target: int) -> tuple[tuple[int, str], ...]:
+        return tuple((q, CLOSED if bits[q] else OPEN) for q in active if q != target)
+
+    if len(diff) == 1:
+        return [Gate("x", (diff[0],), controls_for(bits_a, diff[0]))]
+    pivot = diff[0]
+    outer = Gate("x", (pivot,), controls_for(bits_a, pivot))
+    flipped = dict(bits_a)
+    flipped[pivot] = 1 - flipped[pivot]
+    return [outer, *pattern_swap_gates(active, flipped, bits_b), outer]
+
+
+def row_swap_circuit(n_qubits: int, row_a: int, row_b: int) -> Circuit:
+    active = tuple(range(n_qubits))
+    bits_a = {q: (row_a >> (n_qubits - 1 - q)) & 1 for q in active}
+    bits_b = {q: (row_b >> (n_qubits - 1 - q)) & 1 for q in active}
+    return Circuit(n_qubits, tuple(pattern_swap_gates(active, bits_a, bits_b)))
+
+
+def build_dilation_circuit(term: SigmaTerm) -> Circuit:
+    """X on the ancilla (qubit 0), then the swap of the nonzero-row pattern
+    (ancilla 0) with the nonzero-column pattern (ancilla 1) on the ancilla
+    and the non-identity positions, read from each factor's one (row, col)
+    pair."""
+    factors = tuple(map(SigmaFactor, term.factors))
+    fixed = [p for p, f in enumerate(factors, start=1) if f is not SigmaFactor.IDENT]
+    bits_row = {0: 0} | {p: factors[p - 1].bit_pairs[0][0] for p in fixed}
+    bits_col = {0: 1} | {p: factors[p - 1].bit_pairs[0][1] for p in fixed}
+    gates = [Gate("x", (0,)), *pattern_swap_gates((0, *fixed), bits_row, bits_col)]
+    return Circuit(term.n_qubits + 1, tuple(gates), frozenset({0}))

@@ -25,7 +25,7 @@ from sigmalcu.sigma import (
     term_matrix,
 )
 from sigmalcu.simulate import basis_state, circuit_to_matrix, run
-from sigmalcu.circuits import CLOSED, MCX, OPEN, Circuit
+from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate
 
 POISSON_S = (4, 5, 6, 7)
 HEAT_WAVE_ST = ((2, 2), (2, 3), (3, 3), (3, 4))
@@ -236,7 +236,7 @@ def test_criterion_8_toffoli_truth_tables():
                 layouts.append((((1, pol0), (2, pol1)), 0))
         assert len(layouts) == 8
         for controls, target in layouts:
-            gate = MCX(controls, target)
+            gate = Gate("x", (target,), controls)
             matrix = circuit_to_matrix(Circuit(3, (gate,)))
             for index in range(8):
                 bits = [(index >> (2 - q)) & 1 for q in range(3)]

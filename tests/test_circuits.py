@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from sigmalcu.circuits import (
     CLOSED,
     OPEN,
     Circuit,
-    ControlledDense,
-    DenseUnitary,
-    MCX,
-    SingleQubit,
+    Gate,
     build_dilation_circuit,
     build_ul_circuit,
     circuit_from_json_dict,
@@ -57,9 +57,9 @@ def test_ul_gate_list_for_mixed_term():
     assert circuit.n_qubits == 4
     assert circuit.ancillas == frozenset({0})
     assert circuit.gates == (
-        SingleQubit("x", 1),
-        SingleQubit("x", 0),
-        MCX(((1, CLOSED), (3, OPEN)), 0),
+        Gate("x", (1,)),
+        Gate("x", (0,)),
+        Gate("x", (0,), ((1, CLOSED), (3, OPEN))),
     )
     counts = gate_count(circuit)
     assert counts == gate_count(circuit)
@@ -150,11 +150,11 @@ def test_mcx_pair_differing_in_one_control_merges():
     pair = Circuit(
         4,
         (
-            MCX(((1, CLOSED), (2, OPEN), (3, OPEN)), 0),
-            MCX(((1, CLOSED), (2, CLOSED), (3, OPEN)), 0),
+            Gate("x", (0,), ((1, CLOSED), (2, OPEN), (3, OPEN))),
+            Gate("x", (0,), ((1, CLOSED), (2, CLOSED), (3, OPEN))),
         ),
     )
-    merged = Circuit(4, (MCX(((1, CLOSED), (3, OPEN)), 0),))
+    merged = Circuit(4, (Gate("x", (0,), ((1, CLOSED), (3, OPEN))),))
     assert np.array_equal(circuit_to_matrix(pair), circuit_to_matrix(merged))
 
 
@@ -172,6 +172,28 @@ def test_row_swap_transposition_costs():
         expected = np.eye(dim)
         expected[[row_a, row_b]] = expected[[row_b, row_a]]
         assert np.array_equal(circuit_to_matrix(circuit), expected)
+
+
+@st.composite
+def row_pairs(draw):
+    n = draw(st.integers(1, 8))
+    rows = st.integers(0, (1 << n) - 1)
+    row_a = draw(rows)
+    return n, row_a, draw(rows.filter(lambda r: r != row_a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=row_pairs())
+def test_row_swap_matches_recursive_reference(case):
+    n, row_a, row_b = case
+    assert row_swap_circuit(n, row_a, row_b) == reference.row_swap_circuit(n, row_a, row_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors=st.text(alphabet="IPMAB", min_size=1, max_size=8))
+def test_dilation_matches_recursive_reference(factors):
+    term = SigmaTerm(1.0, factors)
+    assert build_dilation_circuit(term) == reference.build_dilation_circuit(term)
 
 
 def test_gate_count_empty_circuit():
@@ -204,7 +226,7 @@ def test_controlled_folds_nested_dense():
     rng = np.random.default_rng(51)
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, _ = np.linalg.qr(z)
-    inner = ControlledDense((1, OPEN), (2,), q, "q")
+    inner = Gate("dense", (2,), ((1, OPEN),), q, "q")
     wrapped = controlled(Circuit(3, (inner,)), 0, CLOSED)
     got = circuit_to_matrix(wrapped)
     lifted = np.eye(8, dtype=complex)
@@ -214,19 +236,19 @@ def test_controlled_folds_nested_dense():
 
 def test_mcx_validation():
     with pytest.raises(ValueError, match="repeated"):
-        MCX(((0, CLOSED),), 0)
+        Gate("x", (0,), ((0, CLOSED),))
     with pytest.raises(ValueError, match="polarity"):
-        MCX(((0, "up"),), 1)
+        Gate("x", (1,), ((0, "up"),))
 
 
 def test_dense_unitary_validation():
     with pytest.raises(ValueError, match="unitary"):
-        DenseUnitary((0,), np.array([[1, 0], [1, 1]], dtype=complex))
+        Gate("dense", (0,), (), np.array([[1, 0], [1, 1]], dtype=complex))
 
 
 def test_circuit_validation():
     with pytest.raises(ValueError, match="outside"):
-        Circuit(1, (SingleQubit("x", 1),))
+        Circuit(1, (Gate("x", (1,)),))
     with pytest.raises(ValueError, match="ancilla"):
         Circuit(1, (), frozenset({3}))
 
@@ -245,7 +267,7 @@ def test_json_round_trip(tmp_path):
 
 def test_json_dense_gate_round_trip():
     matrix = np.array([[0, 1], [1, 0]], dtype=complex)
-    circuit = Circuit(2, (DenseUnitary((1,), matrix, "flip"),))
+    circuit = Circuit(2, (Gate("dense", (1,), (), matrix, "flip"),))
     again = circuit_from_json_dict(circuit_to_json_dict(circuit))
     assert np.array_equal(again.gates[0].matrix, matrix)
     assert again.gates[0].label == "flip"
@@ -253,7 +275,7 @@ def test_json_dense_gate_round_trip():
 
 def test_json_folds_controlled_dense():
     matrix = np.eye(2, dtype=complex)
-    circuit = Circuit(2, (ControlledDense((0, CLOSED), (1,), matrix, "u"),))
+    circuit = Circuit(2, (Gate("dense", (1,), ((0, CLOSED),), matrix, "u"),))
     data = circuit_to_json_dict(circuit)
     assert data["gates"][0]["kind"] == "dense"
     assert data["gates"][0]["targets"] == [0, 1]
@@ -275,7 +297,7 @@ def test_qasm_export_conjugates_open_controls():
 
 
 def test_qasm_dense_comment():
-    circuit = Circuit(1, (DenseUnitary((0,), np.eye(2, dtype=complex), "oracle"),))
+    circuit = Circuit(1, (Gate("dense", (0,), (), np.eye(2, dtype=complex), "oracle"),))
     assert "// dense gate oracle" in to_qasm(circuit)
 
 
@@ -284,15 +306,16 @@ def test_embedded_shifts_everything():
     shifted = embedded(circuit, 4, offset=2)
     assert shifted.ancillas == frozenset({2})
     assert shifted.gates == (
-        SingleQubit("x", 3),
-        SingleQubit("x", 2),
-        MCX(((3, OPEN),), 2),
+        Gate("x", (3,)),
+        Gate("x", (2,)),
+        Gate("x", (2,), ((3, OPEN),)),
     )
     with pytest.raises(ValueError, match="fit"):
         embedded(circuit, 2, offset=1)
 
 
 def test_zero_control_mcx_is_plain_x():
-    assert MCX((), 0) == SingleQubit("x", 0)
-    data = circuit_to_json_dict(Circuit(1, (MCX((), 0),)))
+    gate = Gate("x", (0,), ())
+    assert gate == Gate("x", (0,)) and gate_count(Circuit(1, (gate,))).mcx == ()
+    data = circuit_to_json_dict(Circuit(1, (gate,)))
     assert data["gates"] == [{"kind": "x", "target": 0}]

@@ -3,6 +3,9 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmalcu import _codec, blockenc, pde, sigma
+from sigmalcu import _codec, blockenc, cli, pde, sigma
 from sigmalcu.circuits import (
+    CLOSED,
     Circuit,
-    DenseUnitary,
+    Gate,
     build_ul_circuit,
+    embedded,
     circuit_to_json_dict,
     save_circuit,
 )
@@ -161,6 +166,15 @@ def test_generate_refuses_tiny_length_and_writes_nothing(tmp_path, capsys, famil
         (["--family", "heat", "--s", "2", "--t", "2", "--w1", "-1", "--w2", "1"], "w1 * dx + w2 = 0"),
         # Refused before a 2^40-entry identity term is allocated.
         (["--family", "poisson", "--s", "40"], "sparse matrices limited to 31 qubits, got 40"),
+        # An infinite w1 made the corner correction 0 and dropped its terms.
+        (["--family", "heat", "--s", "2", "--t", "2", "--w1", "inf"], "error: robin_w1 must be finite, got inf"),
+        # An infinite conductivity made the boundary forcing 0.
+        (["--family", "heat", "--s", "2", "--t", "2", "--k-cond", "inf"], "error: k_cond must be positive and finite"),
+        (["--family", "heat", "--s", "2", "--t", "2", "--alpha", "nan"], "error: alpha must be positive and finite"),
+        (["--family", "heat", "--s", "2", "--t", "2", "--alpha", "inf"], "error: alpha must be positive and finite"),
+        (["--family", "heat", "--s", "2", "--t", "2", "--final-time", "inf"], "error: final time T must be positive"),
+        (["--family", "heat", "--s", "2", "--t", "2", "--final-time", "nan"], "error: final time T must be positive"),
+        (["--family", "wave", "--s", "2", "--t", "2", "--final-time", "nan"], "error: final time T must be positive"),
     ],
 )
 def test_generate_input_errors_write_nothing(tmp_path, options, message):
@@ -233,6 +247,24 @@ def test_compare_poisson_grid(tmp_path):
     pauli_counts = [int(r[4]) for r in rows[1:]]
     assert sigma_counts == [9, 11, 13, 15]
     assert all(p >= s for p, s in zip(pauli_counts, sigma_counts))
+
+
+def test_compare_default_poisson_grid(capsys):
+    assert main(["compare", "--family", "poisson"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "family,n_x,n_t,sigma_terms,pauli_terms",
+        "poisson,16,,9,16",
+        "poisson,32,,11,32",
+        "poisson,64,,13,64",
+        "poisson,128,,15,128",
+    ]
+
+
+@pytest.mark.parametrize("family, sigma_counts", [("heat", [16, 17, 21, 22]), ("wave", [19, 20, 24, 25])])
+def test_compare_default_grid_sigma_counts(capsys, family, sigma_counts):
+    assert main(["compare", "--family", family]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(r[3]) for r in rows] == sigma_counts
 
 
 def test_compare_heat_point(tmp_path, capsys):
@@ -315,6 +347,71 @@ def test_verify_corrupted_circuit(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "   1  " in out and "FAIL" in out
+
+
+def test_verify_fails_a_circuit_one_qubit_too_wide(tmp_path, capsys):
+    outdir = tmp_path / "sys"
+    main(["generate", "--family", "poisson", "--s", "1", "--outdir", str(outdir)])
+    decomp = str(outdir / "decomposition.json")
+    circuit_dir = tmp_path / "circuits"
+    circuit_dir.mkdir()
+    for index, term in enumerate(load_decomposition(decomp).terms):
+        width = term.n_qubits + 1 + (index == 1)
+        save_circuit(embedded(build_ul_circuit(term), width, offset=0), str(circuit_dir / f"term_{index:03d}.json"))
+    capsys.readouterr()
+    assert main(["verify", "--decomp", decomp, "--circuits", str(circuit_dir)]) == 2
+    assert capsys.readouterr().out.splitlines()[2] == "   1  M            FAIL: circuit width mismatch"
+
+
+def with_gates(*extra):
+    """Wrap a circuit builder to append ``extra``, gates that cancel in
+    pairs: the matrix is kept, the gate counts are not."""
+    def wrap(build):
+        def padded(term):
+            c = build(term)
+            return Circuit(c.n_qubits, c.gates + extra, c.ancillas)
+        return padded
+    return wrap
+
+
+def of_flipped_term(build):
+    """Wrap a circuit builder to build the circuit of the term with every
+    bit flipped (s+ and s-, A and B exchanged)."""
+    flip = str.maketrans("PMAB", "MPBA")
+    return lambda term: build(SigmaTerm(1.0, term.factors.translate(flip)))
+
+
+X_PAIR = (Gate("x", (0,)),) * 2
+MCX_PAIR = (Gate("x", (0,), ((1, CLOSED),)),) * 2
+
+
+@pytest.mark.parametrize(
+    "builder, wrap, factors, message",
+    [
+        ("build_ul_circuit", with_gates(*X_PAIR), "M", "4 single-qubit gates exceeds n + 1"),
+        ("build_ul_circuit", with_gates(*MCX_PAIR), "M", "expected one multi-controlled X of arity 1"),
+        ("build_dilation_circuit", with_gates(*MCX_PAIR), "M", "dilation used 5 multi-controlled X, expected 3"),
+        ("build_dilation_circuit", of_flipped_term, "A", "dilation and completion circuits disagree at s = 0"),
+        ("build_dilation_circuit", of_flipped_term, "M", "dilation top-left block is not the term matrix"),
+    ],
+)
+def test_verify_prints_the_fail_line_of_each_check(tmp_path, capsys, monkeypatch, builder, wrap, factors, message):
+    decomp = write_json(tmp_path / "d.json", {"n_qubits": 1, "terms": [{"re": 1, "im": 0, "factors": factors}]})
+    monkeypatch.setattr(cli, builder, wrap(getattr(cli, builder)))
+    assert main(["verify", "--decomp", decomp, "--dilation"]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"   0  {factors:<12} FAIL: {message}",
+        "1 of 1 terms failed",
+    ]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is imported only where Matrix Market files are read or written.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, sigmalcu.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_circuit_command(tmp_path):
@@ -681,7 +778,7 @@ def test_malformed_oracle_exits_1(payload, role):
 
 def valid_circuit():
     term = SigmaTerm.from_string(1.0, "PM")
-    gates = build_ul_circuit(term).gates + (DenseUnitary((1,), np.eye(2, dtype=complex), "id"),)
+    gates = build_ul_circuit(term).gates + (Gate("dense", (1,), (), np.eye(2, dtype=complex), "id"),)
     return circuit_to_json_dict(Circuit(3, gates, frozenset({0})))
 
 

@@ -20,7 +20,7 @@ from sigmalcu.blockenc import assemble
 from sigmalcu.circuits import (
     OPEN,
     Circuit,
-    SingleQubit,
+    Gate,
     build_dilation_circuit,
     build_ul_circuit,
     controlled,
@@ -72,7 +72,7 @@ def circuits():
         "hadamard_test": reference.hadamard_test_circuits(U, V, term("PA"))[1],
         "sandwich": reference.hadamard_test_circuits(U, V, term("PA"), M, term("MB"))[0],
         "controlled_h": controlled(
-            Circuit(2, (SingleQubit("h", 1), SingleQubit("s", 1))), 0, OPEN
+            Circuit(2, (Gate("h", (1,)), Gate("s", (1,)))), 0, OPEN
         ),
     }
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,27 @@ def test_heat_rejects_non_positive_conductivity(k_cond):
         HeatParams(s=1, t=1, k_cond=k_cond)
 
 
+# An infinite w1 or k_cond gave a corner correction or a boundary forcing
+# of 0; the others failed only on a sigma coefficient, naming no parameter.
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"robin_w1": math.inf}, "robin_w1 must be finite, got inf"),
+        ({"robin_w2": math.nan}, "robin_w2 must be finite, got nan"),
+        ({"k_cond": math.inf}, "k_cond must be positive and finite, got inf"),
+        ({"alpha": math.nan}, "alpha must be positive and finite, got nan"),
+        ({"alpha": math.inf}, "alpha must be positive and finite, got inf"),
+        ({"T": math.inf}, "final time T must be positive and finite, got inf"),
+        ({"T": math.nan}, "final time T must be positive and finite, got nan"),
+        ({"length": math.inf}, "length must be positive and finite, got inf"),
+    ],
+)
+def test_heat_refuses_each_non_finite_parameter_by_name(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        HeatParams(s=2, t=2, **kwargs)
+    assert str(info.value) == message
+
+
 # The last conductivity is positive, but k * dx underflows to zero.
 @pytest.mark.parametrize("q_flux, k_cond", [(float("nan"), 1.0), (1e308, 1e-10), (1.0, 5e-324)])
 def test_heat_rejects_boundary_flux_that_is_not_finite(q_flux, k_cond):
@@ -255,6 +278,21 @@ def test_wave_rhs_layout():
     assert rhs.shape == (4 * 8,)
     assert np.array_equal(rhs[:8], np.ones(8))
     assert np.array_equal(rhs[8:], np.zeros(24))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"c": -1.0}, "wave speed c must be positive and finite, got -1.0"),
+        ({"c": math.inf}, "wave speed c must be positive and finite, got inf"),
+        ({"length": 0.0}, "length must be positive and finite, got 0.0"),
+        ({"T": math.nan}, "final time T must be positive and finite, got nan"),
+    ],
+)
+def test_wave_refuses_each_bad_parameter_by_name(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        wave_1d(2, 2, **kwargs)
+    assert str(info.value) == message
 
 
 def test_wave_rejects_bad_params():

@@ -285,6 +285,14 @@ def test_decomposition_rejects_width_mismatch():
         Decomposition(2, (SigmaTerm(1.0, (P,)),))
 
 
+# Files are read through Decomposition.build, which sums a repeated string;
+# only the constructor refuses one.
+def test_decomposition_refuses_a_repeated_factor_string():
+    with pytest.raises(ValueError) as info:
+        Decomposition(1, (SigmaTerm(1.0, "P"), SigmaTerm(1.0, "M"), SigmaTerm(2.0, "P")))
+    assert str(info.value) == "duplicate factor string P"
+
+
 # The last is finite, but its magnitude overflows a float.
 @pytest.mark.parametrize(
     "bad", [float("nan"), float("inf"), complex(0.0, float("-inf")), complex(1.7e308, 1.7e308)]

@@ -9,11 +9,7 @@ from sigmalcu.circuits import (
     OPEN,
     SINGLE_QUBIT_MATRICES,
     Circuit,
-    ControlledDense,
-    DenseUnitary,
     Gate,
-    MCX,
-    SingleQubit,
     build_ul_circuit,
     controlled,
     embedded,
@@ -43,24 +39,24 @@ def random_unitary(rng, dim):
 
 
 def test_x_flips_basis():
-    out = apply_gate(zero_state(1), SingleQubit("x", 0))
+    out = apply_gate(zero_state(1), Gate("x", (0,)))
     assert np.array_equal(out.amplitudes, [0, 1])
 
 
 def test_h_makes_superposition():
-    out = apply_gate(zero_state(1), SingleQubit("h", 0))
+    out = apply_gate(zero_state(1), Gate("h", (0,)))
     assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_s_and_sdg_phases():
     one = basis_state(1, 1)
-    assert np.allclose(apply_gate(one, SingleQubit("s", 0)).amplitudes, [0, 1j])
-    assert np.allclose(apply_gate(one, SingleQubit("sdg", 0)).amplitudes, [0, -1j])
+    assert np.allclose(apply_gate(one, Gate("s", (0,))).amplitudes, [0, 1j])
+    assert np.allclose(apply_gate(one, Gate("sdg", (0,))).amplitudes, [0, -1j])
 
 
 def test_mcx_polarities():
     # closed on qubit 0, open on qubit 2, target qubit 1
-    gate = MCX(((0, CLOSED), (2, OPEN)), 1)
+    gate = Gate("x", (1,), ((0, CLOSED), (2, OPEN)))
     for index in range(8):
         out = apply_gate(basis_state(3, index), gate)
         bits = [(index >> (2 - q)) & 1 for q in range(3)]
@@ -71,7 +67,7 @@ def test_mcx_polarities():
 
 def test_gate_on_most_significant_qubit():
     # qubit 0 is the most significant bit of the amplitude index
-    out = apply_gate(zero_state(2), SingleQubit("x", 0))
+    out = apply_gate(zero_state(2), Gate("x", (0,)))
     assert np.array_equal(out.amplitudes, basis_state(2, 2).amplitudes)
 
 
@@ -83,7 +79,7 @@ def test_run_empty_circuit():
 
 
 def test_run_double_x_is_identity():
-    circuit = Circuit(1, (SingleQubit("x", 0), SingleQubit("x", 0)))
+    circuit = Circuit(1, (Gate("x", (0,)), Gate("x", (0,))))
     for index in range(2):
         out = run(circuit, basis_state(1, index))
         assert np.array_equal(out.amplitudes, basis_state(1, index).amplitudes)
@@ -104,7 +100,7 @@ def test_completion_circuit_action_on_ancilla_zero():
 
 def test_circuit_to_matrix_basics():
     assert np.array_equal(
-        circuit_to_matrix(Circuit(1, (SingleQubit("x", 0),))),
+        circuit_to_matrix(Circuit(1, (Gate("x", (0,)),))),
         np.array([[0, 1], [1, 0]], dtype=complex),
     )
     assert np.array_equal(circuit_to_matrix(Circuit(2, ())), np.eye(4))
@@ -120,7 +116,7 @@ def test_circuit_to_matrix_permutation_for_x_mcx():
         controls = tuple(
             (q, CLOSED if rng.integers(0, 2) else OPEN) for q in others[: rng.integers(0, 3)]
         )
-        gates.append(MCX(controls, target) if controls else SingleQubit("x", target))
+        gates.append(Gate("x", (target,), controls))
     matrix = circuit_to_matrix(Circuit(4, tuple(gates)))
     assert set(np.unique(matrix.real)) <= {0.0, 1.0}
     assert np.array_equal(matrix.sum(axis=0), np.ones(16))
@@ -134,7 +130,7 @@ def test_dense_gate_matches_kron_lift():
         k = int(rng.integers(1, min(n, 3) + 1))
         targets = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
         u = random_unitary(rng, 1 << k)
-        gate = DenseUnitary(targets, u, "u")
+        gate = Gate("dense", targets, (), u, "u")
         state = random_state(rng, n)
         out = apply_gate(state, gate)
         # lift: permute target qubits to the front, apply, permute back
@@ -148,11 +144,11 @@ def test_controlled_dense_respects_polarity():
     rng = np.random.default_rng(27)
     u = random_unitary(rng, 2)
     state = random_state(rng, 2)
-    closed = apply_gate(state, ControlledDense((0, CLOSED), (1,), u, "u"))
+    closed = apply_gate(state, Gate("dense", (1,), ((0, CLOSED),), u, "u"))
     expected = state.amplitudes.copy()
     expected[2:] = u @ expected[2:]
     assert np.allclose(closed.amplitudes, expected, atol=1e-12)
-    opened = apply_gate(state, ControlledDense((0, OPEN), (1,), u, "u"))
+    opened = apply_gate(state, Gate("dense", (1,), ((0, OPEN),), u, "u"))
     expected = state.amplitudes.copy()
     expected[:2] = u @ expected[:2]
     assert np.allclose(opened.amplitudes, expected, atol=1e-12)
@@ -164,10 +160,10 @@ def test_norm_preserved_along_circuit():
     circuit = Circuit(
         3,
         (
-            SingleQubit("h", 0),
-            MCX(((0, CLOSED),), 2),
-            SingleQubit("s", 1),
-            DenseUnitary((1, 2), random_unitary(rng, 4), "u"),
+            Gate("h", (0,)),
+            Gate("x", (2,), ((0, CLOSED),)),
+            Gate("s", (1,)),
+            Gate("dense", (1, 2), (), random_unitary(rng, 4), "u"),
         ),
     )
     out = state
@@ -215,7 +211,7 @@ def test_ancilla_probs_validation():
 
 def test_apply_gate_index_guard():
     with pytest.raises(ValueError, match="outside"):
-        apply_gate(zero_state(1), SingleQubit("x", 1))
+        apply_gate(zero_state(1), Gate("x", (1,)))
 
 
 def test_run_width_guard():
