@@ -91,8 +91,11 @@ class HeatParams:
                 raise ValueError(f"{name} must be finite, got {w}")
         if self.robin_w1 == 0 and self.robin_w2 == 0:
             raise ValueError("robin weights cannot both be zero")
-        if self.robin_w1 * self.dx + self.robin_w2 == 0:
+        denominator = self.robin_w1 * self.dx + self.robin_w2
+        if denominator == 0:
             raise ValueError("robin weights give w1 * dx + w2 = 0, dividing the corner value by zero")
+        if not math.isfinite(denominator):  # the corner value would read 0
+            raise ValueError(f"robin weights give w1 * dx + w2 = {denominator}, outside floating-point range")
 
     @property
     def n_x(self) -> int:

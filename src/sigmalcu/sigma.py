@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from . import _codec
-from .matrices import SPARSE_QUBIT_LIMIT, ZERO_TOL, Coo, SparseMatrix, _coalesce, _require_width
+from .matrices import SPARSE_QUBIT_LIMIT, ZERO_TOL, Coo, SparseMatrix, _coalesce, _magnitudes, _require_width
 
 
 class SigmaFactor(str, Enum):
@@ -137,46 +138,123 @@ class SigmaTerm:
         return cls(complex(coeff), cleaned)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Decomposition:
-    """List of sigma terms over a shared register width.
+    """Sigma terms over a shared register width, held as two columns.
 
-    Factor strings are unique (equal strings have their coefficients
-    summed) and sorted, so construction through :meth:`build` is
-    deterministic.
+    ``factors`` is a read-only ``(len, n_qubits)`` uint8 array holding one
+    factor string per row as ASCII codes, so that its rows viewed as
+    ``S{n_qubits}`` strings sort and search like the strings themselves;
+    the rows are sorted and unique.  ``coeffs`` holds the complex128
+    coefficients.  ``terms`` builds the matching :class:`SigmaTerm` tuple
+    on first use.
+
+    ``Decomposition(n, terms)`` stores the given terms sorted by string,
+    with their coefficients as given; it refuses a term of another width
+    and a repeated string.  :meth:`build` sums equal strings instead.
     """
 
     n_qubits: int
-    terms: tuple[SigmaTerm, ...]
+    factors: np.ndarray
+    coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        seen = set()
-        for t in self.terms:
-            if t.n_qubits != self.n_qubits:
-                raise ValueError(
-                    f"term width {t.n_qubits} does not match register {self.n_qubits}"
-                )
-            if t.factors in seen:
-                raise ValueError(f"duplicate factor string {t.factors}")
-            seen.add(t.factors)
+    def __init__(self, n_qubits: int, terms: Iterable[SigmaTerm]) -> None:
+        terms = tuple(terms)
+        _require_register(n_qubits)
+        for t in terms:
+            if t.n_qubits != n_qubits:
+                raise ValueError(f"term width {t.n_qubits} does not match register {n_qubits}")
+        _refuse_repeats([t.factors for t in terms])
+        terms = tuple(sorted(terms, key=lambda t: t.factors))
+        keys = np.array([t.factors for t in terms], dtype="S")
+        coeffs = np.array([t.coeff for t in terms], dtype=complex)
+        self._store(n_qubits, _rows(keys, n_qubits), coeffs)
+        object.__setattr__(self, "terms", terms)
+
+    def _store(self, n_qubits: int, factors: np.ndarray, coeffs: np.ndarray) -> None:
+        for array in (factors, coeffs):
+            array.flags.writeable = False
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The factor strings as a sorted ``S{n_qubits}`` array."""
+        if not len(self):  # an empty S1 array, whatever the width
+            return np.empty(0, dtype="S1")
+        return self.factors.view(f"S{self.n_qubits}").ravel()
+
+    @cached_property
+    def terms(self) -> tuple[SigmaTerm, ...]:
+        return tuple(map(SigmaTerm, self.coeffs.tolist(), self.keys.astype(str).tolist()))
 
     @classmethod
     def build(cls, n_qubits: int, terms: Iterable[SigmaTerm]) -> "Decomposition":
         """Sum the coefficients of equal factor strings, prune and sort."""
         terms = list(terms)
-        return cls._coalesced(n_qubits, [t.factors for t in terms], [t.coeff for t in terms])
+        return cls._coalesced(
+            n_qubits, np.array([t.factors for t in terms], dtype="S"), [t.coeff for t in terms]
+        )
 
     @classmethod
-    def _coalesced(cls, n_qubits: int, factors, coeffs) -> "Decomposition":
-        """Terms from parallel factor strings and coefficients, coalesced
-        by :func:`matrices._coalesce`; a term refuses a non-finite sum."""
-        factors, coeffs = _coalesce(factors, coeffs)
-        return cls(n_qubits, tuple(map(SigmaTerm, coeffs.tolist(), factors.tolist())))
+    def _coalesced(cls, n_qubits: int, keys: np.ndarray, coeffs) -> "Decomposition":
+        """Terms from parallel factor strings (a bytes array) and
+        coefficients, coalesced by :func:`matrices._coalesce`.  Refuses a
+        sum that is not finite in magnitude, a register below one qubit and
+        a kept string of another width, in that order."""
+        keys, coeffs = _coalesce(keys, coeffs)
+        bad = ~(_magnitudes(coeffs) < math.inf)
+        if bad.any():
+            coeff = complex(coeffs[bad.argmax()])
+            raise ValueError(f"sigma term coefficient {coeff} is not finite in magnitude")
+        _require_register(n_qubits)
+        widths = np.char.str_len(keys)
+        if (widths != n_qubits).any():
+            width = widths[(widths != n_qubits).argmax()]
+            raise ValueError(f"term width {width} does not match register {n_qubits}")
+        out = object.__new__(cls)
+        out._store(n_qubits, _rows(keys, n_qubits), coeffs)
+        return out
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.coeffs.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Decomposition):
+            return NotImplemented
+        return (
+            self.n_qubits == other.n_qubits
+            and np.array_equal(self.factors, other.factors)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_qubits, self.factors.tobytes()))
+
+
+def _rows(keys: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Factor strings of width ``n_qubits`` as ``(len, n_qubits)`` uint8
+    rows of ASCII codes."""
+    if not keys.size:  # no S{n} dtype is needed, whatever the width
+        return np.empty((0, n_qubits), dtype=np.uint8)
+    return keys.astype(f"S{n_qubits}").view(np.uint8).reshape(-1, n_qubits)
+
+
+def _require_register(n_qubits: int) -> None:
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+
+
+def _refuse_repeats(strings: list[str]) -> None:
+    """Refuse the first factor string listed a second time."""
+    if len(set(strings)) == len(strings):
+        return
+    seen = set()
+    for f in strings:
+        if f in seen:
+            raise ValueError(f"duplicate factor string {f}")
+        seen.add(f)
 
 
 def decompose_numerical(m: SparseMatrix) -> Decomposition:
@@ -191,8 +269,7 @@ def decompose_numerical(m: SparseMatrix) -> Decomposition:
     n = m.n_qubits
     shifts = np.arange(n - 1, -1, -1)
     pairs = 2 * ((m.rows[:, None] >> shifts) & 1) + ((m.cols[:, None] >> shifts) & 1)
-    keys = _CHAR_AT_BITS[pairs].view(f"S{n}").ravel().astype(str)
-    return Decomposition._coalesced(n, keys, m.vals)
+    return Decomposition._coalesced(n, _CHAR_AT_BITS[pairs].view(f"S{n}").ravel(), m.vals)
 
 
 def _digits(t: SigmaTerm) -> tuple[str, str, str]:
@@ -273,6 +350,16 @@ def completion_matrix(t: SigmaTerm) -> np.ndarray:
     return out
 
 
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each wanted string sits in the sorted ``keys``, and whether it
+    is there."""
+    at = np.searchsorted(keys, wanted)
+    found = np.zeros(wanted.size, dtype=bool)
+    inside = at < keys.size
+    found[inside] = keys[at[inside]] == wanted[inside]
+    return at, found
+
+
 def merge_terms(d: Decomposition) -> Decomposition:
     """Greedy projector merging: two terms with equal coefficients whose
     strings differ at exactly one position holding {s+s-, s-s+} collapse to
@@ -280,62 +367,153 @@ def merge_terms(d: Decomposition) -> Decomposition:
 
     Coefficients a and b count as equal when |a - b| <= ZERO_TOL *
     max(1, |a|, |b|), so rounding does not block a merge.  The merged term
-    takes their mean; reconstruction stays exact when a == b.
+    takes their mean, added to the coefficient of its string if present
+    and dropped unless the total's magnitude exceeds ZERO_TOL;
+    reconstruction stays exact when a == b.
 
     Scans positions left to right until a fixpoint.  At one position every
     s+s- string has exactly one s-s+ partner and no other merge there
-    touches either, so the order of the candidates does not matter.  The
-    term count never increases; minimality is not claimed.
+    touches either, so each position merges all its pairs at once, on the
+    sorted string array: a partner is found by binary search.  The term
+    count never increases; minimality is not claimed.
     """
-    spsm, smsp, ident = (f.value for f in (SigmaFactor.SPSM, SigmaFactor.SMSP, SigmaFactor.IDENT))
-    coeffs = {t.factors: t.coeff for t in d.terms}
+    n = d.n_qubits
+    spsm, smsp, ident = (ord(f.value) for f in (SigmaFactor.SPSM, SigmaFactor.SMSP, SigmaFactor.IDENT))
+    keys, coeffs = d.keys, d.coeffs
     changed = True
     while changed:
         changed = False
-        for p in range(d.n_qubits):
-            for key in [k for k in coeffs if k[p] == spsm]:
-                head, tail = key[:p], key[p + 1 :]
-                partner = head + smsp + tail
-                a, b = coeffs[key], coeffs.get(partner)
-                if b is None or _magnitude(a - b) > ZERO_TOL * max(1.0, abs(a), abs(b)):
-                    continue
-                del coeffs[key], coeffs[partner]
-                coeff = (a + b) / 2
-                merged = head + ident + tail
-                total = coeffs.get(merged, 0j) + coeff
-                if _magnitude(total) > ZERO_TOL:
-                    coeffs[merged] = total
-                elif merged in coeffs:
-                    coeffs.pop(merged)
-                changed = True
-    return Decomposition._coalesced(d.n_qubits, list(coeffs), list(coeffs.values()))
+        for p in range(n):
+            rows = keys.view(np.uint8).reshape(-1, n)
+            cand = np.flatnonzero(rows[:, p] == spsm)
+            partners = rows[cand]
+            partners[:, p] = smsp
+            at, found = _lookup(keys, partners.view(f"S{n}").ravel())
+            cand, at = cand[found], at[found]
+            a, b = coeffs[cand], coeffs[at]
+            with np.errstate(over="ignore", invalid="ignore"):
+                equal = ~(_magnitudes(a - b) > ZERO_TOL * np.maximum(1.0, np.maximum(abs(a), abs(b))))
+                mean = (a[equal] + b[equal]) / 2
+            if not equal.any():
+                continue
+            merged = rows[cand[equal]]
+            merged[:, p] = ident
+            merged = merged.view(f"S{n}").ravel()  # sorted, as the candidates are
+            gone = np.zeros(keys.size, dtype=bool)
+            gone[cand[equal]] = gone[at[equal]] = True
+            keys, coeffs = keys[~gone], coeffs[~gone]
+            # The mean is added to the coefficient of the merged string, or
+            # to 0j where there is none; a total not above ZERO_TOL is gone.
+            at, found = _lookup(keys, merged)
+            base = np.zeros(merged.size, dtype=complex)
+            base[found] = coeffs[at[found]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = base + mean
+            keys, coeffs = np.delete(keys, at[found]), np.delete(coeffs, at[found])
+            kept = _magnitudes(total) > ZERO_TOL
+            at = np.searchsorted(keys, merged[kept])
+            keys, coeffs = np.insert(keys, at, merged[kept]), np.insert(coeffs, at, total[kept])
+            changed = True
+    return Decomposition._coalesced(n, keys, coeffs)
 
 
-def to_json_dict(d: Decomposition) -> dict:
-    return {
-        "n_qubits": d.n_qubits,
-        "terms": [
-            {"re": t.coeff.real, "im": t.coeff.imag, "factors": t.factors}
-            for t in d.terms
-        ],
-    }
+# A decomposition file as ASCII bytes, laid out as json.dumps(..., indent=1)
+# lays out {"n_qubits": n, "terms": [{"re": .., "im": .., "factors": ..}]}:
+# the text before the terms, the text of one term around its values, and
+# the text after the last term's ",\n".
+_JSON_HEAD = b'{\n "n_qubits": %d,\n "terms": [\n'
+_JSON_TERM = (b'  {\n   "re": ', b',\n   "im": ', b',\n   "factors": "', b'"\n  },\n')
+_JSON_TAIL = b'\n ]\n}\n'
+
+
+def _float_column(values: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each value, as json writes a float, padded
+    with NUL bytes to one width: a ``(len, width)`` uint8 array.  Each
+    distinct bit pattern is formatted once."""
+    bits, at = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype="S")
+    return texts[at].view(np.uint8).reshape(at.size, -1)
+
+
+def _json_text(d: Decomposition) -> str:
+    """The text ``json.dumps(payload, indent=1, allow_nan=False) + "\\n"``
+    writes for ``d``, byte for byte, with the same refusal of a non-finite
+    number.  Each term is one row of bytes, its fixed text around its
+    values; the values are padded with NUL bytes, which the file never
+    holds and which are dropped from the joined rows."""
+    parts = np.stack([d.coeffs.real, d.coeffs.imag], axis=-1).ravel()
+    bad = ~np.isfinite(parts)
+    if bad.any():
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(parts[bad.argmax()])!r}")
+    if not len(d):
+        return '{\n "n_qubits": %d,\n "terms": []\n}\n' % d.n_qubits
+    before_re, before_im, before_factors, after = (
+        np.broadcast_to(np.frombuffer(t, dtype=np.uint8), (len(d), len(t))) for t in _JSON_TERM
+    )
+    re, im = _float_column(d.coeffs.real), _float_column(d.coeffs.imag)
+    rows = np.concatenate([before_re, re, before_im, im, before_factors, d.factors, after], axis=1)
+    terms = rows[rows != 0].tobytes()[: -len(b",\n")]
+    return (_JSON_HEAD % d.n_qubits + terms + _JSON_TAIL).decode("ascii")
+
+
+# ASCII codes of the factor characters.
+_IS_FACTOR_CODE = np.zeros(128, dtype=bool)
+_IS_FACTOR_CODE[list(_ALPHABET.encode("ascii"))] = True
+
+
+def _term_columns(items: list) -> tuple[list[str], np.ndarray] | None:
+    """Factor strings and coefficients of a file's terms, checked in bulk:
+    every term an object with float parts and a string of factor
+    characters, coefficients finite in magnitude.  None where any term
+    needs the per-term reader: an integer part, a spaced string, or a
+    fault for it to name."""
+    try:
+        re = [t["re"] for t in items]
+        im = [t["im"] for t in items]
+        factors = [t["factors"] for t in items]
+    except (TypeError, KeyError):
+        return None
+    if not items:
+        return [], np.empty(0, dtype=complex)
+    types = (set(map(type, items)), set(map(type, re)) | set(map(type, im)), set(map(type, factors)))
+    if types != ({dict}, {float}, {str}):
+        return None
+    text = "".join(factors)
+    if not text.isascii() or not all(factors):
+        return None
+    coeffs = np.empty(len(items), dtype=complex)
+    coeffs.real, coeffs.imag = re, im
+    valid = _IS_FACTOR_CODE[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].all()
+    if not (valid and (_magnitudes(coeffs) < math.inf).all()):
+        return None
+    return factors, coeffs
 
 
 def from_json_dict(data: dict) -> Decomposition:
+    """The decomposition a file holds.  The terms are checked in bulk into
+    arrays; files the bulk check does not pass are read term by term,
+    which names the first faulty term.  A factor string listed twice is
+    refused; pruning and sorting are :meth:`Decomposition._coalesced`'s."""
     n = _codec.field(data, "n_qubits", int)
-    terms = [
-        SigmaTerm.from_string(_codec.complex_field(item), _codec.field(item, "factors", str))
-        for item in _codec.field(data, "terms", list)
-    ]
-    return Decomposition.build(n, terms)
+    items = _codec.field(data, "terms", list)
+    columns = _term_columns(items)
+    if columns is None:
+        terms = [
+            SigmaTerm.from_string(_codec.complex_field(item), _codec.field(item, "factors", str))
+            for item in items
+        ]
+        columns = [t.factors for t in terms], np.array([t.coeff for t in terms], dtype=complex)
+    factors, coeffs = columns
+    _refuse_repeats(factors)
+    return Decomposition._coalesced(n, np.array(factors, dtype="S"), coeffs)
 
 
 def save_decomposition(d: Decomposition, path: str) -> None:
-    _codec.write_json(path, to_json_dict(d), indent=1)
+    _codec.write_json(path, _json_text(d))
 
 
 def load_decomposition(path: str) -> Decomposition:
     d = from_json_dict(_codec.read_json(path))
-    if not d.terms:
+    if not len(d):
         raise ValueError(f"decomposition {path} has no terms")
     return d

@@ -7,7 +7,10 @@ enums, converted from each term's string with
 ``tuple(map(SigmaFactor, t.factors))``, so they stay independent of the
 string tables.  The property tests in ``test_matrices.py`` and
 ``test_sigma.py`` require the fast versions to agree with these bit for
-bit (:func:`assert_same_arrays`).
+bit (:func:`assert_same_arrays`).  :func:`merge_terms` is the dict loop
+that ``sigma.merge_terms`` ran before decompositions became arrays,
+:func:`decomposition_json` writes a decomposition file through
+``json.dumps`` and :func:`from_json_dict` reads one term object at a time.
 
 :func:`hadamard_test_circuits` builds the full Hadamard-test circuits
 that ``expectation`` evaluates from a cached prefix and index
@@ -24,8 +27,11 @@ gate lists.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from typing import Iterable
 
+from sigmalcu import _codec
 from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term
 from sigmalcu.expectation import _H, StateOracle, _oracle_gate
 from sigmalcu.matrices import ZERO_TOL, SparseMatrix
@@ -98,8 +104,19 @@ def decompose_numerical(m: SparseMatrix) -> Decomposition:
     return build(n, terms)
 
 
+def magnitude(c: complex) -> float:
+    """``abs(c)``, reading inf where a finite ``c``'s magnitude overflows."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
 def merge_terms(d: Decomposition) -> Decomposition:
-    """Projector merging over tuples of factor enums."""
+    """Projector merging as the dict loop the package used before its
+    decompositions became arrays, keyed by tuples of factor enums: one
+    candidate at a time, scanning positions left to right until a pass
+    merges nothing."""
     A, B, I = SigmaFactor.SPSM, SigmaFactor.SMSP, SigmaFactor.IDENT
     coeffs = {tuple(map(SigmaFactor, t.factors)): t.coeff for t in d.terms}
     changed = True
@@ -109,18 +126,42 @@ def merge_terms(d: Decomposition) -> Decomposition:
             for factors in [fs for fs in coeffs if fs[p] is A]:
                 partner = factors[:p] + (B,) + factors[p + 1 :]
                 a, b = coeffs[factors], coeffs.get(partner)
-                if b is None or abs(a - b) > ZERO_TOL * max(1.0, abs(a), abs(b)):
+                if b is None or magnitude(a - b) > ZERO_TOL * max(1.0, magnitude(a), magnitude(b)):
                     continue
                 del coeffs[factors], coeffs[partner]
                 coeff = (a + b) / 2
                 merged = factors[:p] + (I,) + factors[p + 1 :]
                 total = coeffs.get(merged, 0j) + coeff
-                if abs(total) > ZERO_TOL:
+                if magnitude(total) > ZERO_TOL:
                     coeffs[merged] = total
                 elif merged in coeffs:
                     coeffs.pop(merged)
                 changed = True
     return build(d.n_qubits, (SigmaTerm(c, fs) for fs, c in coeffs.items()))
+
+
+def decomposition_json(d: Decomposition) -> str:
+    """The file text of ``d`` as the package wrote it before its template
+    writer: one dict per term, in order, through ``json.dumps`` with
+    ``indent=1``."""
+    terms = [
+        {"re": c.real, "im": c.imag, "factors": f.decode()}
+        for c, f in zip(d.coeffs.tolist(), d.keys.tolist())
+    ]
+    payload = {"n_qubits": d.n_qubits, "terms": terms}
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+
+
+def from_json_dict(data: dict) -> Decomposition:
+    """A decomposition file's JSON read term by term into
+    :class:`SigmaTerm` objects and summed by :func:`build`, as the package
+    read it before its bulk reader (which refuses a repeated string)."""
+    n = _codec.field(data, "n_qubits", int)
+    terms = [
+        SigmaTerm.from_string(_codec.complex_field(item), _codec.field(item, "factors", str))
+        for item in _codec.field(data, "terms", list)
+    ]
+    return build(n, terms)
 
 
 def hadamard_test_circuits(

@@ -64,6 +64,18 @@ def test_decompose_merge_identity(tmp_path):
     assert len(load_decomposition(out)) == 1
 
 
+@pytest.mark.parametrize("merge", [[], ["--merge"]])
+def test_decompose_builds_no_sigma_term_object(tmp_path, monkeypatch, merge):
+    # Terms stay arrays from the matrix to the file; only len() is asked.
+    def refuse(term):
+        pytest.fail(f"SigmaTerm built for {term.factors!r}")
+
+    mtx = str(tmp_path / "heat.mtx")
+    save_matrix_market(pde.heat_1d(pde.HeatParams(3, 2, alpha=0.7, robin_w1=0.3)).matrix, mtx)
+    monkeypatch.setattr(sigma.SigmaTerm, "__post_init__", refuse)
+    assert main(["decompose", "--in", mtx, "--out", str(tmp_path / "d.json"), *merge]) == 0
+
+
 def test_decompose_merge_tolerates_rounded_coefficients(tmp_path, capsys):
     # Non-integer heat parameters leave partner coefficients a few ulps apart
     # (0.9999999999999991 vs 0.9999999999999996); they still merge, to the
@@ -756,6 +768,13 @@ def test_malformed_decomposition_exits_1(command, payload):
 )
 def test_decomposition_without_terms_or_width_exits_1(tmp_path, command, payload, reason):
     assert reason in assert_input_error(decomposition_argv(command, tmp_path, payload))
+
+
+def test_decomposition_listing_a_string_twice_exits_1(tmp_path):
+    # The reader refuses a repeated string, as the Decomposition constructor does.
+    payload = {"n_qubits": 1, "terms": [{"re": 1.0, "im": 0.0, "factors": "P"}, {"re": 2.0, "im": 0.0, "factors": "P"}]}
+    code, err = run_cli(decomposition_argv("verify", tmp_path, payload))
+    assert (code, err) == (1, "error: duplicate factor string P\n")
 
 
 @settings(max_examples=60, deadline=None)

@@ -177,6 +177,14 @@ def test_heat_rejects_robin_weights_with_zero_corner_denominator(w1, w2, length)
         HeatParams(s=2, t=2, robin_w1=w1, robin_w2=w2, length=length)
 
 
+@pytest.mark.parametrize("w1, w2, length", [(1e308, 1.0, 16.0), (-1e308, 0.5, 8.0)])
+def test_heat_rejects_robin_weights_whose_corner_denominator_overflows(w1, w2, length):
+    # dx = 4 and 2: w1 * dx overflows, and w2 / (w1 * dx + w2) would read 0,
+    # dropping the corner terms.
+    with pytest.raises(ValueError, match=r"^robin weights give w1 \* dx \+ w2 = -?inf, outside floating-point range$"):
+        HeatParams(s=2, t=2, robin_w1=w1, robin_w2=w2, length=length)
+
+
 @pytest.mark.parametrize("k_cond", [0.0, -1.0, float("nan")])
 def test_heat_rejects_non_positive_conductivity(k_cond):
     with pytest.raises(ValueError, match="k_cond must be positive"):

@@ -1,9 +1,14 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from sigmalcu import _codec
 from sigmalcu.matrices import ZERO_TOL, SparseMatrix
 from sigmalcu.sigma import (
     Decomposition,
@@ -18,7 +23,6 @@ from sigmalcu.sigma import (
     reconstruct,
     save_decomposition,
     term_matrix,
-    to_json_dict,
 )
 
 I, P, M, A, B = (
@@ -285,8 +289,8 @@ def test_decomposition_rejects_width_mismatch():
         Decomposition(2, (SigmaTerm(1.0, (P,)),))
 
 
-# Files are read through Decomposition.build, which sums a repeated string;
-# only the constructor refuses one.
+# Decomposition.build sums a repeated string; the constructor and the file
+# reader refuse one.
 def test_decomposition_refuses_a_repeated_factor_string():
     with pytest.raises(ValueError) as info:
         Decomposition(1, (SigmaTerm(1.0, "P"), SigmaTerm(1.0, "M"), SigmaTerm(2.0, "P")))
@@ -366,7 +370,7 @@ def test_json_round_trip(tmp_path):
     rng = np.random.default_rng(41)
     m = random_sparse(rng, 3, density=0.2)
     d = decompose_numerical(m)
-    assert from_json_dict(to_json_dict(d)) == d
+    assert from_json_dict(json.loads(reference.decomposition_json(d))) == d
     path = str(tmp_path / "d.json")
     save_decomposition(d, path)
     assert load_decomposition(path) == d
@@ -484,3 +488,136 @@ def test_merge_of_nudged_coefficients_matches_enum_tuple_reference(pair):
     _, nudged = pair
     assert_same_terms(merge_terms(nudged), reference.merge_terms(nudged))
 
+
+
+# Coefficient parts for decompositions stored as given by the constructor:
+# signed zeros, subnormals, parts pruned at ZERO_TOL, and 1e308, so that
+# merged means and sums cancel, are pruned or overflow.
+EXTREME_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-15, -1e-15, 1.0, -1.0, 0.5, 1e308, -1e308])
+
+
+@st.composite
+def stored_decompositions(draw):
+    """Constructor-built decompositions over few factors and coefficients,
+    so that most draws hold mergeable pairs, some only near-equal: every
+    coefficient may be moved by up to four ulps."""
+    n = draw(st.integers(1, 3))
+    strings = st.lists(st.sampled_from("ABIP"), min_size=n, max_size=n).map("".join)
+    coeffs = draw(st.dictionaries(strings, st.builds(complex, EXTREME_PARTS, EXTREME_PARTS), max_size=12))
+    ulps = draw(st.lists(st.integers(-4, 4), min_size=len(coeffs), max_size=len(coeffs)))
+    return Decomposition(
+        n, [SigmaTerm(c * (1 + k * 2.0**-52), f) for (f, c), k in zip(coeffs.items(), ulps)]
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=stored_decompositions())
+@example(d=Decomposition(1, (SigmaTerm(1e308, "A"), SigmaTerm(1e308, "B"), SigmaTerm(1e308, "I"))))
+@example(d=Decomposition(1, (SigmaTerm(complex(1e308, 1e308), "A"), SigmaTerm(complex(1e308, 1e308), "B"))))
+@example(d=Decomposition(1, (SigmaTerm(5e-324, "A"), SigmaTerm(-0.0, "B"), SigmaTerm(-1e-15, "I"))))
+@example(d=Decomposition(2, (SigmaTerm(1.0, "AA"), SigmaTerm(1.0, "AB"), SigmaTerm(-1.0, "BI"))))
+@example(d=Decomposition(3, ()))
+def test_merge_of_stored_coefficients_matches_reference(d):
+    try:
+        want = reference.merge_terms(d)
+    except (ValueError, OverflowError):
+        # A merged total whose magnitude is not finite.
+        with pytest.raises(ValueError, match="not finite"):
+            merge_terms(d)
+        return
+    assert_same_terms(merge_terms(d), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=stored_decompositions(), merge=st.booleans())
+@example(d=Decomposition(2, ()), merge=False)
+@example(d=Decomposition(1, (SigmaTerm(complex(-0.0, 5e-324), "P"), SigmaTerm(-1e308, "M"))), merge=False)
+def test_saved_files_match_the_json_writer_and_read_back(d, merge):
+    if merge:
+        try:
+            d = merge_terms(d)
+        except ValueError:
+            return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        save_decomposition(d, path)
+        with open(path, "rb") as fh:
+            text = fh.read()
+    assert text == reference.decomposition_json(d).encode("ascii")
+    data = json.loads(text)
+    if not len(d):
+        return
+    # Reading back sums each coefficient once from 0.0, which turns a
+    # negative zero part positive, and prunes at ZERO_TOL.
+    assert_same_terms(from_json_dict(data), reference.from_json_dict(data))
+
+
+def unchecked(n_qubits, strings, coeffs):
+    """A decomposition over arrays that skip every check."""
+    d = object.__new__(Decomposition)
+    rows = np.array([list(f.encode("ascii")) for f in strings], dtype=np.uint8).reshape(-1, n_qubits)
+    d._store(n_qubits, rows, np.array(coeffs, dtype=complex))
+    return d
+
+
+@pytest.mark.parametrize("coeffs", [
+    [complex(float("nan"), 0.0), 1.0],
+    [1.0, complex(2.0, float("inf"))],
+    [complex(float("-inf"), float("nan")), 1.0],
+])
+def test_writer_refuses_non_finite_with_the_json_message(tmp_path, coeffs):
+    d = unchecked(1, ["M", "P"], coeffs)
+    with pytest.raises(ValueError) as want:
+        reference.decomposition_json(d)
+    path = tmp_path / "d.json"
+    with pytest.raises(ValueError) as got:
+        save_decomposition(d, str(path))
+    assert str(got.value) == str(want.value)
+    assert not path.exists()
+
+
+FILE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-15, 1.0, -2.0, 1e308, 1.7e308, float("inf")]),
+    st.floats(-4, 4),
+    st.integers(-2, 2),
+    st.sampled_from([True, None, "1"]),
+)
+FILE_STRINGS = st.one_of(st.text(alphabet="IPMAB ", max_size=4), st.sampled_from(["PX", "Pé", 7, None]))
+FILE_TERMS = st.one_of(
+    st.fixed_dictionaries({"re": FILE_PARTS, "im": FILE_PARTS, "factors": FILE_STRINGS}),
+    st.fixed_dictionaries({"re": FILE_PARTS, "factors": FILE_STRINGS}),
+    st.sampled_from([5, "P", None, [1.0, 0.0]]),
+)
+
+
+def read_outcome(read, data):
+    """The terms read, as comparable bytes, or the message refusing them."""
+    try:
+        d = read(data)
+    except (ValueError, OverflowError) as exc:
+        return str(exc)
+    return d.n_qubits, d.keys.tobytes(), d.coeffs.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.integers(0, 3), items=st.lists(FILE_TERMS, max_size=6))
+@example(n=1, items=[{"re": 1, "im": 0, "factors": "P"}, {"re": 2, "im": 0, "factors": " P"}])
+@example(n=2, items=[{"re": 10**400, "im": 0, "factors": "PM"}])
+@example(n=2, items=[{"re": 0.0, "im": -0.0, "factors": "P"}, {"re": -0.0, "im": 1.0, "factors": "P M"}])
+def test_reader_matches_term_by_term_reference(n, items):
+    data = {"n_qubits": n, "terms": items}
+    got = read_outcome(from_json_dict, data)
+    try:
+        terms = [
+            SigmaTerm.from_string(_codec.complex_field(item), _codec.field(item, "factors", str))
+            for item in items
+        ]
+    except ValueError as exc:  # the first faulty term is named as before
+        assert got == str(exc)
+        return
+    strings = [t.factors for t in terms]
+    repeated = [f for k, f in enumerate(strings) if f in strings[:k]]
+    if repeated:  # the declared refusal: no longer summed
+        assert got == f"duplicate factor string {repeated[0]}"
+        return
+    assert got == read_outcome(reference.from_json_dict, data)
