@@ -34,13 +34,11 @@ def read_json(path: str) -> object:
             raise ValueError("JSON nesting too deep") from None
 
 
-def write_json(path, payload: dict | str, indent: int | None = None) -> None:
-    """Serialize first, so that a non-finite value leaves no partial file.
-    A str payload is JSON text rendered already, written as it is."""
-    if not isinstance(payload, str):
-        payload = json.dumps(payload, indent=indent, allow_nan=False) + "\n"
+def write_json(path, payload: dict, indent: int | None = None) -> None:
+    """Serialize first, so that a non-finite value leaves no partial file."""
+    text = json.dumps(payload, indent=indent, allow_nan=False)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(payload)
+        fh.write(text + "\n")
 
 
 def field(data: object, key: str, kind: type, default=_MISSING):

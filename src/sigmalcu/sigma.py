@@ -145,7 +145,8 @@ class Decomposition:
     ``factors`` is a read-only ``(len, n_qubits)`` uint8 array holding one
     factor string per row as ASCII codes, so that its rows viewed as
     ``S{n_qubits}`` strings sort and search like the strings themselves;
-    the rows are sorted and unique.  ``coeffs`` holds the complex128
+    the rows are sorted and unique (an empty decomposition holds a
+    ``(0, 0)`` array, whatever its width).  ``coeffs`` holds the complex128
     coefficients.  ``terms`` builds the matching :class:`SigmaTerm` tuple
     on first use.
 
@@ -235,9 +236,10 @@ class Decomposition:
 
 def _rows(keys: np.ndarray, n_qubits: int) -> np.ndarray:
     """Factor strings of width ``n_qubits`` as ``(len, n_qubits)`` uint8
-    rows of ASCII codes."""
-    if not keys.size:  # no S{n} dtype is needed, whatever the width
-        return np.empty((0, n_qubits), dtype=np.uint8)
+    rows of ASCII codes.  No strings give a ``(0, 0)`` array: numpy
+    refuses a dimension of 2**63 or more, which a width may be."""
+    if not keys.size:
+        return np.empty((0, 0), dtype=np.uint8)
     return keys.astype(f"S{n_qubits}").view(np.uint8).reshape(-1, n_qubits)
 
 
@@ -456,60 +458,24 @@ def _json_text(d: Decomposition) -> str:
     return (_JSON_HEAD % d.n_qubits + terms + _JSON_TAIL).decode("ascii")
 
 
-# ASCII codes of the factor characters.
-_IS_FACTOR_CODE = np.zeros(128, dtype=bool)
-_IS_FACTOR_CODE[list(_ALPHABET.encode("ascii"))] = True
-
-
-def _term_columns(items: list) -> tuple[list[str], np.ndarray] | None:
-    """Factor strings and coefficients of a file's terms, checked in bulk:
-    every term an object with float parts and a string of factor
-    characters, coefficients finite in magnitude.  None where any term
-    needs the per-term reader: an integer part, a spaced string, or a
-    fault for it to name."""
-    try:
-        re = [t["re"] for t in items]
-        im = [t["im"] for t in items]
-        factors = [t["factors"] for t in items]
-    except (TypeError, KeyError):
-        return None
-    if not items:
-        return [], np.empty(0, dtype=complex)
-    types = (set(map(type, items)), set(map(type, re)) | set(map(type, im)), set(map(type, factors)))
-    if types != ({dict}, {float}, {str}):
-        return None
-    text = "".join(factors)
-    if not text.isascii() or not all(factors):
-        return None
-    coeffs = np.empty(len(items), dtype=complex)
-    coeffs.real, coeffs.imag = re, im
-    valid = _IS_FACTOR_CODE[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].all()
-    if not (valid and (_magnitudes(coeffs) < math.inf).all()):
-        return None
-    return factors, coeffs
-
-
 def from_json_dict(data: dict) -> Decomposition:
-    """The decomposition a file holds.  The terms are checked in bulk into
-    arrays; files the bulk check does not pass are read term by term,
+    """The decomposition a file holds, read term by term into two arrays,
     which names the first faulty term.  A factor string listed twice is
     refused; pruning and sorting are :meth:`Decomposition._coalesced`'s."""
     n = _codec.field(data, "n_qubits", int)
-    items = _codec.field(data, "terms", list)
-    columns = _term_columns(items)
-    if columns is None:
-        terms = [
-            SigmaTerm.from_string(_codec.complex_field(item), _codec.field(item, "factors", str))
-            for item in items
-        ]
-        columns = [t.factors for t in terms], np.array([t.coeff for t in terms], dtype=complex)
-    factors, coeffs = columns
+    factors, coeffs = [], []
+    for item in _codec.field(data, "terms", list):
+        t = SigmaTerm.from_string(_codec.complex_field(item), _codec.field(item, "factors", str))
+        factors.append(t.factors)
+        coeffs.append(t.coeff)
     _refuse_repeats(factors)
     return Decomposition._coalesced(n, np.array(factors, dtype="S"), coeffs)
 
 
 def save_decomposition(d: Decomposition, path: str) -> None:
-    _codec.write_json(path, _json_text(d))
+    text = _json_text(d)  # rendered first, so a refused value leaves no file
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def load_decomposition(path: str) -> Decomposition:

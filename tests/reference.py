@@ -155,7 +155,7 @@ def decomposition_json(d: Decomposition) -> str:
 def from_json_dict(data: dict) -> Decomposition:
     """A decomposition file's JSON read term by term into
     :class:`SigmaTerm` objects and summed by :func:`build`, as the package
-    read it before its bulk reader (which refuses a repeated string)."""
+    read it before it refused a repeated string."""
     n = _codec.field(data, "n_qubits", int)
     terms = [
         SigmaTerm.from_string(_codec.complex_field(item), _codec.field(item, "factors", str))

@@ -208,22 +208,31 @@ def test_generate_out_of_memory_is_an_input_error(tmp_path, monkeypatch, exc):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("writer", ["complex_pairs", "write_json"])
-def test_generate_out_of_memory_while_writing_is_an_input_error(tmp_path, monkeypatch, writer):
+@pytest.mark.parametrize(
+    "module, writer, left",
+    [
+        pytest.param(_codec, "complex_pairs", None, id="complex_pairs"),
+        pytest.param(sigma, "_json_text", ["matrix.mtx"], id="_json_text"),
+        pytest.param(_codec, "write_json", ["decomposition.json", "matrix.mtx"], id="write_json"),
+    ],
+)
+def test_generate_out_of_memory_while_writing_is_an_input_error(tmp_path, monkeypatch, module, writer, left):
     # The rhs payload is built before the output directory is made; memory
-    # that runs out while files are written leaves the earlier files.
+    # that runs out while files are written leaves the earlier files.  The
+    # decomposition's text is rendered before its file is opened, and
+    # rhs.json, the one file written by _codec.write_json, comes last.
     def exhaust(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 GiB")
 
-    monkeypatch.setattr(_codec, writer, exhaust)
+    monkeypatch.setattr(module, writer, exhaust)
     outdir = tmp_path / "sys"
     argv = ["generate", "--family", "heat", "--s", "2", "--t", "2", "--outdir", str(outdir)]
     err = assert_input_error(argv)
     assert err == "error: out of memory: Unable to allocate 8.00 GiB\n"
-    if writer == "complex_pairs":
+    if left is None:
         assert not outdir.exists()
     else:
-        assert [p.name for p in outdir.iterdir()] == ["matrix.mtx"]  # decomposition.json failed
+        assert sorted(p.name for p in outdir.iterdir()) == left
 
 
 @pytest.mark.parametrize("small", ["1.0", "1e-16"])
@@ -764,7 +773,13 @@ def test_malformed_decomposition_exits_1(command, payload):
 @pytest.mark.parametrize("command", ["verify", "expval", "block-encode"])
 @pytest.mark.parametrize(
     "payload, reason",
-    [({"n_qubits": -3, "terms": []}, "n_qubits"), ({"n_qubits": 2, "terms": []}, "no terms")],
+    [
+        ({"n_qubits": -3, "terms": []}, "n_qubits"),
+        ({"n_qubits": 2, "terms": []}, "no terms"),
+        # Wider than any numpy dimension, with no term or only a pruned one.
+        ({"n_qubits": 2**70, "terms": []}, "no terms"),
+        ({"n_qubits": 2**70, "terms": [{"re": 0.0, "im": 0.0, "factors": "P"}]}, "no terms"),
+    ],
 )
 def test_decomposition_without_terms_or_width_exits_1(tmp_path, command, payload, reason):
     assert reason in assert_input_error(decomposition_argv(command, tmp_path, payload))
