@@ -1,4 +1,11 @@
-"""JSON files and the ``[re, im]`` pair encoding shared by every format.
+"""JSON files, the ``[re, im]`` pair encoding and the byte-row text
+renderer shared by every format.
+
+Writers that lay out the same text around each item's values (a
+decomposition term, a Matrix Market entry) render each item as one row
+of bytes: the fixed text and columns of values padded with NUL bytes to
+one width, joined by :func:`join_rows`, which drops the NULs.  No file
+holds a NUL byte.
 
 Readers validate the schema as they go and raise ``ValueError`` with a
 one-line message on the first mismatch, so malformed input surfaces as an
@@ -15,11 +22,17 @@ import math
 
 import numpy as np
 
-from .matrices import _require_power_of_two
-
 _MISSING = object()
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+
+
+def _require_power_of_two(dim: int) -> int:
+    """Return log2(dim), raising ValueError if dim is not a power of two."""
+    n = dim.bit_length() - 1
+    if dim <= 0 or (1 << n) != dim:
+        raise ValueError(f"dimension {dim} is not a power of two")
+    return n
 
 
 def _reject_constant(name: str) -> float:
@@ -97,3 +110,55 @@ def complex_matrix(pairs: list, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(flat).all():
         raise ValueError("matrix entries out of floating-point range")
     return flat.reshape(dim, dim)
+
+
+def float_column(values: np.ndarray, render=repr) -> np.ndarray:
+    """``render(v)`` of each float64 value, padded with NUL bytes to one
+    width: a ``(len, width)`` uint8 array.  Each distinct bit pattern is
+    rendered once."""
+    bits, at = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array([render(v) for v in bits.view(np.float64).tolist()], dtype="S")
+    return texts[at][:, None].view(np.uint8)
+
+
+def _digit_groups() -> np.ndarray:
+    """The four decimal digits of each of 0..9999 as the ASCII codes in one
+    uint32, at index ``k``: zero-padded at ``10000 + k``, for a group after
+    a nonzero group, and with NUL for the zeros before the first digit at
+    ``k``, for a number's leading group (0 is all NULs)."""
+    k = np.arange(10000)[:, None]
+    powers = np.array([1000, 100, 10, 1])
+    padded = (k // powers % 10 + ord("0")).astype(np.uint8)
+    leading = np.where(k >= powers, padded, 0).astype(np.uint8)
+    return np.concatenate([leading, padded]).view(np.uint32).ravel()
+
+
+_DIGIT_GROUPS = _digit_groups()
+
+
+def int_column(values: np.ndarray) -> np.ndarray:
+    """The decimal text of each positive integer, padded with NUL bytes on
+    the left to one width: a ``(len, width)`` uint8 array.  Each group of
+    four digits is looked up in a table."""
+    values = np.asarray(values, dtype=np.int64)
+    groups = np.empty((values.size, (len(str(values.max(initial=1))) + 3) // 4), dtype=np.uint32)
+    rest = values
+    for k in range(groups.shape[1] - 1, 0, -1):  # lowest group first
+        rest, low = np.divmod(rest, 10000)
+        np.take(_DIGIT_GROUPS, low + 10000 * (rest > 0), out=groups[:, k])
+    np.take(_DIGIT_GROUPS, rest, out=groups[:, 0])
+    return groups.view(np.uint8)
+
+
+def join_rows(columns: list) -> bytes:
+    """Row ``i`` of every column in turn, for each ``i``, without the NUL
+    padding.  A column is a ``(len, width)`` uint8 array or a ``bytes``
+    constant repeated on every row."""
+    size = next(c.shape[0] for c in columns if not isinstance(c, bytes))
+    widths = [len(c) if isinstance(c, bytes) else c.shape[1] for c in columns]
+    rows = np.empty((size, sum(widths)), dtype=np.uint8)
+    at = 0
+    for column, width in zip(columns, widths):
+        rows[:, at : at + width] = np.frombuffer(column, dtype=np.uint8) if isinstance(column, bytes) else column
+        at += width
+    return rows[rows != 0].tobytes()

@@ -12,6 +12,9 @@ tests; the package's own code reads the arrays.
 
 All values are immutable after construction (the arrays are read-only);
 operations return new objects and are safe to call concurrently.
+
+Matrix Market files are read with scipy, imported on the first read, and
+written with numpy alone, byte for byte as scipy writes them.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
+
+from . import _codec
+from ._codec import _require_power_of_two
 
 # Magnitudes at or below this are zero: pruned from sparse entries and
 # merged coefficients, and skipped as selector phases and PREP reflections.
@@ -36,14 +42,6 @@ DENSE_QUBIT_LIMIT = 12
 # Widest matrix that from_entries and the mapping constructor accept: a
 # (row, col) pair packs into one int64 sort key.
 SPARSE_QUBIT_LIMIT = 31
-
-
-def _require_power_of_two(dim: int) -> int:
-    """Return log2(dim), raising ValueError if dim is not a power of two."""
-    n = dim.bit_length() - 1
-    if dim <= 0 or (1 << n) != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
 
 
 def _require_width(n_qubits: int, what: str, limit: int = DENSE_QUBIT_LIMIT) -> None:
@@ -249,7 +247,7 @@ def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
     file entries become 0-indexed; duplicate coordinates are summed and
     pruned at ``tol`` (never below ``ZERO_TOL``).
     """
-    import scipy.io  # imported here: only Matrix Market files need scipy
+    import scipy.io  # imported here: only the Matrix Market reader needs scipy
     import scipy.sparse
 
     _validate_header(path)
@@ -264,13 +262,38 @@ def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
     return SparseMatrix.from_entries(n, Coo(coo.row, coo.col, coo.data), tol=tol)
 
 
-def save_matrix_market(m: SparseMatrix, path: str) -> None:
-    """Write coordinate Matrix Market; complex field iff any imaginary part."""
-    import scipy.io
-    import scipy.sparse
+def _matrix_market_number(v: float) -> str:
+    """A float as fast_matrix_market writes it, and so ``scipy.io.mmwrite``:
+    the shortest digits that read back as ``v``, as ``d[.ddd]E<exp>`` with
+    ``E0`` left out (``1``, ``-7E-1``, ``2.4``, ``1.25E1``, ``-0``).  The
+    digits are those of ``repr(v)``."""
+    text = repr(v)
+    sign = "-" if text[0] == "-" else ""
+    mantissa, _, exp = text.lstrip("-").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = whole + frac
+    significant = digits.lstrip("0")
+    if not significant:
+        return sign + "0"
+    # The power of ten of the first significant digit.
+    power = int(exp or 0) + len(whole) - 1 - (len(digits) - len(significant))
+    head, tail = significant[0], significant[1:].rstrip("0")
+    return sign + head + ("." + tail if tail else "") + (f"E{power}" if power else "")
 
-    data = m.vals
-    if not np.any(np.abs(data.imag) > 0):
-        data = data.real
-    coo = scipy.sparse.coo_matrix((data, (m.rows, m.cols)), shape=(m.dim, m.dim))
-    scipy.io.mmwrite(path, coo, symmetry="general")
+
+def save_matrix_market(m: SparseMatrix, path: str) -> None:
+    """Write coordinate Matrix Market, general symmetry, entries in
+    row-major order: byte for byte what ``scipy.io.mmwrite(path, coo,
+    symmetry="general")`` writes for the same entries.  The field is
+    complex iff some imaginary part is nonzero.  The text is rendered
+    before the file is opened, so that a failure leaves no partial file."""
+    is_complex = bool((m.vals.imag != 0).any())
+    field = "complex" if is_complex else "real"
+    head = f"%%MatrixMarket matrix coordinate {field} general\n%\n{m.dim} {m.dim} {m.nnz}\n"
+    columns = [_codec.int_column(m.rows + 1), b" ", _codec.int_column(m.cols + 1), b" "]
+    columns.append(_codec.float_column(m.vals.real, _matrix_market_number))
+    if is_complex:
+        columns += [b" ", _codec.float_column(m.vals.imag, _matrix_market_number)]
+    text = head.encode("ascii") + _codec.join_rows([*columns, b"\n"])
+    with open(path, "wb") as fh:
+        fh.write(text)

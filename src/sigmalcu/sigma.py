@@ -369,9 +369,10 @@ def merge_terms(d: Decomposition) -> Decomposition:
 
     Coefficients a and b count as equal when |a - b| <= ZERO_TOL *
     max(1, |a|, |b|), so rounding does not block a merge.  The merged term
-    takes their mean, added to the coefficient of its string if present
-    and dropped unless the total's magnitude exceeds ZERO_TOL;
-    reconstruction stays exact when a == b.
+    takes their mean ``a / 2 + b / 2``, added to the coefficient of its
+    string if present and dropped if the total's magnitude is at or below
+    ZERO_TOL; reconstruction stays exact when a == b.  A total that is not
+    finite in magnitude is refused.
 
     Scans positions left to right until a fixpoint.  At one position every
     s+s- string has exactly one s-s+ partner and no other merge there
@@ -395,9 +396,11 @@ def merge_terms(d: Decomposition) -> Decomposition:
             a, b = coeffs[cand], coeffs[at]
             with np.errstate(over="ignore", invalid="ignore"):
                 equal = ~(_magnitudes(a - b) > ZERO_TOL * np.maximum(1.0, np.maximum(abs(a), abs(b))))
-                mean = (a[equal] + b[equal]) / 2
             if not equal.any():
                 continue
+            # Halved before adding, so that the mean of two finite values is
+            # finite; for normal numbers this is (a + b) / 2 bit for bit.
+            mean = a[equal] / 2 + b[equal] / 2
             merged = rows[cand[equal]]
             merged[:, p] = ident
             merged = merged.view(f"S{n}").ravel()  # sorted, as the candidates are
@@ -412,7 +415,7 @@ def merge_terms(d: Decomposition) -> Decomposition:
             with np.errstate(over="ignore", invalid="ignore"):
                 total = base + mean
             keys, coeffs = np.delete(keys, at[found]), np.delete(coeffs, at[found])
-            kept = _magnitudes(total) > ZERO_TOL
+            kept = ~(_magnitudes(total) <= ZERO_TOL)  # a non-finite total is kept, and refused
             at = np.searchsorted(keys, merged[kept])
             keys, coeffs = np.insert(keys, at, merged[kept]), np.insert(coeffs, at, total[kept])
             changed = True
@@ -428,33 +431,21 @@ _JSON_TERM = (b'  {\n   "re": ', b',\n   "im": ', b',\n   "factors": "', b'"\n  
 _JSON_TAIL = b'\n ]\n}\n'
 
 
-def _float_column(values: np.ndarray) -> np.ndarray:
-    """``float.__repr__`` of each value, as json writes a float, padded
-    with NUL bytes to one width: a ``(len, width)`` uint8 array.  Each
-    distinct bit pattern is formatted once."""
-    bits, at = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype="S")
-    return texts[at].view(np.uint8).reshape(at.size, -1)
-
-
 def _json_text(d: Decomposition) -> str:
     """The text ``json.dumps(payload, indent=1, allow_nan=False) + "\\n"``
     writes for ``d``, byte for byte, with the same refusal of a non-finite
-    number.  Each term is one row of bytes, its fixed text around its
-    values; the values are padded with NUL bytes, which the file never
-    holds and which are dropped from the joined rows."""
+    number.  Each term is one row of bytes (:func:`_codec.join_rows`), its
+    fixed text around its values, which ``float.__repr__`` writes as json
+    does."""
     parts = np.stack([d.coeffs.real, d.coeffs.imag], axis=-1).ravel()
     bad = ~np.isfinite(parts)
     if bad.any():
         raise ValueError(f"Out of range float values are not JSON compliant: {float(parts[bad.argmax()])!r}")
     if not len(d):
         return '{\n "n_qubits": %d,\n "terms": []\n}\n' % d.n_qubits
-    before_re, before_im, before_factors, after = (
-        np.broadcast_to(np.frombuffer(t, dtype=np.uint8), (len(d), len(t))) for t in _JSON_TERM
-    )
-    re, im = _float_column(d.coeffs.real), _float_column(d.coeffs.imag)
-    rows = np.concatenate([before_re, re, before_im, im, before_factors, d.factors, after], axis=1)
-    terms = rows[rows != 0].tobytes()[: -len(b",\n")]
+    before_re, before_im, before_factors, after = _JSON_TERM
+    re, im = _codec.float_column(d.coeffs.real), _codec.float_column(d.coeffs.imag)
+    terms = _codec.join_rows([before_re, re, before_im, im, before_factors, d.factors, after])[: -len(b",\n")]
     return (_JSON_HEAD % d.n_qubits + terms + _JSON_TAIL).decode("ascii")
 
 

@@ -11,6 +11,9 @@ bit (:func:`assert_same_arrays`).  :func:`merge_terms` is the dict loop
 that ``sigma.merge_terms`` ran before decompositions became arrays,
 :func:`decomposition_json` writes a decomposition file through
 ``json.dumps`` and :func:`from_json_dict` reads one term object at a time.
+:func:`matrix_market_bytes` writes a Matrix Market file through
+``scipy.io.mmwrite``, as ``save_matrix_market`` did before it rendered the
+text itself.
 
 :func:`hadamard_test_circuits` builds the full Hadamard-test circuits
 that ``expectation`` evaluates from a cached prefix and index
@@ -26,10 +29,14 @@ gate lists.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 from typing import Iterable
+
+import scipy.io
+import scipy.sparse
 
 from sigmalcu import _codec
 from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term
@@ -44,6 +51,16 @@ def assert_same_arrays(got: SparseMatrix, want: SparseMatrix) -> None:
     for name in ("rows", "cols", "vals"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def matrix_market_bytes(m: SparseMatrix) -> bytes:
+    """The file ``scipy.io.mmwrite(..., symmetry="general")`` writes for
+    ``m``: real unless some imaginary part is nonzero."""
+    data = m.vals if (m.vals.imag != 0).any() else m.vals.real
+    coo = scipy.sparse.coo_matrix((data, (m.rows, m.cols)), shape=(m.dim, m.dim))
+    buffer = io.BytesIO()
+    scipy.io.mmwrite(buffer, coo, symmetry="general")
+    return buffer.getvalue()
 
 
 def from_entries(
@@ -129,10 +146,10 @@ def merge_terms(d: Decomposition) -> Decomposition:
                 if b is None or magnitude(a - b) > ZERO_TOL * max(1.0, magnitude(a), magnitude(b)):
                     continue
                 del coeffs[factors], coeffs[partner]
-                coeff = (a + b) / 2
+                coeff = a / 2 + b / 2
                 merged = factors[:p] + (I,) + factors[p + 1 :]
                 total = coeffs.get(merged, 0j) + coeff
-                if magnitude(total) > ZERO_TOL:
+                if not magnitude(total) <= ZERO_TOL:
                     coeffs[merged] = total
                 elif merged in coeffs:
                     coeffs.pop(merged)

@@ -427,12 +427,31 @@ def test_verify_prints_the_fail_line_of_each_check(tmp_path, capsys, monkeypatch
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is imported only where Matrix Market files are read or written.
+    # scipy is imported only where Matrix Market files are read.
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys, sigmalcu.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "heat", "--s", "3", "--t", "2", "--alpha", "0.7", "--outdir", "{tmp}"],
+    ["generate", "--family", "poisson", "--s", "3", "--pauli", "--outdir", "{tmp}"],
+    ["compare", "--family", "wave", "--range", "4(4),8(4)"],
+], ids=["generate", "generate --pauli", "compare"])
+def test_commands_that_read_no_matrix_market_file_leave_scipy_out(argv, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "from sigmalcu.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_circuit_command(tmp_path):
@@ -955,6 +974,21 @@ def test_merge_of_coefficients_whose_difference_overflows(tmp_path, capsys):
     assert main(["decompose", "--in", mtx, "--out", str(out), "--merge"]) == 0
     assert capsys.readouterr().out == "terms: 2  nnz: 2\n"
     assert [t.factors for t in load_decomposition(str(out)).terms] == ["A", "B"]
+
+
+def test_merge_of_equal_coefficients_whose_sum_overflows(tmp_path, capsys):
+    """The projector pair's sum overflows in both parts; their mean does
+    not, and the merged identity reconstructs the matrix exactly."""
+    mtx = write(
+        tmp_path / "m.mtx",
+        "%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1e308 1e308\n2 2 1e308 1e308\n",
+    )
+    out = tmp_path / "d.json"
+    assert main(["decompose", "--in", mtx, "--out", str(out), "--merge"]) == 0
+    assert capsys.readouterr().out == "terms: 1  nnz: 2\n"
+    merged = load_decomposition(str(out))
+    assert [(t.factors, t.coeff) for t in merged.terms] == [("I", complex(1e308, 1e308))]
+    assert sigma.reconstruct(merged) == load_matrix_market(mtx)
 
 
 def test_oracle_entry_overflowing_to_infinity_exits_1(tmp_path):

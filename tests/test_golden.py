@@ -5,9 +5,11 @@ implementation that preceded the single gate record; the writers must keep
 reproducing them exactly, and reading a file back and writing it again
 must not change a byte.  The ``decompose`` outputs under
 tests/data/decompose were written by the dict-accumulator sigma layer
-that preceded the shared coalescing routine.  Every oracle matrix has dyadic entries and every
-block-encoding weight a dyadic square root, so the files do not depend on
-the platform's BLAS.
+that preceded the shared coalescing routine.  The ``.mtx`` files were
+written by ``scipy.io.mmwrite(..., symmetry="general")``, which
+``save_matrix_market`` called before it rendered the files itself.  Every
+oracle matrix has dyadic entries and every block-encoding weight a dyadic
+square root, so the files do not depend on the platform's BLAS.
 """
 
 from pathlib import Path
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import reference
+from sigmalcu import pde
 from sigmalcu.blockenc import assemble
 from sigmalcu.circuits import (
     OPEN,
@@ -31,6 +34,7 @@ from sigmalcu.circuits import (
 )
 from sigmalcu.cli import load_oracle, main, save_oracle
 from sigmalcu.expectation import StateOracle
+from sigmalcu.matrices import SparseMatrix, load_matrix_market, save_matrix_market
 from sigmalcu.sigma import Decomposition, SigmaTerm, load_decomposition, save_decomposition
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -141,3 +145,35 @@ def test_decompose_bytes(source, merge, stdout, tmp_path, capsys):
     assert capsys.readouterr().out == stdout + "\n"
     suffix = "_merged" if merge else ""
     assert out.read_bytes() == (DECOMPOSE / f"{source}{suffix}.json").read_bytes()
+
+
+def edge_matrix() -> SparseMatrix:
+    """A complex 14-qubit matrix, stored as given: a -0.0 imaginary part
+    and a -0.0 real part, the smallest subnormal and the largest float as
+    parts, integer-valued parts up to 1e22, and 1-based rows 9999 and
+    10000, where the row number gains a digit."""
+    return SparseMatrix(14, {
+        (0, 0): complex(2.0, -0.0),
+        (0, 16383): complex(-0.0, 2.5),
+        (1, 5): complex(5e-324, 1.0),
+        (9998, 9999): complex(1.7976931348623157e308, -3.0),
+        (9999, 9998): complex(-12.0, 1e22),
+        (9999, 10000): complex(0.1, -1 / 3),
+        (16383, 0): complex(-7.0, 0.0),
+    })
+
+
+MATRIX_MARKET = {
+    "poisson_3": pde.poisson_1d(3).matrix,
+    "heat_3_2": pde.heat_1d(pde.HeatParams(3, 2, alpha=0.7, robin_w1=0.3)).matrix,
+    "wave_2_2": pde.wave_1d(2, 2, c=1.3).matrix,
+    "edges_complex": edge_matrix(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_MARKET))
+def test_matrix_market_bytes(name, tmp_path):
+    path = tmp_path / "m.mtx"
+    save_matrix_market(MATRIX_MARKET[name], str(path))
+    assert path.read_bytes() == (GOLDEN / f"{name}.mtx").read_bytes()
+    assert load_matrix_market(str(path)) == MATRIX_MARKET[name]

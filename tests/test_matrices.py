@@ -318,6 +318,37 @@ def test_from_entries_matches_dict_reference(case, tol):
     assert SparseMatrix(n, dict(want.entries)) == want
 
 
+# Parts whose text is hardest to get right: signed zeros, the smallest
+# subnormal, the largest float, integers with trailing zeros, and values
+# whose shortest digits need the full 17.
+TEXT_PARTS = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1.0, -7.0, 100.0, 1e22, 2.4, 0.1, 1 / 3, 2.0**-1074 * 3]
+
+
+@st.composite
+def stored_matrices(draw):
+    """A matrix of 1-14 qubits stored as given, real or complex, with parts
+    drawn from every float and from ``TEXT_PARTS``.  Entries whose
+    magnitude is zero or overflows are left out."""
+    n = draw(st.integers(1, 14))
+    index = st.integers(0, (1 << n) - 1)
+    part = st.one_of(st.sampled_from(TEXT_PARTS), st.floats(allow_nan=False, allow_infinity=False))
+    imag = part if draw(st.booleans()) else st.sampled_from([0.0, -0.0])
+    items = draw(st.lists(st.tuples(index, index, part, imag), max_size=40))
+    entries = {(r, c): complex(re, im) for r, c, re, im in items}
+    return SparseMatrix(n, {k: v for k, v in entries.items() if ZERO_TOL < reference.magnitude(v) < math.inf})
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=stored_matrices())
+@example(m=SparseMatrix(1, {}))
+@example(m=SparseMatrix(14, {(9998, 9999): complex(-3.0, -0.0), (9999, 0): complex(1e22, 0.0)}))
+@example(m=SparseMatrix(14, {(9998, 9999): complex(5e-324, 2.0), (9999, 0): complex(-0.0, -1e-3)}))
+def test_matrix_market_bytes_match_scipy(m, tmp_path_factory):
+    path = tmp_path_factory.mktemp("mtx") / "m.mtx"
+    save_matrix_market(m, str(path))
+    assert path.read_bytes() == reference.matrix_market_bytes(m)
+
+
 def test_entries_is_a_read_only_view():
     m = SparseMatrix.from_entries(1, [(1, 0, 2.0), (0, 1, 1.0)])
     assert list(m.entries.items()) == [((0, 1), 1.0), ((1, 0), 2.0)]
