@@ -2,10 +2,10 @@
 renderer shared by every format.
 
 Writers that lay out the same text around each item's values (a
-decomposition term, a Matrix Market entry) render each item as one row
-of bytes: the fixed text and columns of values padded with NUL bytes to
-one width, joined by :func:`join_rows`, which drops the NULs.  No file
-holds a NUL byte.
+decomposition term, a Matrix Market entry, a dense gate's [re, im] pair)
+render each item as one row of bytes: the fixed text and columns of
+values padded with NUL bytes to one width, joined by :func:`join_rows`,
+which drops the NULs.  No file holds a NUL byte.
 
 Readers validate the schema as they go and raise ``ValueError`` with a
 one-line message on the first mismatch, so malformed input surfaces as an
@@ -110,6 +110,16 @@ def complex_matrix(pairs: list, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(flat).all():
         raise ValueError("matrix entries out of floating-point range")
     return flat.reshape(dim, dim)
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Refuse the first non-finite part of the complex values, read as
+    [re, im] pairs, with the message of ``json.dumps(..., indent=1,
+    allow_nan=False)``."""
+    parts = np.stack([values.real, values.imag], axis=-1).ravel()
+    bad = ~np.isfinite(parts)
+    if bad.any():
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(parts[bad.argmax()])!r}")
 
 
 def float_column(values: np.ndarray, render=repr) -> np.ndarray:

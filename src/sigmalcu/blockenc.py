@@ -177,7 +177,7 @@ def resource_report(d: Decomposition, epsilon: float) -> dict:
     n = d.n_qubits
     N = 1 << n
     lam = float(sum(abs(t.coeff) for t in d.terms))
-    log_inv_eps = math.log2(1.0 / epsilon)
+    log_inv_eps = -math.log2(epsilon)  # finite where 1 / epsilon overflows
     # One MCX per completion; an all-identity term has a bare X instead.
     arities = [(len(c),) if (c := _term_controls(t, offset=1)) else () for t in d.terms]
     return {

@@ -23,6 +23,7 @@ x with controls is a multi-controlled X.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -295,24 +296,6 @@ def _controlled_term(
     return out
 
 
-def _gate_to_json(g: Gate) -> dict:
-    kind = _file_kind(g)
-    if kind == "mcx":
-        return {
-            "kind": "mcx",
-            "controls": [{"q": q, "pol": pol} for q, pol in g.controls],
-            "target": g.targets[0],
-        }
-    if kind == "dense":
-        return {
-            "kind": "dense",
-            "targets": list(g.qubits),
-            "label": g.label,
-            "matrix": _codec.complex_pairs(_folded_matrix(g).reshape(-1)),
-        }
-    return {"kind": kind, "target": g.targets[0]}
-
-
 def _gate_from_json(item: dict) -> Gate:
     kind = _codec.field(item, "kind", str)
     if kind == "mcx":
@@ -328,19 +311,57 @@ def _gate_from_json(item: dict) -> Gate:
     return Gate(kind, (_codec.field(item, "target", int),))
 
 
-def circuit_to_json_dict(c: Circuit) -> dict:
-    """JSON form of the gate list.
+# The layout ``json.dumps(..., indent=1)`` gives each gate kind: a gate
+# sits at two spaces, its fields at three, list items at four.
+_NAMED_JSON = b'{\n   "kind": "%s",\n   "target": %d\n  }'
+_MCX_JSON = b'{\n   "kind": "mcx",\n   "controls": [\n    %s\n   ],\n   "target": %d\n  }'
+_CONTROL_JSON = b'{\n     "q": %d,\n     "pol": "%s"\n    }'
+_DENSE_JSON = (
+    b'{\n   "kind": "dense",\n   "targets": [\n    %s\n   ],\n   "label": %s,\n   "matrix": [\n%s\n   ]\n  }'
+)
+_PAIR_JSON = (b"    [\n     ", b",\n     ", b"\n    ],\n")
 
-    Dense matrices are row-major lists of [re, im] pairs.  A controlled
-    gate other than X is exported as the equivalent dense gate on
-    controls + targets, so every file uses only the x/h/s/sdg, mcx, and
-    dense kinds; an X without controls is stored as x.
+
+def _json_list(items: list[bytes]) -> bytes:
+    """Rendered items as a list value of the file's top-level object."""
+    return b"[\n  %s\n ]" % b",\n  ".join(items) if items else b"[]"
+
+
+def _gate_json(g: Gate) -> bytes:
+    """One gate of the file, in the layout ``json.dumps(..., indent=1)``
+    gives it.  A controlled gate other than X is written as the equivalent
+    dense gate on controls + targets; an X without controls as x."""
+    kind = _file_kind(g)
+    if kind == "mcx":
+        controls = b",\n    ".join(_CONTROL_JSON % (q, pol.encode()) for q, pol in g.controls)
+        return _MCX_JSON % (controls, g.targets[0])
+    if kind != "dense":
+        return _NAMED_JSON % (kind.encode(), g.targets[0])
+    flat = _folded_matrix(g).reshape(-1)
+    _codec.require_finite(flat)
+    before_re, before_im, after = _PAIR_JSON
+    re, im = _codec.float_column(flat.real), _codec.float_column(flat.imag)
+    pairs = _codec.join_rows([before_re, re, before_im, im, after])[: -len(b",\n")]
+    targets = b",\n    ".join(b"%d" % q for q in g.qubits)
+    return _DENSE_JSON % (targets, json.dumps(g.label).encode("ascii"), pairs)
+
+
+def _json_bytes(c: Circuit) -> bytes:
+    """The file text of ``c``: ``json.dumps(payload, indent=1,
+    allow_nan=False) + "\\n"`` of the gate list, byte for byte, with the
+    same refusal of a non-finite number.
+
+    Dense matrices are row-major lists of [re, im] pairs, each pair one
+    row of bytes (:func:`_codec.join_rows`).  Every file uses only the
+    x/h/s/sdg, mcx, and dense kinds.
     """
-    return {
-        "n_qubits": c.n_qubits,
-        "ancillas": sorted(c.ancillas),
-        "gates": [_gate_to_json(g) for g in c.gates],
-    }
+    ancillas = [b"%d" % q for q in sorted(c.ancillas)]
+    gates = [_gate_json(g) for g in c.gates]
+    return b'{\n "n_qubits": %d,\n "ancillas": %s,\n "gates": %s\n}\n' % (
+        c.n_qubits,
+        _json_list(ancillas),
+        _json_list(gates),
+    )
 
 
 def circuit_from_json_dict(data: dict) -> Circuit:
@@ -352,7 +373,9 @@ def circuit_from_json_dict(data: dict) -> Circuit:
 
 
 def save_circuit(c: Circuit, path: str) -> None:
-    _codec.write_json(path, circuit_to_json_dict(c), indent=1)
+    text = _json_bytes(c)  # rendered first, so a refused value leaves no file
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def load_circuit(path: str) -> Circuit:

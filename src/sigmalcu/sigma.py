@@ -437,10 +437,7 @@ def _json_text(d: Decomposition) -> str:
     number.  Each term is one row of bytes (:func:`_codec.join_rows`), its
     fixed text around its values, which ``float.__repr__`` writes as json
     does."""
-    parts = np.stack([d.coeffs.real, d.coeffs.imag], axis=-1).ravel()
-    bad = ~np.isfinite(parts)
-    if bad.any():
-        raise ValueError(f"Out of range float values are not JSON compliant: {float(parts[bad.argmax()])!r}")
+    _codec.require_finite(d.coeffs)
     if not len(d):
         return '{\n "n_qubits": %d,\n "terms": []\n}\n' % d.n_qubits
     before_re, before_im, before_factors, after = _JSON_TERM

@@ -4,7 +4,8 @@ Amplitude index bit p corresponds to qubit p, with p = 0 the most
 significant bit, so block structure of extracted matrices lines up
 index-for-index with the sparse-matrix convention.  Gates act on a state
 tensor of shape [2] * n (plus a trailing batch axis when extracting full
-unitaries); applications are pure and return new arrays.
+unitaries).  ``circuit_to_matrix`` updates the tensor it owns in place;
+``apply_gate`` and ``run`` are pure and return new arrays.
 """
 
 from __future__ import annotations
@@ -59,27 +60,43 @@ def _apply_dense(tensor: np.ndarray, targets: tuple[int, ...], matrix: np.ndarra
     return out.transpose(inverse)
 
 
-def _apply_to_tensor(tensor: np.ndarray, g: Gate) -> np.ndarray:
-    """Gate application on a state tensor of shape [2]*n + [batch].
+def _apply_in_place(tensor: np.ndarray, g: Gate) -> np.ndarray:
+    """Gate application on a state tensor of shape [2]*n + [batch],
+    overwriting it.
 
     Only the sub-tensor where every control matches its polarity changes:
     an X swaps its two target slices there, any other kind multiplies its
-    matrix onto the target axes.
+    matrix onto the target axes.  Returns ``tensor``, except for a dense
+    product without controls, which is a new array.
     """
     index = [slice(None)] * tensor.ndim
     for q, pol in g.controls:
         bit = 1 if pol == CLOSED else 0
         index[q] = slice(bit, bit + 1)
-    index = tuple(index)
     if g.kind == "x":
-        new = np.flip(tensor[index], axis=g.targets[0])
-    else:
-        new = _apply_dense(tensor[index], g.targets, g.target_matrix)
-        if not g.controls:
-            return new
-    out = tensor.copy()
-    out[index] = new
-    return out
+        q = g.targets[0]
+        index[q] = 0
+        low = tensor[tuple(index)]
+        index[q] = 1
+        high = tensor[tuple(index)]
+        kept = low.copy()
+        low[...] = high
+        high[...] = kept
+        return tensor
+    index = tuple(index)
+    new = _apply_dense(tensor[index], g.targets, g.target_matrix)
+    if not g.controls:
+        return new
+    tensor[index] = new
+    return tensor
+
+
+def _apply_to_tensor(tensor: np.ndarray, g: Gate) -> np.ndarray:
+    """:func:`_apply_in_place` that leaves ``tensor`` as it was: copied
+    first unless the gate is a dense product without controls, which only
+    reads it."""
+    writes = g.kind == "x" or g.controls
+    return _apply_in_place(tensor.copy() if writes else tensor, g)
 
 
 def apply_gate(s: StateVector, g: Gate) -> StateVector:
@@ -124,7 +141,7 @@ def circuit_to_matrix(c: Circuit, columns: int | None = None) -> np.ndarray:
         return out
     tensor = np.eye(dim, k, dtype=complex).reshape([2] * n + [k])
     for g in c.gates:
-        tensor = _apply_to_tensor(tensor, g)
+        tensor = _apply_in_place(tensor, g)
     return tensor.reshape(dim, k)
 
 

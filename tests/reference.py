@@ -20,6 +20,12 @@ that ``expectation`` evaluates from a cached prefix and index
 permutations; ``test_expectation.py`` runs them gate by gate as the
 reference, and ``test_golden.py`` pins their file format.
 
+:func:`circuit_to_json_dict` is the dict ``save_circuit`` wrote through
+``json.dumps(..., indent=1)`` before it rendered the file itself, and
+:func:`circuit_json` that file.  :func:`tensor_matrix` runs a circuit's
+identity columns gate by gate through the pure :func:`apply_to_tensor`,
+as ``circuit_to_matrix`` did before it updated its tensor in place.
+
 :func:`row_swap_circuit` and :func:`build_dilation_circuit` build the
 pattern swap by the recursion the package used before its one-loop
 ladder: flip the first differing bit, recurse on a copy of the bits with
@@ -35,11 +41,12 @@ import json
 import math
 from typing import Iterable
 
+import numpy as np
 import scipy.io
 import scipy.sparse
 
 from sigmalcu import _codec
-from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term
+from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _file_kind, _folded_matrix
 from sigmalcu.expectation import _H, StateOracle, _oracle_gate
 from sigmalcu.matrices import ZERO_TOL, SparseMatrix
 from sigmalcu.sigma import FACTOR_FROM_BITS, Decomposition, SigmaFactor, SigmaTerm
@@ -179,6 +186,86 @@ def from_json_dict(data: dict) -> Decomposition:
         for item in _codec.field(data, "terms", list)
     ]
     return build(n, terms)
+
+
+def circuit_to_json_dict(c: Circuit) -> dict:
+    """JSON form of the gate list, as ``save_circuit`` built it before it
+    rendered the text itself.
+
+    Dense matrices are row-major lists of [re, im] pairs.  A controlled
+    gate other than X is exported as the equivalent dense gate on
+    controls + targets; an X without controls is stored as x.
+    """
+    return {
+        "n_qubits": c.n_qubits,
+        "ancillas": sorted(c.ancillas),
+        "gates": [_gate_to_json(g) for g in c.gates],
+    }
+
+
+def _gate_to_json(g: Gate) -> dict:
+    kind = _file_kind(g)
+    if kind == "mcx":
+        return {
+            "kind": "mcx",
+            "controls": [{"q": q, "pol": pol} for q, pol in g.controls],
+            "target": g.targets[0],
+        }
+    if kind == "dense":
+        return {
+            "kind": "dense",
+            "targets": list(g.qubits),
+            "label": g.label,
+            "matrix": _codec.complex_pairs(_folded_matrix(g).reshape(-1)),
+        }
+    return {"kind": kind, "target": g.targets[0]}
+
+
+def circuit_json(c: Circuit) -> bytes:
+    """The circuit file of ``c`` through ``json.dumps`` with ``indent=1``."""
+    return (json.dumps(circuit_to_json_dict(c), indent=1, allow_nan=False) + "\n").encode("ascii")
+
+
+def apply_dense(tensor: np.ndarray, targets: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix to the given axes of a [2]*n + [batch] tensor."""
+    rest = [ax for ax in range(tensor.ndim) if ax not in targets]
+    perm = list(targets) + rest
+    moved = tensor.transpose(perm)
+    out = (matrix @ moved.reshape(1 << len(targets), -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(perm))
+
+
+def apply_to_tensor(tensor: np.ndarray, g: Gate) -> np.ndarray:
+    """One gate on a [2]*n + [batch] tensor, returning a new array: an X
+    flips the fired sub-tensor along its target axis, any other kind
+    multiplies its matrix onto the target axes of the fired sub-tensor."""
+    index = [slice(None)] * tensor.ndim
+    for q, pol in g.controls:
+        bit = 1 if pol == CLOSED else 0
+        index[q] = slice(bit, bit + 1)
+    index = tuple(index)
+    if g.kind == "x":
+        new = np.flip(tensor[index], axis=g.targets[0])
+    else:
+        new = apply_dense(tensor[index], g.targets, g.target_matrix)
+        if not g.controls:
+            return new
+    out = tensor.copy()
+    out[index] = new
+    return out
+
+
+def tensor_matrix(c: Circuit, columns: int | None = None) -> np.ndarray:
+    """The first ``columns`` columns of the circuit's unitary (all by
+    default), the identity columns run gate by gate through
+    :func:`apply_to_tensor`."""
+    n = c.n_qubits
+    dim = 1 << n
+    k = dim if columns is None else columns
+    tensor = np.eye(dim, k, dtype=complex).reshape([2] * n + [k])
+    for g in c.gates:
+        tensor = apply_to_tensor(tensor, g)
+    return tensor.reshape(dim, k)
 
 
 def hadamard_test_circuits(

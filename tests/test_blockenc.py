@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -190,6 +193,14 @@ def test_resource_report_degenerate():
     report = resource_report(d, epsilon=0.5)
     assert report["L"] == 1
     assert report["selector_qubits"] == 0
+
+
+@pytest.mark.parametrize("epsilon", [1e-320, 5e-324])
+def test_resource_report_subnormal_epsilon_is_finite(epsilon):
+    # 1 / epsilon overflows to inf here; log2(1/eps) is still about 1063-1074.
+    report = resource_report(poisson_1d(4).decomposition, epsilon=epsilon)
+    assert report["prep"]["count"] == f"O(L log2(1/eps)) = O({9 * -math.log2(epsilon):.1f})"
+    assert "inf" not in json.dumps(report)
 
 
 def test_resource_report_epsilon_guard():

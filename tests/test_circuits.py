@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -9,10 +11,10 @@ from sigmalcu.circuits import (
     OPEN,
     Circuit,
     Gate,
+    _json_bytes,
     build_dilation_circuit,
     build_ul_circuit,
     circuit_from_json_dict,
-    circuit_to_json_dict,
     controlled,
     embedded,
     gate_count,
@@ -255,7 +257,7 @@ def test_circuit_validation():
 
 def test_json_round_trip(tmp_path):
     circuit = build_ul_circuit(SigmaTerm(1.0, (M, I, A)))
-    data = circuit_to_json_dict(circuit)
+    data = json.loads(_json_bytes(circuit))
     assert data["n_qubits"] == 4
     assert data["gates"][2]["kind"] == "mcx"
     again = circuit_from_json_dict(data)
@@ -268,7 +270,7 @@ def test_json_round_trip(tmp_path):
 def test_json_dense_gate_round_trip():
     matrix = np.array([[0, 1], [1, 0]], dtype=complex)
     circuit = Circuit(2, (Gate("dense", (1,), (), matrix, "flip"),))
-    again = circuit_from_json_dict(circuit_to_json_dict(circuit))
+    again = circuit_from_json_dict(json.loads(_json_bytes(circuit)))
     assert np.array_equal(again.gates[0].matrix, matrix)
     assert again.gates[0].label == "flip"
 
@@ -276,7 +278,7 @@ def test_json_dense_gate_round_trip():
 def test_json_folds_controlled_dense():
     matrix = np.eye(2, dtype=complex)
     circuit = Circuit(2, (Gate("dense", (1,), ((0, CLOSED),), matrix, "u"),))
-    data = circuit_to_json_dict(circuit)
+    data = json.loads(_json_bytes(circuit))
     assert data["gates"][0]["kind"] == "dense"
     assert data["gates"][0]["targets"] == [0, 1]
     again = circuit_from_json_dict(data)
@@ -317,5 +319,80 @@ def test_embedded_shifts_everything():
 def test_zero_control_mcx_is_plain_x():
     gate = Gate("x", (0,), ())
     assert gate == Gate("x", (0,)) and gate_count(Circuit(1, (gate,))).mcx == ()
-    data = circuit_to_json_dict(Circuit(1, (gate,)))
+    data = json.loads(_json_bytes(Circuit(1, (gate,))))
     assert data["gates"] == [{"kind": "x", "target": 0}]
+
+
+# The circuit writer against json.dumps(..., indent=1) of the dict the
+# package built before it rendered the text itself.
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 0.1, 1.7976931348623157e308, -1.7976931348623157e308]
+LABELS = st.one_of(st.none(), st.text(max_size=6), st.sampled_from(['"', "\\", "é", 'a"\\\u00e9\u4e2d\n']))
+
+
+def with_entries(gate, values):
+    """``gate`` with its matrix entries overwritten.  Unitarity is checked
+    when a gate is built; the writer renders whatever finite entries the
+    matrix holds, so this reaches values no unitary has."""
+    flat = np.empty(len(values) // 2, dtype=complex)
+    flat.real, flat.imag = values[::2], values[1::2]
+    gate.matrix[...] = flat.reshape(gate.matrix.shape)
+    return gate
+
+
+@st.composite
+def file_gates(draw, n):
+    kind = draw(st.sampled_from(["x", "h", "s", "sdg", "dense"]))
+    n_targets = draw(st.integers(1, min(2, n))) if kind == "dense" else 1
+    n_controls = draw(st.integers(0, min(3, n - n_targets)))
+    qubits = draw(st.permutations(range(n)))[: n_targets + n_controls]
+    pols = draw(st.lists(st.sampled_from([OPEN, CLOSED]), min_size=n_controls, max_size=n_controls))
+    controls = tuple(zip(qubits[n_targets:], pols))
+    if kind != "dense":
+        return Gate(kind, (qubits[0],), controls)
+    dim = 1 << n_targets
+    gate = Gate("dense", tuple(qubits[:n_targets]), controls, np.eye(dim, dtype=complex), draw(LABELS))
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    return with_entries(gate, draw(st.lists(floats, min_size=2 * dim * dim, max_size=2 * dim * dim)))
+
+
+@st.composite
+def file_circuits(draw):
+    n = draw(st.integers(1, 5))
+    gates = draw(st.lists(file_gates(n), max_size=6))
+    return Circuit(n, tuple(gates), frozenset(draw(st.sets(st.integers(0, n - 1)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuit=file_circuits())
+@example(circuit=Circuit(0))
+@example(circuit=Circuit(2, (Gate("x", (1,), ((0, OPEN),)),)))
+@example(
+    circuit=Circuit(
+        3,
+        (
+            with_entries(
+                Gate("dense", (2,), ((0, CLOSED), (1, OPEN)), np.eye(2, dtype=complex), 'q"\\é'),
+                EDGE_FLOATS[:8],
+            ),
+        ),
+        frozenset({0, 1}),
+    )
+)
+def test_circuit_file_text_matches_json_dumps(circuit):
+    assert _json_bytes(circuit) == reference.circuit_json(circuit)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, np.nan)])
+def test_non_finite_matrix_entry_is_refused_with_no_file(tmp_path, bad):
+    gate = Gate("dense", (1,), ((0, OPEN),), np.eye(2, dtype=complex), "u")
+    gate.matrix[1, 0] = bad
+    circuit = Circuit(2, (Gate("h", (0,)), gate))
+    with pytest.raises(ValueError) as want:
+        reference.circuit_json(circuit)
+    path = tmp_path / "c.json"
+    with pytest.raises(ValueError) as got:
+        save_circuit(circuit, str(path))
+    assert str(got.value) == str(want.value)
+    assert not path.exists()
+

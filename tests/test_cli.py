@@ -20,8 +20,8 @@ from sigmalcu.circuits import (
     Circuit,
     Gate,
     build_ul_circuit,
+    _json_bytes,
     embedded,
-    circuit_to_json_dict,
     save_circuit,
 )
 from sigmalcu.cli import main, save_oracle
@@ -384,6 +384,25 @@ def test_verify_fails_a_circuit_one_qubit_too_wide(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[2] == "   1  M            FAIL: circuit width mismatch"
 
 
+@pytest.mark.parametrize("row", range(4))
+def test_verify_fails_a_circuit_wrong_in_one_quadrant(tmp_path, capsys, row):
+    # Output rows 0-3 of term A's completion come from columns 0, 3, 2, 1:
+    # quadrants (0, 0), (0, 1), (1, 1), (1, 0).  A -1 on one row breaks one.
+    decomp = write_json(tmp_path / "d.json", {"n_qubits": 1, "terms": [{"re": 1, "im": 0, "factors": "A"}]})
+    circuit_dir = tmp_path / "circuits"
+    circuit_dir.mkdir()
+    sign = np.ones(4, dtype=complex)
+    sign[row] = -1
+    c = build_ul_circuit(SigmaTerm.from_string(1.0, "A"))
+    wrong = Circuit(2, c.gates + (Gate("dense", (0, 1), (), np.diag(sign)),), c.ancillas)
+    save_circuit(wrong, str(circuit_dir / "term_000.json"))
+    capsys.readouterr()
+    assert main(["verify", "--decomp", decomp, "--circuits", str(circuit_dir)]) == 2
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "   0  A            FAIL: matrix does not match completion block structure"
+    )
+
+
 def with_gates(*extra):
     """Wrap a circuit builder to append ``extra``, gates that cancel in
     pairs: the matrix is kept, the gate counts are not."""
@@ -651,6 +670,17 @@ def test_block_encode_bad_epsilon_writes_nothing(tmp_path, capsys, epsilon):
     assert not bedir.exists()
 
 
+def test_block_encode_subnormal_epsilon_reports_finite_counts(tmp_path, capsys):
+    outdir = tmp_path / "sys"
+    main(["generate", "--family", "poisson", "--s", "2", "--outdir", str(outdir)])
+    bedir = tmp_path / "be"
+    decomp = str(outdir / "decomposition.json")
+    assert main(["block-encode", "--decomp", decomp, "--outdir", str(bedir), "--epsilon", "1e-320"]) == 0
+    text = (bedir / "resources.json").read_text()
+    assert "inf" not in text
+    assert json.loads(text)["prep"]["count"] == "O(L log2(1/eps)) = O(5315.1)"
+
+
 def test_missing_file_is_validation_error(tmp_path, capsys):
     assert main(["decompose", "--in", str(tmp_path / "nope.mtx"), "--out", "d.json"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -832,7 +862,7 @@ def test_malformed_oracle_exits_1(payload, role):
 def valid_circuit():
     term = SigmaTerm.from_string(1.0, "PM")
     gates = build_ul_circuit(term).gates + (Gate("dense", (1,), (), np.eye(2, dtype=complex), "id"),)
-    return circuit_to_json_dict(Circuit(3, gates, frozenset({0})))
+    return json.loads(_json_bytes(Circuit(3, gates, frozenset({0}))))
 
 
 def test_valid_circuit_fixture_verifies(tmp_path):

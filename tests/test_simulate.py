@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+import reference
 from sigmalcu.circuits import (
     CLOSED,
     OPEN,
@@ -17,7 +18,6 @@ from sigmalcu.circuits import (
 from sigmalcu.sigma import SigmaTerm, SigmaFactor, completion_matrix, term_matrix
 from sigmalcu.simulate import (
     StateVector,
-    _apply_to_tensor,
     ancilla_probs,
     apply_gate,
     basis_state,
@@ -302,19 +302,6 @@ def test_controlled_embedded_is_block_diagonal(circuit, polarity):
     assert np.allclose(got, expected, atol=1e-12)
 
 
-# Slow reference for the fast paths of circuit_to_matrix: evolve every
-# column of the identity through the gates, one tensor pass per gate.
-
-
-def tensor_loop_matrix(c):
-    n = c.n_qubits
-    dim = 1 << n
-    tensor = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-    for g in c.gates:
-        tensor = _apply_to_tensor(tensor, g)
-    return tensor.reshape(dim, dim)
-
-
 @st.composite
 def x_mcx_circuits(draw):
     n = draw(st.integers(1, 6))
@@ -332,7 +319,7 @@ def x_mcx_circuits(draw):
 @example(circuit=Circuit(3, ()), fraction=1.0)
 @example(circuit=Circuit(2, (Gate("x", (1,)),)), fraction=0.5)
 def test_permutation_path_matches_tensor_loop(circuit, fraction):
-    expected = tensor_loop_matrix(circuit)
+    expected = reference.tensor_matrix(circuit)
     assert np.array_equal(circuit_to_matrix(circuit), expected)
     k = round(fraction * expected.shape[1])
     assert np.array_equal(circuit_to_matrix(circuit, columns=k), expected[:, :k])
@@ -341,11 +328,44 @@ def test_permutation_path_matches_tensor_loop(circuit, fraction):
 @settings(max_examples=80, deadline=None)
 @given(circuit=random_circuits(), fraction=st.floats(0, 1))
 def test_column_restriction_matches_tensor_loop(circuit, fraction):
-    expected = tensor_loop_matrix(circuit)
+    expected = reference.tensor_matrix(circuit)
     k = round(fraction * expected.shape[1])
     got = circuit_to_matrix(circuit, columns=k)
     assert got.shape == (expected.shape[0], k)
     np.testing.assert_allclose(got, expected[:, :k], rtol=0, atol=1e-13)
+
+
+@st.composite
+def mixed_circuits(draw):
+    n = draw(st.integers(1, 6))
+    return Circuit(n, tuple(draw(st.lists(random_gates(n), max_size=12))))
+
+
+# circuit_to_matrix updates one tensor in place; the reference runs the pure
+# gate rule on a fresh array per gate.  Same arithmetic, so same bits.
+@settings(max_examples=150, deadline=None)
+@given(circuit=mixed_circuits(), fraction=st.floats(0, 1))
+@example(
+    circuit=Circuit(3, (Gate("h", (1,)), Gate("x", (0,), ((2, OPEN), (1, CLOSED))), Gate("x", (2,)))),
+    fraction=0.5,
+)
+def test_in_place_kernel_matches_pure_reference(circuit, fraction):
+    expected = reference.tensor_matrix(circuit)
+    assert np.array_equal(circuit_to_matrix(circuit), expected)
+    k = round(fraction * expected.shape[1])
+    assert np.array_equal(circuit_to_matrix(circuit, columns=k), reference.tensor_matrix(circuit, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_apply_gate_leaves_its_input(circuit, seed):
+    state = random_state(np.random.default_rng(seed), circuit.n_qubits)
+    before = state.amplitudes.copy()
+    tensor = before.reshape([2] * circuit.n_qubits + [1])
+    for g in circuit.gates:
+        after = apply_gate(state, g)
+        assert np.array_equal(state.amplitudes, before)
+        assert np.array_equal(after.amplitudes, reference.apply_to_tensor(tensor, g).reshape(-1))
 
 
 def test_column_count_validation():
