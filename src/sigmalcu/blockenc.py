@@ -1,16 +1,16 @@
 """PREP/SELECT block encoding of a full sigma decomposition.
 
-The overall unitary W = PREP^dag . SELECT . PREP acts on a selector
-register (ceil(log2) of the padded term count), one completion ancilla,
-and the system register, in that order from the most significant qubit.
-Its top-left 2^n block, reached with selector and ancilla in |0>, equals
-A / lambda with lambda = sum |coeff_l|.
+W = UNPREP^dag . SELECT . PREP acts on a selector register (ceil(log2) of
+the padded term count), one completion ancilla and the system register,
+in that order from the most significant qubit.  Its top-left 2^n block,
+reached with selector and ancilla in |0>, equals A / lambda with
+lambda = sum |coeff_l|.
 
-PREP is a single dense state-preparation gate loading sqrt(|coeff_l| /
-lambda) onto selector value l; coefficient phases are folded into SELECT
-as selector-controlled phase gates, so negative and complex weights are
-supported.  SELECT applies each term's completion circuit under
-multi-controlled selection on the binary selector value; padded selector
+PREP loads a_l = sqrt(|coeff_l| / lambda) onto selector value l and UNPREP
+loads b_l = a_l e^{-i arg coeff_l}, a state-preparation pair (Gilyen, Su,
+Low & Wiebe, arXiv:1806.01838): conj(b_l) a_l = coeff_l / lambda.  SELECT
+applies each term's completion circuit under multi-controlled selection on
+the binary selector value, with X and MCX gates only; padded selector
 values act as the identity.
 """
 
@@ -56,104 +56,106 @@ def _selector_width(n_terms: int) -> int:
     return max(0, (n_terms - 1).bit_length())
 
 
-def _prep_matrix(amplitudes: np.ndarray) -> np.ndarray:
-    """Real reflection sending |0> to the given unit vector."""
-    dim = amplitudes.size
-    target = np.zeros(dim)
-    target[0] = 1.0
-    v = target - amplitudes
+def _phase(c: complex) -> complex:
+    """e^{i arg c}; the angle is 0.0 where atan2 underflows (cmath.phase raises)."""
+    return cmath.exp(1j * math.atan2(c.imag, c.real))
+
+
+def _prep_matrix(target: np.ndarray) -> np.ndarray:
+    """Unitary whose first column is the unit vector ``target``: the
+    Householder reflection swapping e^{i phi}|0> with it, times e^{i phi},
+    where phi is the phase of target[0].  A real target stays real."""
+    phase = _phase(target[0]) if np.iscomplexobj(target) else 1.0
+    v = -target
+    v[0] += phase
     norm = np.linalg.norm(v)
     if norm <= ZERO_TOL:
-        return np.eye(dim, dtype=complex)
-    v = v / norm
-    return (np.eye(dim) - 2.0 * np.outer(v, v)).astype(complex)
+        return phase * np.eye(target.size, dtype=complex)
+    v /= norm
+    return (phase * (np.eye(target.size) - 2.0 * np.outer(v, v.conj()))).astype(complex)
 
 
-def prep_circuit(coeffs: list[complex]) -> Circuit:
-    """State preparation loading sqrt(|c_l| / lambda) onto selector value l.
-
-    Phases are excluded here; they belong to the SELECT branches.  The
-    amplitude list is zero-padded to the next power of two and the gate is
-    a dense reflection, so the selector width is at least one qubit.
-    """
+def _amplitudes(coeffs: list[complex]) -> np.ndarray:
+    """sqrt(|c_l| / lambda), zero-padded to a power of two of at least 2."""
     mags = np.array([abs(complex(c)) for c in coeffs], dtype=float)
     lam = mags.sum()
     if len(coeffs) == 0 or lam <= 0:
         raise ValueError("need at least one nonzero coefficient")
-    width = max(1, _selector_width(len(coeffs)))
-    amplitudes = np.zeros(1 << width)
+    amplitudes = np.zeros(1 << max(1, _selector_width(len(coeffs))))
     amplitudes[: len(coeffs)] = np.sqrt(mags / lam)
+    return amplitudes
+
+
+def prep_circuit(coeffs: list[complex]) -> Circuit:
+    """PREP, loading sqrt(|c_l| / lambda) onto selector value l, as one
+    dense reflection on at least one qubit; the unprepare of
+    :func:`assemble` loads the phases."""
+    amplitudes = _amplitudes(coeffs)
+    width = amplitudes.size.bit_length() - 1
     gate = Gate("dense", tuple(range(width)), matrix=_prep_matrix(amplitudes), label="prep")
     return Circuit(width, (gate,))
 
 
-def _phase_gate(phase: complex, selector_value: int, width: int) -> Gate:
-    """Diagonal gate applying the phase on one selector value; for a
-    degenerate selector the phase is global and lands on the ancilla."""
-    if width == 0:
-        matrix = phase * np.eye(2, dtype=complex)
-        return Gate("dense", (0,), matrix=matrix, label="phase")
-    diag = np.ones(1 << width, dtype=complex)
-    diag[selector_value] = phase
-    return Gate("dense", tuple(range(width)), matrix=np.diag(diag), label=f"phase{selector_value}")
+def _registers(d: Decomposition, what: str) -> tuple[int, int]:
+    """Selector width, and total width with ancilla and system."""
+    if not d.terms:
+        raise ValueError(f"cannot {what} an empty decomposition")
+    width = _selector_width(len(d.terms))
+    return width, width + 1 + d.n_qubits
+
+
+def _lambda(d: Decomposition) -> float:
+    return float(sum(abs(t.coeff) for t in d.terms))
 
 
 def select_circuit(d: Decomposition) -> Circuit:
-    """Term selection on selector + ancilla + system qubits."""
-    if not d.terms:
-        raise ValueError("cannot select from an empty decomposition")
-    width = _selector_width(len(d.terms))
-    total = width + 1 + d.n_qubits
+    """Term selection on selector + ancilla + system qubits, of X and MCX
+    gates only: the preparations carry the coefficients."""
+    width, total = _registers(d, "select from")
     gates: list[Gate] = []
     for value, term in enumerate(d.terms):
-        # One control per selector qubit matching the binary selector value
-        # (qubit 0 is the most significant).
-        controls = tuple(
-            (sq, CLOSED if (value >> (width - 1 - sq)) & 1 else OPEN) for sq in range(width)
-        )
+        # One control per selector qubit, qubit 0 holding the value's top bit.
+        controls = tuple((sq, CLOSED if (value >> (width - 1 - sq)) & 1 else OPEN) for sq in range(width))
         gates.extend(_controlled_term(term, total, controls).gates)
-        # cmath.phase, but 0.0 where the angle underflows instead of raising.
-        phase = cmath.exp(1j * math.atan2(term.coeff.imag, term.coeff.real))
-        if abs(phase - 1.0) > ZERO_TOL:
-            gates.append(_phase_gate(phase, value, width))
-    ancillas = frozenset(range(width + 1))
-    return Circuit(total, tuple(gates), ancillas)
+    return Circuit(total, tuple(gates), frozenset(range(width + 1)))
 
 
 def assemble(d: Decomposition) -> BlockEncoding:
-    """Full encoding W = PREP^dag . SELECT . PREP.
-
-    Refused before PREP is built when selector + 1 + system exceeds the
-    dense limit, since the encoding could never be verified.
-    """
-    if not d.terms:
-        raise ValueError("cannot block-encode an empty decomposition")
-    width = _selector_width(len(d.terms))
-    total = width + 1 + d.n_qubits
+    """Full encoding W = UNPREP^dag . SELECT . PREP, refused before any gate
+    is built when selector + 1 + system exceeds the dense limit."""
+    width, total = _registers(d, "block-encode")
     _require_width(total, "block encoding")
-    lam = float(sum(abs(t.coeff) for t in d.terms))
+    lam = _lambda(d)
     if not math.isfinite(lam):
         raise ValueError("lambda = sum |coeff| out of floating-point range")
-    gates = select_circuit(d).gates
-    if width > 0:
-        prep = prep_circuit([t.coeff for t in d.terms]).gates[0]
-        prep_dag = Gate("dense", prep.targets, matrix=prep.matrix.conj().T, label="prep_dag")
-        gates = (prep, *gates, prep_dag)
-    overall = Circuit(total, gates, frozenset(range(width + 1)))
-    return BlockEncoding(width, d.n_qubits, lam, overall, d)
+    select = select_circuit(d)
+    coeffs = [t.coeff for t in d.terms]
+    if width == 0:  # no selector: the coefficient's phase is global
+        gates = select.gates
+        phase = _phase(coeffs[0])
+        if abs(phase - 1.0) > ZERO_TOL:
+            gates += (Gate("dense", (0,), matrix=phase * np.eye(2, dtype=complex), label="phase"),)
+    else:
+        amplitudes = _amplitudes(coeffs)
+        unprepare = amplitudes.astype(complex)
+        unprepare[: len(coeffs)] *= np.conj([_phase(c) for c in coeffs])
+        targets = tuple(range(width))
+        prep = Gate("dense", targets, matrix=_prep_matrix(amplitudes), label="prep")
+        prep_dag = Gate("dense", targets, matrix=_prep_matrix(unprepare).conj().T, label="prep_dag")
+        gates = (prep, *select.gates, prep_dag)
+    return BlockEncoding(width, d.n_qubits, lam, Circuit(total, gates, select.ancillas), d)
 
 
 def verify_block_encoding(be: BlockEncoding) -> dict:
     """Extract the zero-selector, zero-ancilla block of W and compare it to
-    the reconstructed matrix over lambda.
-
-    Selector and ancilla are the most significant qubits, so the block's
-    inputs are the first 2^n basis states and only those columns of W are
-    simulated.
+    the decomposition scaled by 1 / lambda, reconstructed, so that its prune
+    at ZERO_TOL is relative to lambda.  Selector and ancilla are the most
+    significant qubits, so only the first 2^n columns of W are simulated.
     """
     dim = 1 << be.system_qubits
     block = circuit_to_matrix(be.overall, columns=dim)[:dim]
-    target = reconstruct(be.decomposition).to_dense() / be.lam
+    d = be.decomposition
+    target = reconstruct(Decomposition._coalesced(d.n_qubits, d.keys, d.coeffs / be.lam)).to_dense()
     return {
         "lambda": be.lam,
         "frobenius_error": frobenius_distance(block, target),
@@ -163,20 +165,16 @@ def verify_block_encoding(be: BlockEncoding) -> dict:
 
 def resource_report(d: Decomposition, epsilon: float) -> dict:
     """Asymptotic gate-cost formulas with this decomposition's parameters
-    substituted.
-
-    The numbers restate published near-optimal PREP/SELECT complexities for
-    an L-term combination on an N-dimensional system at state-preparation
-    accuracy epsilon; they are reported, not measured.  Concrete per-term
-    control arities are those of the completion circuits, read off each
-    term's control pattern without building the circuit.
-    """
+    substituted: published near-optimal PREP/SELECT complexities for an
+    L-term combination on an N-dimensional system at state-preparation
+    accuracy epsilon, reported, not measured.  The per-term control arities
+    are the completion circuits', read off each term's control pattern."""
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
     L = len(d.terms)
     n = d.n_qubits
     N = 1 << n
-    lam = float(sum(abs(t.coeff) for t in d.terms))
+    lam = _lambda(d)
     log_inv_eps = -math.log2(epsilon)  # finite where 1 / epsilon overflows
     # One MCX per completion; an all-identity term has a bare X instead.
     arities = [(len(c),) if (c := _term_controls(t, offset=1)) else () for t in d.terms]

@@ -210,12 +210,11 @@ def _verify_dilation(term: SigmaTerm, completion: np.ndarray, block: np.ndarray)
     expected_mcx = 0 if term.factors.count(SigmaFactor.IDENT) == term.n_qubits else 2 * s + 1
     if len(counts.mcx) != expected_mcx:
         return False, f"dilation used {len(counts.mcx)} multi-controlled X, expected {expected_mcx}"
-    matrix = circuit_to_matrix(circuit)
     dim = block.shape[0]
     if s == 0:
-        if not np.array_equal(matrix, completion):
+        if not np.array_equal(circuit_to_matrix(circuit), completion):
             return False, "dilation and completion circuits disagree at s = 0"
-    elif not np.array_equal(matrix[:dim, :dim], block):
+    elif not np.array_equal(circuit_to_matrix(circuit, columns=dim)[:dim], block):
         return False, "dilation top-left block is not the term matrix"
     return True, "ok"
 

@@ -31,6 +31,10 @@ pattern swap by the recursion the package used before its one-loop
 ladder: flip the first differing bit, recurse on a copy of the bits with
 that flip applied, and flip back.  ``test_circuits.py`` requires equal
 gate lists.
+
+:func:`prep_matrix` is PREP's real reflection as ``blockenc`` built it
+before the one builder for both preparations; ``test_blockenc.py``
+requires ``prep_circuit`` to reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -339,3 +343,21 @@ def build_dilation_circuit(term: SigmaTerm) -> Circuit:
     bits_col = {0: 1} | {p: factors[p - 1].bit_pairs[0][1] for p in fixed}
     gates = [Gate("x", (0,)), *pattern_swap_gates((0, *fixed), bits_row, bits_col)]
     return Circuit(term.n_qubits + 1, tuple(gates), frozenset({0}))
+
+
+def prep_matrix(coeffs: list[complex]) -> np.ndarray:
+    """PREP as ``blockenc`` built it before its reflection took complex
+    targets: the real reflection sending |0> to sqrt(|c_l| / lambda),
+    zero-padded to a power of two of at least two entries."""
+    mags = np.array([abs(complex(c)) for c in coeffs], dtype=float)
+    dim = 1 << max(1, (len(coeffs) - 1).bit_length())
+    amplitudes = np.zeros(dim)
+    amplitudes[: len(coeffs)] = np.sqrt(mags / mags.sum())
+    target = np.zeros(dim)
+    target[0] = 1.0
+    v = target - amplitudes
+    norm = np.linalg.norm(v)
+    if norm <= ZERO_TOL:
+        return np.eye(dim, dtype=complex)
+    v = v / norm
+    return (np.eye(dim) - 2.0 * np.outer(v, v)).astype(complex)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from sigmalcu.blockenc import (
     BLOCK_TOL,
     assemble,
@@ -17,7 +19,7 @@ from sigmalcu.blockenc import (
 from sigmalcu.circuits import build_ul_circuit, gate_count
 from sigmalcu.matrices import frobenius_distance
 from sigmalcu.pde import HeatParams, heat_1d, poisson_1d, wave_1d
-from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, reconstruct
+from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, reconstruct, term_matrix
 from sigmalcu.simulate import circuit_to_matrix, run, zero_state
 
 I, P, M, A, B = (
@@ -82,16 +84,11 @@ def test_select_two_branches():
     assert not matrix[:dim, dim:].any()
 
 
-def test_select_negative_coefficient_carries_phase():
+def test_negative_coefficient_sign_appears_in_block():
     d = Decomposition.build(1, [SigmaTerm(1.0, (A,)), SigmaTerm(-1.0, (B,))])
-    matrix = circuit_to_matrix(select_circuit(d))
-    from sigmalcu.circuits import build_ul_circuit
-
-    u0 = circuit_to_matrix(build_ul_circuit(d.terms[0]))
-    u1 = circuit_to_matrix(build_ul_circuit(d.terms[1]))
-    dim = u0.shape[0]
-    assert np.allclose(matrix[:dim, :dim], u0, atol=1e-14)
-    assert np.allclose(matrix[dim:, dim:], -u1, atol=1e-14)
+    assert {g.kind for g in select_circuit(d).gates} == {"x"}
+    block = circuit_to_matrix(assemble(d).overall, columns=2)[:2]
+    assert np.allclose(block, np.diag([0.5, -0.5]), atol=1e-14)
 
 
 def test_assemble_identity_term():
@@ -246,3 +243,60 @@ def test_report_arities_match_built_completion_circuits(d):
     report = resource_report(d, epsilon=1e-3)
     expected = [list(gate_count(build_ul_circuit(t)).mcx) for t in d.terms]
     assert report["per_term_mcx_arities"] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False) | st.just(0j),
+        min_size=1,
+        max_size=9,
+    ).filter(any)
+)
+@example(coeffs=[0.0, 1.0, -2.0])  # a zero first coefficient, one padded entry
+@example(coeffs=[3.0, 1e-300j, -1.0, 0.5, 2.0])  # three padded entries
+def test_prep_is_the_real_reflection(coeffs):
+    assert prep_circuit(coeffs).gates[0].matrix.tobytes() == reference.prep_matrix(coeffs).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_decompositions())
+@example(d=Decomposition.build(1, [SigmaTerm(-2.0, (P,))]))
+@example(d=Decomposition.build(2, [SigmaTerm(1.0, (A, B))]))
+def test_select_is_x_only_and_preparations_are_the_only_dense_gates(d):
+    assert {g.kind for g in select_circuit(d).gates} == {"x"}
+    encoding = assemble(d)
+    dense = [g.label for g in encoding.overall.gates if g.kind == "dense"]
+    if encoding.selector_qubits:
+        assert dense == ["prep", "prep_dag"]
+        assert (encoding.overall.gates[0].label, encoding.overall.gates[-1].label) == ("prep", "prep_dag")
+    else:
+        assert dense in ([], ["phase"])
+
+
+@st.composite
+def scaled_decompositions(draw):
+    """Complex, negative and 1e-300-magnitude coefficients, which
+    Decomposition(n, terms) keeps as given."""
+    n = draw(st.integers(1, 3))
+    strings = st.text(alphabet="IPMAB", min_size=n, max_size=n)
+    magnitudes = st.floats(0.1, 4) | st.floats(0.1, 4).map(lambda m: m * 1e-300)
+    phases = st.sampled_from([1, -1, 1j, -1j]) | st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t))
+    coeffs = st.builds(lambda m, p: m * p, magnitudes, phases)
+    terms = draw(st.dictionaries(strings, coeffs, min_size=1, max_size=6))
+    return Decomposition(n, (SigmaTerm(c, f) for f, c in terms.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=scaled_decompositions())
+@example(d=Decomposition(1, (SigmaTerm(2 + 5e-324j, I), SigmaTerm(1.0, P))))
+@example(d=Decomposition(1, (SigmaTerm(1e-300, P), SigmaTerm(-1e-300j, M))))
+def test_block_is_the_matrix_over_lambda(d):
+    encoding = assemble(d)
+    dim = 1 << d.n_qubits
+    block = circuit_to_matrix(encoding.overall, columns=dim)[:dim]
+    # Summed from unit terms: reconstruct prunes terms below ZERO_TOL, and
+    # here every term may be below it.
+    target = sum(t.coeff / encoding.lam * term_matrix(SigmaTerm(1.0, t.factors)).to_dense() for t in d.terms)
+    assert frobenius_distance(block, target) <= BLOCK_TOL
+    assert verify_block_encoding(encoding)["frobenius_error"] <= BLOCK_TOL

@@ -3,13 +3,18 @@
 The files under tests/data/golden were written by the gate-class
 implementation that preceded the single gate record; the writers must keep
 reproducing them exactly, and reading a file back and writing it again
-must not change a byte.  The ``decompose`` outputs under
-tests/data/decompose were written by the dict-accumulator sigma layer
-that preceded the shared coalescing routine.  The ``.mtx`` files were
+must not change a byte.  ``block_encoding.json`` and ``.qasm`` are the
+exception: they were rewritten when the selector's phase gates gave way to
+the unprepare, with the PREP gate byte for byte as before.  The
+``decompose`` outputs under tests/data/decompose were written by the
+dict-accumulator sigma layer that preceded the shared coalescing routine.  The ``.mtx`` files were
 written by ``scipy.io.mmwrite(..., symmetry="general")``, which
 ``save_matrix_market`` called before it rendered the files itself.  Every
 oracle matrix has dyadic entries and every block-encoding weight a dyadic
-square root, so the files do not depend on the platform's BLAS.
+square root.  Every block-encoding coefficient phase is a quarter turn,
+whose cosine or sine rounds to about 6e-17 and drops out of the
+unprepare's sum of squares, so the files do not depend on the platform's
+BLAS.
 """
 
 from pathlib import Path
