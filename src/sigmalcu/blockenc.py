@@ -4,7 +4,9 @@ W = UNPREP^dag . SELECT . PREP acts on a selector register (ceil(log2) of
 the padded term count), one completion ancilla and the system register,
 in that order from the most significant qubit.  Its top-left 2^n block,
 reached with selector and ancilla in |0>, equals A / lambda with
-lambda = sum |coeff_l|.
+lambda = sum |coeff_l|, summed once, by :func:`_lambda`: PREP, the
+unprepare, :func:`assemble` and both reports read that one number, and it
+refuses a lambda that is not positive and finite.
 
 PREP loads a_l = sqrt(|coeff_l| / lambda) onto selector value l and UNPREP
 loads b_l = a_l e^{-i arg coeff_l}, a state-preparation pair (Gilyen, Su,
@@ -24,7 +26,7 @@ import numpy as np
 
 from .circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _term_controls
 from .matrices import ZERO_TOL, _require_width, frobenius_distance
-from .sigma import Decomposition, reconstruct
+from .sigma import Decomposition, _magnitude, reconstruct
 from .simulate import circuit_to_matrix
 
 # Largest Frobenius distance between the extracted block and A / lambda
@@ -41,11 +43,6 @@ class BlockEncoding:
     lam: float
     overall: Circuit
     decomposition: Decomposition
-
-    @property
-    def ancilla_index(self) -> int:
-        """Completion ancilla; sits between selector and system."""
-        return self.selector_qubits
 
     @property
     def n_qubits(self) -> int:
@@ -75,25 +72,42 @@ def _prep_matrix(target: np.ndarray) -> np.ndarray:
     return (phase * (np.eye(target.size) - 2.0 * np.outer(v, v.conj()))).astype(complex)
 
 
-def _amplitudes(coeffs: list[complex]) -> np.ndarray:
-    """sqrt(|c_l| / lambda), zero-padded to a power of two of at least 2."""
-    mags = np.array([abs(complex(c)) for c in coeffs], dtype=float)
-    lam = mags.sum()
-    if len(coeffs) == 0 or lam <= 0:
+def _lambda(coeffs) -> tuple[np.ndarray, float]:
+    """Each |c_l|, read as inf where it overflows, and lambda = their sum:
+    the one lambda of the package.  Refuses a lambda that is not positive
+    and finite."""
+    # Python's abs, not np.abs: the two differ in the last bit on about one
+    # value in six, and PREP's bytes are pinned to abs.
+    mags = np.array([_magnitude(complex(c)) for c in coeffs], dtype=float)
+    with np.errstate(over="ignore"):
+        lam = float(mags.sum())
+    if not math.isfinite(lam):
+        raise ValueError("lambda = sum |coeff| out of floating-point range")
+    if lam <= 0:
         raise ValueError("need at least one nonzero coefficient")
-    amplitudes = np.zeros(1 << max(1, _selector_width(len(coeffs))))
-    amplitudes[: len(coeffs)] = np.sqrt(mags / lam)
-    return amplitudes
+    return mags, lam
+
+
+def _amplitudes(coeffs) -> tuple[np.ndarray, float]:
+    """sqrt(|c_l| / lambda), zero-padded to a power of two of at least 2,
+    and lambda."""
+    mags, lam = _lambda(coeffs)
+    amplitudes = np.zeros(1 << max(1, _selector_width(mags.size)))
+    amplitudes[: mags.size] = np.sqrt(mags / lam)
+    return amplitudes, lam
+
+
+def _prep_gate(amplitudes: np.ndarray) -> Gate:
+    targets = tuple(range(amplitudes.size.bit_length() - 1))
+    return Gate("dense", targets, matrix=_prep_matrix(amplitudes), label="prep")
 
 
 def prep_circuit(coeffs: list[complex]) -> Circuit:
     """PREP, loading sqrt(|c_l| / lambda) onto selector value l, as one
     dense reflection on at least one qubit; the unprepare of
     :func:`assemble` loads the phases."""
-    amplitudes = _amplitudes(coeffs)
-    width = amplitudes.size.bit_length() - 1
-    gate = Gate("dense", tuple(range(width)), matrix=_prep_matrix(amplitudes), label="prep")
-    return Circuit(width, (gate,))
+    prep = _prep_gate(_amplitudes(coeffs)[0])
+    return Circuit(len(prep.targets), (prep,))
 
 
 def _registers(d: Decomposition, what: str) -> tuple[int, int]:
@@ -102,10 +116,6 @@ def _registers(d: Decomposition, what: str) -> tuple[int, int]:
         raise ValueError(f"cannot {what} an empty decomposition")
     width = _selector_width(len(d.terms))
     return width, width + 1 + d.n_qubits
-
-
-def _lambda(d: Decomposition) -> float:
-    return float(sum(abs(t.coeff) for t in d.terms))
 
 
 def select_circuit(d: Decomposition) -> Circuit:
@@ -125,23 +135,19 @@ def assemble(d: Decomposition) -> BlockEncoding:
     is built when selector + 1 + system exceeds the dense limit."""
     width, total = _registers(d, "block-encode")
     _require_width(total, "block encoding")
-    lam = _lambda(d)
-    if not math.isfinite(lam):
-        raise ValueError("lambda = sum |coeff| out of floating-point range")
+    coeffs = d.coeffs.tolist()
+    amplitudes, lam = _amplitudes(coeffs)
     select = select_circuit(d)
-    coeffs = [t.coeff for t in d.terms]
     if width == 0:  # no selector: the coefficient's phase is global
         gates = select.gates
         phase = _phase(coeffs[0])
         if abs(phase - 1.0) > ZERO_TOL:
             gates += (Gate("dense", (0,), matrix=phase * np.eye(2, dtype=complex), label="phase"),)
     else:
-        amplitudes = _amplitudes(coeffs)
         unprepare = amplitudes.astype(complex)
         unprepare[: len(coeffs)] *= np.conj([_phase(c) for c in coeffs])
-        targets = tuple(range(width))
-        prep = Gate("dense", targets, matrix=_prep_matrix(amplitudes), label="prep")
-        prep_dag = Gate("dense", targets, matrix=_prep_matrix(unprepare).conj().T, label="prep_dag")
+        prep = _prep_gate(amplitudes)
+        prep_dag = Gate("dense", prep.targets, matrix=_prep_matrix(unprepare).conj().T, label="prep_dag")
         gates = (prep, *select.gates, prep_dag)
     return BlockEncoding(width, d.n_qubits, lam, Circuit(total, gates, select.ancillas), d)
 
@@ -174,7 +180,6 @@ def resource_report(d: Decomposition, epsilon: float) -> dict:
     L = len(d.terms)
     n = d.n_qubits
     N = 1 << n
-    lam = _lambda(d)
     log_inv_eps = -math.log2(epsilon)  # finite where 1 / epsilon overflows
     # One MCX per completion; an all-identity term has a bare X instead.
     arities = [(len(c),) if (c := _term_controls(t, offset=1)) else () for t in d.terms]
@@ -182,7 +187,7 @@ def resource_report(d: Decomposition, epsilon: float) -> dict:
         "L": L,
         "n": n,
         "N": N,
-        "lambda": lam,
+        "lambda": _lambda(d.coeffs)[1],
         "epsilon": epsilon,
         "selector_qubits": _selector_width(L),
         "per_term_mcx_arities": [list(a) for a in arities],

@@ -39,8 +39,12 @@ HEAT_WAVE_GRID = ((2, 2), (2, 3), (3, 3), (3, 4))  # n_x(n_t) = 4(4), 4(8), 8(8)
 
 def load_oracle(path: str, label: str) -> StateOracle:
     data = _codec.read_json(path)
+    n = _codec.field(data, "n_qubits", int)
     matrix = _codec.complex_matrix(_codec.field(data, "matrix", list))
-    return StateOracle(matrix, _codec.field(data, "label", str, label))
+    oracle = StateOracle(matrix, _codec.field(data, "label", str, label))
+    if oracle.n_qubits != n:
+        raise ValueError(f"oracle {oracle.label!r} declares {n} qubits, its matrix acts on {oracle.n_qubits}")
+    return oracle
 
 
 def save_oracle(oracle: StateOracle, path: str) -> None:

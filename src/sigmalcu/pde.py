@@ -168,8 +168,17 @@ def ode_extended_a1(t: int, s: int) -> Decomposition:
     """
     if t < 1 or s < 0:
         raise ValueError("need t >= 1 and s >= 0")
-    terms = [SigmaTerm(1.0, I * (t + s))]
-    terms += [SigmaTerm(-1.0, f + I * s) for f in _increment(t)]
+    return _time_stepped(t, s, [], 0.0)
+
+
+def _time_stepped(t: int, s: int, spatial_terms: list[SigmaTerm], scale: float) -> Decomposition:
+    """The time-stepping block of :func:`ode_extended_a1` plus the spatial
+    terms on s qubits, scaled and lifted onto all time blocks except the
+    first: identity prefix minus the all-|0><0| prefix selecting block zero."""
+    terms = [SigmaTerm(1.0, I * (t + s)), *(SigmaTerm(-1.0, f + I * s) for f in _increment(t))]
+    for term in spatial_terms:
+        terms.append(SigmaTerm(scale * term.coeff, I * t + term.factors))
+        terms.append(SigmaTerm(-(scale * term.coeff), A * t + term.factors))
     return Decomposition.build(t + s, terms)
 
 
@@ -181,18 +190,6 @@ def _diffusion_terms(s: int, corner: float) -> list[SigmaTerm]:
         terms.append(SigmaTerm(corner, A * s))
         terms.append(SigmaTerm(corner, B * s))
     return terms
-
-
-def _space_block_terms(
-    t: int, spatial_terms: list[SigmaTerm], scale: float
-) -> list[SigmaTerm]:
-    """Scale and lift spatial terms onto all time blocks except the first:
-    identity prefix minus the all-|0><0| prefix selecting block zero."""
-    lifted = []
-    for term in spatial_terms:
-        lifted.append(SigmaTerm(scale * term.coeff, I * t + term.factors))
-        lifted.append(SigmaTerm(-(scale * term.coeff), A * t + term.factors))
-    return lifted
 
 
 def _square(name: str, x: float) -> float:
@@ -218,9 +215,7 @@ def heat_1d(p: HeatParams) -> PdeSystem:
     """
     s, t = p.s, p.t
     gamma = p.alpha * p.dt / _square("grid spacing dx", p.dx)
-    terms = list(ode_extended_a1(t, s).terms)
-    terms.extend(_space_block_terms(t, _diffusion_terms(s, p.corner_value), -gamma))
-    decomposition = Decomposition.build(t + s, terms)
+    decomposition = _time_stepped(t, s, _diffusion_terms(s, p.corner_value), -gamma)
 
     conduction = p.k_cond * p.dx  # positive unless the product underflows
     flux = p.q_flux * p.dt / conduction if conduction else math.inf
@@ -245,28 +240,20 @@ def wave_1d(
     Neumann diffusion stencil scaled by c**2 / dx**2.  The right-hand side
     holds the all-ones initial state in the first time block.
     """
-    if s < 1 or t < 1:
-        raise ValueError("s and t must be >= 1")
-    _require_positive({"wave speed c": c, "length": length, "final time T": T})
-    n_x = 1 << s
-    n_t = 1 << t
-    dx = (length if length is not None else float(n_x)) / n_x
-    dt = (T if T is not None else float(n_t - 1)) / (n_t - 1)
-
-    speed = _square("wave speed c", c) / _square("grid spacing dx", dx)
+    grid = HeatParams(s, t, length=length, T=T)  # checks s, t, length and T; gives dx and dt
+    _require_positive({"wave speed c": c})
+    speed = _square("wave speed c", c) / _square("grid spacing dx", grid.dx)
     generator = [
         SigmaTerm(speed * term.coeff, M + term.factors)
         for term in _diffusion_terms(s, corner=1.0)
     ]
     generator.append(SigmaTerm(1.0, P + I * s))
 
-    terms = list(ode_extended_a1(t, s + 1).terms)
-    terms.extend(_space_block_terms(t, generator, -dt))
-    decomposition = Decomposition.build(t + s + 1, terms)
+    decomposition = _time_stepped(t, s + 1, generator, -grid.dt)
     matrix = reconstruct(decomposition)
 
-    rhs = np.zeros(n_t * 2 * n_x, dtype=complex)
-    rhs[: 2 * n_x] = 1.0
+    rhs = np.zeros(grid.n_t * 2 * grid.n_x, dtype=complex)
+    rhs[: 2 * grid.n_x] = 1.0
 
     predicted = (t + 1) + 2 * (2 * (s + 1) + 4)
     return PdeSystem(matrix, rhs, decomposition, predicted)

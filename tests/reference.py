@@ -34,7 +34,8 @@ gate lists.
 
 :func:`prep_matrix` is PREP's real reflection as ``blockenc`` built it
 before the one builder for both preparations; ``test_blockenc.py``
-requires ``prep_circuit`` to reproduce it byte for byte.
+requires ``prep_circuit`` to reproduce it byte for byte, and every lambda
+the package reports to equal :func:`prep_lambda` bit for bit.
 """
 
 from __future__ import annotations
@@ -345,6 +346,12 @@ def build_dilation_circuit(term: SigmaTerm) -> Circuit:
     return Circuit(term.n_qubits + 1, tuple(gates), frozenset({0}))
 
 
+def prep_lambda(coeffs: list[complex]) -> float:
+    """The lambda :func:`prep_matrix` normalises by: numpy's sum of the
+    magnitudes, in the given order."""
+    return float(np.array([abs(complex(c)) for c in coeffs], dtype=float).sum())
+
+
 def prep_matrix(coeffs: list[complex]) -> np.ndarray:
     """PREP as ``blockenc`` built it before its reflection took complex
     targets: the real reflection sending |0> to sqrt(|c_l| / lambda),
@@ -352,7 +359,7 @@ def prep_matrix(coeffs: list[complex]) -> np.ndarray:
     mags = np.array([abs(complex(c)) for c in coeffs], dtype=float)
     dim = 1 << max(1, (len(coeffs) - 1).bit_length())
     amplitudes = np.zeros(dim)
-    amplitudes[: len(coeffs)] = np.sqrt(mags / mags.sum())
+    amplitudes[: len(coeffs)] = np.sqrt(mags / prep_lambda(coeffs))
     target = np.zeros(dim)
     target[0] = 1.0
     v = target - amplitudes

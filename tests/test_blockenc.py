@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 
@@ -58,6 +59,17 @@ def test_prep_rejects_all_zero():
         prep_circuit([0.0, 0.0])
     with pytest.raises(ValueError, match="nonzero"):
         prep_circuit([])
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1e308] * 3, [complex(1.7e308, 1.7e308)], [math.nan, 1.0]],
+    ids=["sum-overflows", "magnitude-overflows", "nan"],
+)
+def test_prep_refuses_a_lambda_out_of_range(coeffs):
+    with pytest.raises(ValueError) as info:
+        prep_circuit(coeffs)
+    assert str(info.value) == "lambda = sum |coeff| out of floating-point range"
 
 
 def test_select_single_term_collapses_selector():
@@ -300,3 +312,26 @@ def test_block_is_the_matrix_over_lambda(d):
     target = sum(t.coeff / encoding.lam * term_matrix(SigmaTerm(1.0, t.factors)).to_dense() for t in d.terms)
     assert frobenius_distance(block, target) <= BLOCK_TOL
     assert verify_block_encoding(encoding)["frobenius_error"] <= BLOCK_TOL
+
+
+STRINGS3 = ["".join(f) for f in itertools.product("IPMAB", repeat=3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.complex_numbers(min_magnitude=0.01, max_magnitude=100, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=40,
+    )
+)
+# In the decomposition's order these eight sum to 3.6000000000000005 left
+# to right, and to 3.5999999999999996 in numpy's pairwise order.
+@example(coeffs=[0.1 * (k + 1) for k in range(8)])
+def test_every_lambda_is_the_one_prep_normalises_by(coeffs):
+    d = Decomposition(3, (SigmaTerm(c, f) for c, f in zip(coeffs, STRINGS3)))
+    want = reference.prep_lambda(d.coeffs).hex()
+    encoding = assemble(d)
+    assert encoding.lam.hex() == want
+    assert resource_report(d, 1e-3)["lambda"].hex() == want
+    assert verify_block_encoding(encoding)["lambda"].hex() == want

@@ -712,6 +712,7 @@ VALID_ORACLE = {
 }
 ORACLE_FIELDS = [
     ((), "object"),
+    (("n_qubits",), "int"),
     (("label",), "str"),
     (("matrix",), "list"),
     (("matrix", 5), "pair"),
@@ -857,6 +858,16 @@ def test_malformed_oracle_exits_1(payload, role):
         for flag, path in roles.items():
             argv += [flag, path]
         assert_input_error(argv)
+
+
+def test_oracle_declaring_another_width_exits_1(tmp_path):
+    decomp = write_json(tmp_path / "d.json", VALID_DECOMPOSITION)
+    good = write_json(tmp_path / "v.json", VALID_ORACLE)
+    wide = write_json(tmp_path / "u.json", {**VALID_ORACLE, "n_qubits": 3})
+    out = tmp_path / "out.json"
+    code, err = run_cli(["expval", "--decomp", decomp, "--u", wide, "--v", good, "--out", str(out)])
+    assert (code, err) == (1, "error: oracle 'U' declares 3 qubits, its matrix acts on 2\n")
+    assert not out.exists()
 
 
 def valid_circuit():
