@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _codec, blockenc, matrices, pauli, pde, sigma
+from . import _codec, blockenc, pauli, pde, sigma
 from .circuits import (
     build_dilation_circuit,
     build_ul_circuit,
@@ -57,10 +57,11 @@ def save_oracle(oracle: StateOracle, path: str) -> None:
 
 
 def _require_pauli_size(family: str, s: int, t: int | None) -> None:
-    """Refuse a grid point too wide for the Pauli decomposition without
-    building it: poisson takes s qubits, heat s + t and wave s + t + 1."""
+    """Refuse a grid point over the Pauli decomposition's budget without
+    building it: poisson takes s qubits, heat s + t and wave s + t + 1, and
+    every family's matrix of n qubits has n + 1 bit-flip masks."""
     width = s if family == "poisson" else s + t + (family == "wave")
-    matrices._require_width(width, "pauli decomposition")
+    pauli._require_mask_budget(width + 1, width)
 
 
 def _generate_system(
@@ -293,9 +294,10 @@ def cmd_expval(args: argparse.Namespace) -> int:
 
 def cmd_block_encode(args: argparse.Namespace) -> int:
     decomposition = sigma.load_decomposition(args.decomp)
-    # Compute everything first, so that invalid input writes no file.
-    resources = blockenc.resource_report(decomposition, args.epsilon)
+    # Compute everything first, so that invalid input writes no file; the
+    # width guard in assemble comes before the cost of the report.
     encoding = blockenc.assemble(decomposition)
+    resources = blockenc.resource_report(decomposition, args.epsilon)
     report = blockenc.verify_block_encoding(encoding)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

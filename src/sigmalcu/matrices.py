@@ -35,8 +35,8 @@ from ._codec import _require_power_of_two
 # above it.
 ZERO_TOL = 1e-14
 
-# Widest register held as a dense 2^n x 2^n complex array or a 4^n Pauli
-# vector: 2^24 values, 256 MiB.
+# Widest register held as a dense 2^n x 2^n complex array: 2^24 values,
+# 256 MiB.
 DENSE_QUBIT_LIMIT = 12
 
 # Widest matrix that from_entries and the mapping constructor accept: a

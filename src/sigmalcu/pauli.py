@@ -1,22 +1,35 @@
-"""Pauli-basis decomposition by a tensorized transform, for term-count comparison.
+"""Pauli-basis decomposition by bit-flip masks, for term-count comparison.
 
-The coefficient of a Pauli string P in a matrix A is Tr(P^dag A) / 2^n.
-Both factorize over qubits, so the entries of A are laid out as a
-``(4,)*n`` array whose axis ``p`` is qubit p's (row bit, col bit) pair, and
-one 4x4 transform per axis turns the pairs (00, 01, 10, 11) into the traces
-against (I, X, Y, Z) (Hantzko, Binkowski and Gupta, "Tensorized Pauli
-decomposition algorithm").  The inverse transform rebuilds the matrix from
-the coefficients (as in Romero and Santos-Suarez, "PauliComposer").  Both
-take n passes over 4^n values instead of a 4^n outer product per entry.
+A Pauli string is a bit flip times a diagonal of signs and phases
+(Romero and Santos-Suarez, "PauliComposer", arXiv:2301.00560).  With bit
+k of ``x`` set where the factor at position n-1-k is X or Y, and bit k of
+``z`` set where it is Z or Y, the string is P(x, z) = i^|x&z| X^x Z^z:
+column c holds its one nonzero at row c ^ x, with value
+i^|x&z| (-1)^|z&c|.  The coefficient of P(x, z) in a matrix A is then
+
+    Tr(P^dag A) / 2^n = (-i)^|x&z| / 2^n * sum_c (-1)^|z&c| A[c ^ x, c],
+
+the unnormalized Walsh-Hadamard transform over z of the entries on A's
+mask-x diagonal.  The nonzeros are grouped by x = row ^ col, and one
+transform per mask present gives every coefficient of that mask.  The
+transform factors over bits, so it is applied four bits at a time as a
+product with the 16 x 16 Hadamard matrix: about 4n multiply-adds per
+value.  The work is O(nnz + masks * n * 2^n): for a dense matrix the
+O(n * 4^n) of the tensorized transform (Hantzko, Binkowski and Gupta,
+arXiv:2310.13421), for a PDE matrix, which has n + 1 masks,
+O(n^2 * 2^n).  :func:`pauli_reconstruct` runs the same transform
+backwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
-from .matrices import SparseMatrix, _require_width
+from .matrices import SPARSE_QUBIT_LIMIT, SparseMatrix, _require_width
 
 PAULI_CHARS = "IXYZ"
 
@@ -27,11 +40,22 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Row k: values of Pauli k at bit pairs (0,0), (0,1), (1,0), (1,1).
-_PAULI_AT_PAIR = np.array([PAULI_MATRICES[ch].reshape(-1) for ch in PAULI_CHARS])
-
 _PAULI_BYTES = np.frombuffer(PAULI_CHARS.encode("ascii"), dtype=np.uint8)
 _PAULI_DIGITS = str.maketrans(PAULI_CHARS, "0123")
+
+# Most mask x column values one decomposition transforms: 4^12 for a dense
+# 12-qubit matrix, 21 x 2^20 for poisson s=20.
+_MASK_BUDGET = 1 << 25
+# Values transformed at once, in whole mask rows: 32 MiB of complex128,
+# and as much again for each matrix product.
+_CHUNK = 1 << 21
+
+_BYTE = np.arange(256, dtype=np.int64)
+_POPCOUNT_8 = sum((_BYTE >> k) & 1 for k in range(8))
+_SPREAD_8 = sum(((_BYTE >> k) & 1) << (2 * k) for k in range(8))
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])  # (-i)^k at k mod 4
+# Entry (z, c) is (-1)^|z & c|; its top-left 2^b block is that of b bits.
+_HADAMARD_16 = (-1.0) ** _POPCOUNT_8[np.bitwise_and.outer(np.arange(16), np.arange(16))]
 
 
 @dataclass(frozen=True)
@@ -44,66 +68,131 @@ class PauliTerm:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PauliDecomposition:
+    """Pauli terms over a shared register width, held as two columns.
+
+    ``keys`` holds each factor string as an int64 base-4 number with one
+    digit per position, position 0 most significant, and I, X, Y, Z as
+    digits 0-3, so that keys sort like the strings.  ``coeffs`` holds the
+    complex128 coefficients.  ``terms`` builds the matching
+    :class:`PauliTerm` tuple on first use.
+
+    ``PauliDecomposition(n, terms)`` stores the given terms in the given
+    order, repeated strings included; it refuses a string of another width.
+    """
+
     n_qubits: int
-    terms: tuple[PauliTerm, ...]
+    keys: np.ndarray
+    coeffs: np.ndarray
+
+    def __init__(self, n_qubits: int, terms: Iterable[PauliTerm]) -> None:
+        terms = tuple(terms)
+        _require_width(n_qubits, "Pauli strings", SPARSE_QUBIT_LIMIT)  # keys fit in int64
+        for t in terms:
+            if len(t.factors) != n_qubits:
+                raise ValueError(f"Pauli string {t.factors!r} does not act on {n_qubits} qubits")
+        keys = np.array([int(t.factors.translate(_PAULI_DIGITS), 4) for t in terms], dtype=np.int64)
+        self._store(n_qubits, keys, np.array([t.coeff for t in terms], dtype=complex))
+        object.__setattr__(self, "terms", terms)
+
+    def _store(self, n_qubits: int, keys: np.ndarray, coeffs: np.ndarray) -> None:
+        for array in (keys, coeffs):
+            array.flags.writeable = False
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @cached_property
+    def terms(self) -> tuple[PauliTerm, ...]:
+        n = self.n_qubits
+        digits = (self.keys[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+        strings = _PAULI_BYTES[digits].view(f"S{n}").ravel().astype(str).tolist()
+        return tuple(map(PauliTerm, self.coeffs.tolist(), strings))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.coeffs.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PauliDecomposition):
+            return NotImplemented
+        return (
+            self.n_qubits == other.n_qubits
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
 
 
-def _transform(a: np.ndarray, n: int, inverse: bool) -> None:
-    """Apply the per-qubit 4x4 transform to the flat ``(4,)*n`` array ``a``
-    in place, one pair of butterflies per axis.
+def _require_mask_budget(masks: int, n_qubits: int) -> None:
+    """Raise ValueError before a decomposition of ``masks`` bit-flip masks
+    on ``n_qubits`` allocates more than the budget of mask x column values."""
+    if masks << n_qubits > _MASK_BUDGET:
+        raise ValueError(
+            f"pauli decomposition limited to 2^{_MASK_BUDGET.bit_length() - 1} mask x column values, "
+            f"got {masks} x 2^{n_qubits}"
+        )
 
-    Forward, (a00, a01, a10, a11) -> (I, X, Y, Z) = the rows of
-    ``_PAULI_AT_PAIR.conj()`` applied to the pair: I, Z = a00 +- a11 and
-    X, Y = a01 + a10, i(a01 - a10).  Inverse, (cI, cX, cY, cZ) -> the pair:
-    a00, a11 = cI +- cZ and a01, a10 = cX -+ i cY.
-    """
-    scratch = np.empty(a.size // 4, dtype=complex)
-    for p in range(n):
-        v = a.reshape(4**p, 4, -1)
-        t = scratch.reshape(4**p, -1)
-        s0, s1, s2, s3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
-        np.subtract(s0, s3, out=t)
-        s0 += s3
-        s3[...] = t
-        if inverse:
-            np.multiply(s2, 1j, out=t)
-            np.add(s1, t, out=s2)
-            s1 -= t
+
+def _popcount(v: np.ndarray, n: int) -> np.ndarray:
+    """Number of set bits of each n-bit value."""
+    return sum(_POPCOUNT_8[(v >> k) & 255] for k in range(0, n, 8))
+
+
+def _spread(v: np.ndarray, n: int) -> np.ndarray:
+    """Each n-bit value with its bit k moved to bit 2k."""
+    return sum(_SPREAD_8[(v >> k) & 255] << (2 * k) for k in range(0, n, 8))
+
+
+def _compact(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_spread`: bit 2k of each value moved to bit k."""
+    return sum(((v >> (2 * k)) & 1) << k for k in range(n))
+
+
+def _walsh_hadamard(block: np.ndarray, n: int) -> None:
+    """Unnormalized Walsh-Hadamard transform of each 2^n row of the
+    contiguous ``block``, in place: bits k to k + 3 at a time, as a
+    product with the Hadamard matrix of those bits."""
+    for k in range(0, n, 4):
+        size = 1 << min(4, n - k)
+        h = _HADAMARD_16[:size, :size]
+        if k == 0:  # contiguous groups of ``size``: one matrix product
+            v = block.reshape(-1, size)
+            v[...] = v @ h
         else:
-            np.subtract(s1, s2, out=t)
-            s1 += s2
-            np.multiply(t, 1j, out=s2)
+            v = block.reshape(-1, size, 1 << k)
+            v[...] = h @ v
 
 
 def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
     """All Pauli strings with |Tr(P^dag A)| / 2^n above ``tol``.
 
     Terms come out sorted by factor string.  Reconstruction from the kept
-    terms matches the input within tol * L in Frobenius norm.
+    terms matches the input within tol * L in Frobenius norm.  A matrix
+    whose masks x 2^n exceed the budget is refused before any transform
+    is allocated.
     """
-    n = m.n_qubits
-    # The transform holds all 4**n coefficients at once.
-    _require_width(n, "pauli decomposition")
-    # Bit k of the row goes to bit 2k+1 of the flat index, bit k of the
-    # column to bit 2k, so qubit p's pair is digit n-1-p in base 4.
-    flat = np.zeros(m.nnz, dtype=np.int64)
-    for k in range(n):
-        flat |= ((m.rows >> k) & 1) << (2 * k + 1) | ((m.cols >> k) & 1) << (2 * k)
-    a = np.zeros(4**n, dtype=complex)
-    a[flat] = m.vals
-    _transform(a, n, inverse=False)
-    a /= m.dim
-
-    kept = np.flatnonzero(np.abs(a) > tol)
-    digits = (kept[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
-    strings = _PAULI_BYTES[digits].view(f"S{n}").ravel().astype(str).tolist()
-    coeffs = a[kept].tolist()
-    return PauliDecomposition(n, tuple(map(PauliTerm, coeffs, strings)))
+    n, dim = m.n_qubits, m.dim
+    masks, slot = np.unique(m.rows ^ m.cols, return_inverse=True)
+    _require_mask_budget(masks.size, n)
+    # A real matrix, such as every PDE system, transforms in real arithmetic.
+    vals = m.vals if m.vals.imag.any() else m.vals.real
+    per_chunk = max(1, _CHUNK >> n)
+    keys, coeffs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
+    for first in range(0, masks.size, per_chunk):
+        x = masks[first : first + per_chunk]
+        here = (slot >= first) & (slot < first + x.size)
+        block = np.zeros((x.size, dim), dtype=vals.dtype)
+        block[slot[here] - first, m.cols[here]] = vals[here]
+        _walsh_hadamard(block, n)
+        r, z = np.nonzero(np.abs(block) > tol * dim)
+        flips = x[r]
+        keys.append(_spread(flips ^ z, n) + 2 * _spread(z, n))
+        coeffs.append(block[r, z] / dim * _MINUS_I_POWERS[_popcount(flips & z, n) & 3])
+    keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
+    order = np.argsort(keys)
+    out = object.__new__(PauliDecomposition)
+    out._store(n, keys[order], coeffs[order])
+    return out
 
 
 def pauli_matrix(factors: str) -> np.ndarray:
@@ -116,16 +205,18 @@ def pauli_matrix(factors: str) -> np.ndarray:
 
 
 def pauli_reconstruct(pd: PauliDecomposition) -> np.ndarray:
-    """Dense sum of the terms; repeated strings add up."""
+    """Dense sum of the terms; repeated strings add up.  Per mask x, the
+    transform over z of coeff(x, z) i^|x&z| is the column-indexed
+    diagonal A[c ^ x, c]."""
     n = pd.n_qubits
     _require_width(n, "pauli_reconstruct")
-    index = []
-    for t in pd.terms:
-        if len(t.factors) != n:
-            raise ValueError(f"Pauli string {t.factors!r} does not act on {n} qubits")
-        index.append(int(t.factors.translate(_PAULI_DIGITS), 4))
-    a = np.zeros(4**n, dtype=complex)
-    np.add.at(a, np.array(index, dtype=np.int64), [t.coeff for t in pd.terms])
-    _transform(a, n, inverse=True)
-    rows_then_cols = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    return a.reshape((2,) * (2 * n)).transpose(rows_then_cols).reshape(1 << n, 1 << n)
+    z = _compact(pd.keys >> 1, n)
+    x = _compact(pd.keys, n) ^ z
+    masks, slot = np.unique(x, return_inverse=True)
+    block = np.zeros((masks.size, 1 << n), dtype=complex)
+    np.add.at(block, (slot, z), pd.coeffs * _MINUS_I_POWERS[-_popcount(x & z, n) & 3])
+    _walsh_hadamard(block, n)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    cols = np.arange(1 << n)
+    out[cols ^ masks[:, None], cols] = block
+    return out

@@ -36,6 +36,12 @@ gate lists.
 before the one builder for both preparations; ``test_blockenc.py``
 requires ``prep_circuit`` to reproduce it byte for byte, and every lambda
 the package reports to equal :func:`prep_lambda` bit for bit.
+
+:func:`decompose_pauli` is the Pauli decomposition as the package ran it
+before it grouped entries by bit-flip mask: every entry scattered into
+all 4^n coefficients at once, then :func:`pauli_transform`, one 4x4
+transform per qubit.  ``test_pauli.py`` requires the mask kernel to keep
+the same strings in the same order, with coefficients within 1e-12.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ import scipy.sparse
 from sigmalcu import _codec
 from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _file_kind, _folded_matrix
 from sigmalcu.expectation import _H, StateOracle, _oracle_gate
-from sigmalcu.matrices import ZERO_TOL, SparseMatrix
+from sigmalcu.matrices import ZERO_TOL, SparseMatrix, _require_width
+from sigmalcu.pauli import PAULI_CHARS, PAULI_MATRICES, PauliDecomposition, PauliTerm
 from sigmalcu.sigma import FACTOR_FROM_BITS, Decomposition, SigmaFactor, SigmaTerm
 
 
@@ -368,3 +375,47 @@ def prep_matrix(coeffs: list[complex]) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     v = v / norm
     return (np.eye(dim) - 2.0 * np.outer(v, v)).astype(complex)
+
+
+# Row k: values of Pauli k at bit pairs (0,0), (0,1), (1,0), (1,1).
+PAULI_AT_PAIR = np.array([PAULI_MATRICES[ch].reshape(-1) for ch in PAULI_CHARS])
+PAULI_BYTES = np.frombuffer(PAULI_CHARS.encode("ascii"), dtype=np.uint8)
+
+
+def pauli_transform(a: np.ndarray, n: int) -> None:
+    """Apply the per-qubit 4x4 transform to the flat ``(4,)*n`` array ``a``
+    in place, one pair of butterflies per axis: (a00, a01, a10, a11) ->
+    (I, X, Y, Z) = the rows of ``PAULI_AT_PAIR.conj()`` applied to the pair,
+    I, Z = a00 +- a11 and X, Y = a01 + a10, i(a01 - a10)."""
+    scratch = np.empty(a.size // 4, dtype=complex)
+    for p in range(n):
+        v = a.reshape(4**p, 4, -1)
+        t = scratch.reshape(4**p, -1)
+        s0, s1, s2, s3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+        np.subtract(s0, s3, out=t)
+        s0 += s3
+        s3[...] = t
+        np.subtract(s1, s2, out=t)
+        s1 += s2
+        np.multiply(t, 1j, out=s2)
+
+
+def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
+    """All 4^n coefficients by :func:`pauli_transform`, kept above ``tol``
+    in string order; at most 12 qubits."""
+    n = m.n_qubits
+    _require_width(n, "pauli decomposition")
+    # Bit k of the row goes to bit 2k+1 of the flat index, bit k of the
+    # column to bit 2k, so qubit p's pair is digit n-1-p in base 4.
+    flat = np.zeros(m.nnz, dtype=np.int64)
+    for k in range(n):
+        flat |= ((m.rows >> k) & 1) << (2 * k + 1) | ((m.cols >> k) & 1) << (2 * k)
+    a = np.zeros(4**n, dtype=complex)
+    a[flat] = m.vals
+    pauli_transform(a, n)
+    a /= m.dim
+
+    kept = np.flatnonzero(np.abs(a) > tol)
+    digits = (kept[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+    strings = PAULI_BYTES[digits].view(f"S{n}").ravel().astype(str).tolist()
+    return PauliDecomposition(n, tuple(map(PauliTerm, a[kept].tolist(), strings)))

@@ -155,9 +155,9 @@ def test_generate_requires_t(tmp_path, capsys):
 
 def test_generate_pauli_over_limit_writes_nothing(tmp_path, capsys):
     outdir = tmp_path / "big"
-    argv = ["generate", "--family", "poisson", "--s", "13", "--pauli", "--outdir", str(outdir)]
+    argv = ["generate", "--family", "poisson", "--s", "21", "--pauli", "--outdir", str(outdir)]
     assert main(argv) == 1
-    assert "limited to 12 qubits" in capsys.readouterr().err
+    assert "limited to 2^25 mask x column values" in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -297,16 +297,17 @@ def test_compare_heat_point(tmp_path, capsys):
     assert int(pauli_terms) >= int(sigma_terms)
 
 
-# One 13-qubit point per family (poisson s, heat s + t, wave s + t + 1),
-# for compare after a point that fits and for generate --pauli.
+# One 21-qubit point per family (poisson s, heat s + t, wave s + t + 1),
+# the narrowest over the Pauli budget at 22 masks x 2^21, for compare after
+# a point that fits and for generate --pauli.
 WIDE_POINTS = [
-    ("poisson", "poisson_1d", "16,8192", ["--s", "13"]),
-    ("heat", "heat_1d", "4(4),1024(8)", ["--s", "10", "--t", "3"]),
-    ("wave", "wave_1d", "4(4),512(8)", ["--s", "9", "--t", "3"]),
+    ("poisson", "poisson_1d", "16,2097152", ["--s", "21"]),
+    ("heat", "heat_1d", "4(4),262144(8)", ["--s", "18", "--t", "3"]),
+    ("wave", "wave_1d", "4(4),131072(8)", ["--s", "17", "--t", "3"]),
 ]
 
 
-@pytest.mark.parametrize("family, builder, points, grid", WIDE_POINTS)
+@pytest.mark.parametrize("family, builder, points, grid", WIDE_POINTS, ids=[p[0] for p in WIDE_POINTS])
 def test_pauli_guard_refuses_before_any_system_is_built(
     tmp_path, capsys, monkeypatch, family, builder, points, grid
 ):
@@ -314,7 +315,7 @@ def test_pauli_guard_refuses_before_any_system_is_built(
         raise AssertionError("system built before the Pauli guard")
 
     monkeypatch.setattr(f"sigmalcu.pde.{builder}", refuse_to_build)
-    expected = ["error: pauli decomposition limited to 12 qubits, got 13"]
+    expected = ["error: pauli decomposition limited to 2^25 mask x column values, got 22 x 2^21"]
     assert main(["compare", "--family", family, "--range", points]) == 1
     assert capsys.readouterr().err.splitlines() == expected
     outdir = tmp_path / "sys"
@@ -322,6 +323,15 @@ def test_pauli_guard_refuses_before_any_system_is_built(
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == expected
     assert not outdir.exists()
+
+
+def test_compare_past_the_dense_limit(capsys):
+    assert main(["compare", "--family", "poisson", "--range", "8192,65536"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "family,n_x,n_t,sigma_terms,pauli_terms",
+        "poisson,8192,,27,8192",
+        "poisson,65536,,33,65536",
+    ]
 
 
 def test_compare_rejects_bad_range(capsys):
@@ -655,6 +665,22 @@ def test_block_encode_exits_2_above_tolerance(tmp_path, capsys, monkeypatch):
     assert f"frobenius_error: {report['frobenius_error']:.3e}" in capsys.readouterr().out
     assert (bedir / "resources.json").exists()
     assert (bedir / "block_encoding.json").exists()
+
+
+def test_block_encode_refuses_width_before_resource_report(tmp_path, capsys, monkeypatch):
+    outdir = tmp_path / "sys"
+    main(["generate", "--family", "poisson", "--s", "8", "--outdir", str(outdir)])
+    capsys.readouterr()
+
+    def no_report(*args):
+        raise AssertionError("resource_report ran before the width guard")
+
+    monkeypatch.setattr(blockenc, "resource_report", no_report)
+    bedir = tmp_path / "be"
+    # 17 terms: a 5-qubit selector, the ancilla and 8 system qubits.
+    assert main(["block-encode", "--decomp", str(outdir / "decomposition.json"), "--outdir", str(bedir)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: block encoding limited to 12 qubits, got 14"]
+    assert not bedir.exists()
 
 
 @pytest.mark.parametrize("epsilon", ["2", "0", "-1"])

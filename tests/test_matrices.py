@@ -222,15 +222,17 @@ def test_opposite_infinities_are_refused_not_pruned():
         SparseMatrix.from_entries(1, [(0, 0, math.inf), (0, 0, -math.inf)])
 
 
-# Every builder of a dense 2^n x 2^n (or 4^n) array, called one qubit past
-# the limit, where the array would take 1 GiB (4 GiB for the Pauli vector).
+# Every builder of a dense 2^n x 2^n array, called one qubit past the
+# limit, where the array would take 1 GiB; and the Pauli decomposition one
+# mask past its budget of 2^25 mask x column values (2^12 masks at 13 qubits).
 WIDE = 13
 LADDERS = (SigmaFactor.SPLUS,) * WIDE
+OVER_MASK_BUDGET = SparseMatrix.from_entries(WIDE, [(x, 0, 1.0) for x in range(4097)])
 GUARDED_BUILDERS = {
     "to_dense": lambda: SparseMatrix(WIDE, {(0, 0): 1.0}).to_dense(),
     "completion_matrix": lambda: completion_matrix(SigmaTerm(1.0, LADDERS)),
     "circuit_to_matrix": lambda: circuit_to_matrix(Circuit(WIDE, ())),
-    "decompose_pauli": lambda: decompose_pauli(SparseMatrix(WIDE, {(0, 0): 1.0})),
+    "decompose_pauli": lambda: decompose_pauli(OVER_MASK_BUDGET),
     "pauli_reconstruct": lambda: pauli_reconstruct(
         PauliDecomposition(WIDE, (PauliTerm(1.0, "X" * WIDE),))
     ),
@@ -239,12 +241,14 @@ GUARDED_BUILDERS = {
     "assemble": lambda: assemble(Decomposition.build(WIDE - 1, [SigmaTerm(1.0, LADDERS[1:])])),
 }
 
+REFUSALS = {"decompose_pauli": rf"limited to 2\^25 mask x column values, got 4097 x 2\^{WIDE}$"}
+
 
 @pytest.mark.parametrize("name", sorted(GUARDED_BUILDERS))
 def test_dense_builders_refuse_before_allocating(name):
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"limited to 12 qubits, got {WIDE}"):
+        with pytest.raises(ValueError, match=REFUSALS.get(name, f"limited to 12 qubits, got {WIDE}")):
             GUARDED_BUILDERS[name]()
         _, peak = tracemalloc.get_traced_memory()
     finally:

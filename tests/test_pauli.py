@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigmalcu.matrices import SparseMatrix, frobenius_distance
+import reference
+from sigmalcu.matrices import Coo, SparseMatrix, frobenius_distance
 from sigmalcu.pauli import (
-    _PAULI_AT_PAIR,
     PAULI_CHARS,
     PauliDecomposition,
     PauliTerm,
@@ -13,7 +15,7 @@ from sigmalcu.pauli import (
     pauli_matrix,
     pauli_reconstruct,
 )
-from sigmalcu.pde import HeatParams, heat_1d, poisson_1d
+from sigmalcu.pde import HeatParams, heat_1d, poisson_1d, wave_1d
 
 CORNER_PAIR = SparseMatrix.from_entries(2, [(0, 3, 1.0), (3, 0, 2.0)])
 
@@ -28,7 +30,7 @@ def splice_reference(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
         for p in range(n):
             row_bit = (r >> (n - 1 - p)) & 1
             col_bit = (c >> (n - 1 - p)) & 1
-            prod = np.multiply.outer(prod, _PAULI_AT_PAIR[:, 2 * row_bit + col_bit])
+            prod = np.multiply.outer(prod, reference.PAULI_AT_PAIR[:, 2 * row_bit + col_bit])
         coeffs += v * prod.conj()
     coeffs /= m.dim
 
@@ -47,7 +49,7 @@ def trace_coefficient(m: SparseMatrix, factors: str) -> complex:
     values = np.array(list(m.entries.values()), dtype=complex)
     for p, ch in enumerate(factors):
         pair = 2 * ((rc[:, 0] >> (n - 1 - p)) & 1) + ((rc[:, 1] >> (n - 1 - p)) & 1)
-        values = values * _PAULI_AT_PAIR[PAULI_CHARS.index(ch), pair].conj()
+        values = values * reference.PAULI_AT_PAIR[PAULI_CHARS.index(ch), pair].conj()
     return complex(values.sum() / m.dim)
 
 
@@ -86,6 +88,63 @@ def assert_same_terms(got: PauliDecomposition, want: PauliDecomposition) -> None
 @example(SparseMatrix(3, {}))
 def test_transform_matches_splice_reference(m):
     assert_same_terms(decompose_pauli(m), splice_reference(m))
+
+
+@st.composite
+def mask_cases(draw, max_qubits=6):
+    """A 1-6 qubit matrix of multiples of 1/4, so that both transforms are
+    exact, and a tolerance.  The matrix is sparse, dense (no zero entry, so
+    that every bit-flip mask occurs) or made of pairs (r, c), (r ^ f, c ^ f)
+    on one mask with values +-v, which cancel half that mask's
+    coefficients.  The tolerance is the default or lies halfway between two
+    multiples of 1 / (4 * 2^n), where the coefficients lie, and prunes."""
+    kind = draw(st.sampled_from(["sparse", "dense", "pairs"]))
+    if kind == "sparse":
+        m = draw(dyadic_sparse(max_qubits))
+    else:
+        n = draw(st.integers(1, max_qubits))
+        dim = 1 << n
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "dense":
+            re = rng.integers(1, 9, (dim, dim)) * rng.choice([-1, 1], (dim, dim))
+            m = SparseMatrix.from_dense((re + 1j * rng.integers(-8, 9, (dim, dim))) / 4)
+        else:
+            k = draw(st.integers(1, 12))
+            r, c = rng.integers(0, dim, (2, k))
+            f = rng.integers(1, dim, k)
+            v = rng.integers(-8, 9, k) / 4
+            sign = rng.choice([-1, 1], k)
+            m = SparseMatrix.from_entries(
+                n, Coo(np.r_[r, r ^ f], np.r_[c, c ^ f], np.r_[v, sign * v].astype(complex))
+            )
+    tol = draw(st.one_of(st.just(1e-12), st.integers(0, 16).map(lambda j: (j + 0.5) / (4 * m.dim))))
+    return m, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_cases())
+@example((CORNER_PAIR, 1e-12))
+@example((SparseMatrix(1, {}), 1e-12))
+@example((SparseMatrix(6, {}), 0.5))
+def test_mask_kernel_matches_tensor_reference(case):
+    """The same strings in the same order as the 4^n tensorized transform,
+    with coefficients within 1e-12."""
+    m, tol = case
+    assert_same_terms(decompose_pauli(m, tol), reference.decompose_pauli(m, tol))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize(
+    "m",
+    [heat_1d(HeatParams(2, 2)).matrix, SparseMatrix.from_dense(np.arange(256).reshape(16, 16) * (1 - 0.5j))],
+    ids=["heat2x2", "dense4"],
+)
+def test_chunked_masks_match_one_block(monkeypatch, m, rows):
+    """Masks transformed a few rows at a time, as past 2^21 values, give
+    the decomposition of one block."""
+    whole = decompose_pauli(m)
+    monkeypatch.setattr("sigmalcu.pauli._CHUNK", rows << m.n_qubits)
+    assert_same_terms(decompose_pauli(m), whole)
 
 
 @pytest.mark.parametrize(
@@ -171,8 +230,47 @@ def test_tolerance_prunes():
 
 
 def test_guard():
-    with pytest.raises(ValueError, match="12"):
-        decompose_pauli(SparseMatrix(13, {(0, 0): 1.0}))
+    """No qubit limit: 13-qubit poisson decomposes.  The limit is a budget
+    of 2^25 mask x column values, refused before any transform exists."""
+    assert len(decompose_pauli(poisson_1d(13).matrix)) == 8192
+    # 64 masks on 20 qubits: 2^26 values, a 1 GiB complex block.
+    wide = SparseMatrix.from_entries(20, [(x, 0, 1.0) for x in range(64)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"limited to 2\^25 mask x column values, got 64 x 2\^20$"):
+            decompose_pauli(wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sixteen_qubit_poisson():
+    """One string per grid point, carrying the whole Frobenius norm."""
+    m = poisson_1d(16).matrix
+    pd = decompose_pauli(m)
+    assert len(pd) == 65536
+    kept_norm = np.sum(np.abs(pd.coeffs) ** 2) * m.dim
+    assert kept_norm == pytest.approx(np.sum(np.abs(m.vals) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [poisson_1d(s).matrix for s in (1, 4, 10)]
+    + [heat_1d(HeatParams(s, t)).matrix for s, t in ((1, 1), (2, 2), (4, 3), (6, 5))]
+    + [wave_1d(s, t).matrix for s, t in ((1, 1), (2, 2), (4, 3), (5, 5))],
+)
+def test_pde_matrices_have_n_plus_one_masks(m):
+    """The count the CLI's budget check assumes before building a system."""
+    assert np.unique(m.rows ^ m.cols).size == m.n_qubits + 1
+
+
+def test_columns_and_lazy_terms():
+    pd = decompose_pauli(CORNER_PAIR)
+    assert pd.keys.tolist() == [5, 6, 9, 10]  # XX, XY, YX, YY in base 4
+    assert "terms" not in vars(pd)
+    assert [t.factors for t in pd.terms] == ["XX", "XY", "YX", "YY"]
+    assert PauliDecomposition(2, pd.terms) == pd
 
 
 def test_terms_sorted_by_string():

@@ -2,8 +2,8 @@ import itertools
 
 import numpy as np
 
+import reference
 from sigmalcu.circuits import CLOSED, OPEN, _term_controls
-from sigmalcu.pauli import _PAULI_AT_PAIR
 from sigmalcu.sigma import (
     FACTOR_FROM_BITS,
     SigmaFactor,
@@ -39,8 +39,8 @@ def test_derived_tables_match_literal_tables():
     literal_pauli = np.array(
         [[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=complex
     )
-    assert _PAULI_AT_PAIR.dtype == literal_pauli.dtype
-    assert np.array_equal(_PAULI_AT_PAIR, literal_pauli)
+    assert reference.PAULI_AT_PAIR.dtype == literal_pauli.dtype
+    assert np.array_equal(reference.PAULI_AT_PAIR, literal_pauli)
 
 
 def test_members_are_their_characters():
