@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -137,18 +138,21 @@ def _parse_compare_range(family: str, text: str | None) -> list[tuple[int, int |
         if family == "poisson":
             return [(s, None) for s in POISSON_GRID]
         return [(s, t) for s, t in HEAT_WAVE_GRID]
+    form = "n_x" if family == "poisson" else "n_x(n_t)"
     points = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if family == "poisson":
-            n_x = int(chunk)
-        else:
-            if "(" not in chunk or not chunk.endswith(")"):
-                raise ValueError(f"expected n_x(n_t) grid point, got {chunk!r}")
-            n_x = int(chunk[: chunk.index("(")])
-            n_t = int(chunk[chunk.index("(") + 1 : -1])
-        s = _require_power_of_two(n_x)
-        points.append((s, None if family == "poisson" else _require_power_of_two(n_t)))
+        head, paren, tail = chunk.partition("(")
+        try:
+            if family == "poisson":
+                n_x, n_t = int(chunk), None
+            elif paren and tail.endswith(")"):
+                n_x, n_t = int(head), int(tail[:-1])
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"expected {form} grid point, got {chunk!r}") from None
+        points.append((_require_power_of_two(n_x), None if n_t is None else _require_power_of_two(n_t)))
     return points
 
 
@@ -313,6 +317,7 @@ def cmd_block_encode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmalcu",
@@ -327,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol", type=float, default=ZERO_TOL, help=f"zero-prune tolerance (at least {ZERO_TOL:g})"
     )
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("generate", help="emit a PDE system and its decomposition")
     p.add_argument("--family", choices=("poisson", "heat", "wave"), required=True)
@@ -343,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wave-speed", type=float, default=1.0)
     p.add_argument("--pauli", action="store_true", help="also record the Pauli term count")
     p.add_argument("--outdir", required=True)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("compare", help="sigma vs Pauli term counts over a grid")
     p.add_argument("--family", choices=("poisson", "heat", "wave"), required=True)
@@ -353,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="poisson: comma list of n_x; heat/wave: comma list of n_x(n_t)",
     )
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="check completion circuits of a decomposition")
     p.add_argument("--decomp", required=True)
@@ -363,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory of term_NNN.json circuits to verify instead of freshly built ones",
     )
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("circuit", help="build the completion circuit of one term")
     p.add_argument("--term", required=True, help="factor string over I, P, M, A, B")
@@ -375,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write a QASM-like text file (default path: --out with .qasm)",
     )
-    p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("expval", help="Hadamard-test expectation of a decomposition")
     p.add_argument("--decomp", required=True)
@@ -385,22 +385,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_expval)
 
     p = sub.add_parser("block-encode", help="assemble and verify a PREP/SELECT encoding")
     p.add_argument("--decomp", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--epsilon", type=float, default=1e-3)
-    p.set_defaults(func=cmd_block_encode)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Looked up per call, so that a rebound cmd_* (a tracer, a test) is the one run.
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -206,6 +206,8 @@ def sample_expval(
         raise ValueError("shots must be >= 1")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be <= {MAX_SHOTS}")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     _check_width(term.n_qubits, u, v)
     rng = np.random.default_rng(seed)
     parts = []

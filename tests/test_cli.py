@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -339,6 +340,19 @@ def test_compare_rejects_bad_range(capsys):
     assert "grid point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, points, chunk", [
+    ("poisson", "16,", "''"),
+    ("poisson", "16,abc", "'abc'"),
+    ("heat", "(4)", "'(4)'"),
+    ("wave", "4(4),4()", "'4()'"),
+    ("heat", "4(x)", "'4(x)'"),
+])
+def test_compare_names_the_malformed_grid_point(capsys, family, points, chunk):
+    form = "n_x" if family == "poisson" else "n_x(n_t)"
+    assert main(["compare", "--family", family, "--range", points]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: expected {form} grid point, got {chunk}"]
+
+
 def test_verify_poisson(tmp_path, capsys):
     outdir = tmp_path / "sys"
     main(["generate", "--family", "poisson", "--s", "2", "--outdir", str(outdir)])
@@ -628,6 +642,16 @@ def test_expval_rejects_shots_with_m(tmp_path, capsys):
     assert "term expectations" in capsys.readouterr().err
 
 
+def test_expval_refuses_a_negative_seed(tmp_path):
+    mtx = write(tmp_path / "m.mtx", CORNER_PAIR_MTX)
+    decomp = str(tmp_path / "d.json")
+    main(["decompose", "--in", mtx, "--out", decomp])
+    oracle = str(tmp_path / "id.json")
+    save_oracle(StateOracle(np.eye(4, dtype=complex), "id"), oracle)
+    argv = ["expval", "--decomp", decomp, "--u", oracle, "--v", oracle, "--shots", "10", "--seed", "-5"]
+    assert assert_input_error(argv) == "error: seed must be >= 0\n"
+
+
 def test_block_encode(tmp_path, capsys):
     outdir = tmp_path / "sys"
     main(["generate", "--family", "poisson", "--s", "2", "--outdir", str(outdir)])
@@ -808,14 +832,18 @@ def malformed(draw, valid, fields):
 
 
 def run_cli(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, err.getvalue()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_input_error(argv):
-    code, err = run_cli(argv)
+    code, _, err = run_cli(argv)
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
@@ -864,7 +892,7 @@ def test_decomposition_without_terms_or_width_exits_1(tmp_path, command, payload
 def test_decomposition_listing_a_string_twice_exits_1(tmp_path):
     # The reader refuses a repeated string, as the Decomposition constructor does.
     payload = {"n_qubits": 1, "terms": [{"re": 1.0, "im": 0.0, "factors": "P"}, {"re": 2.0, "im": 0.0, "factors": "P"}]}
-    code, err = run_cli(decomposition_argv("verify", tmp_path, payload))
+    code, _, err = run_cli(decomposition_argv("verify", tmp_path, payload))
     assert (code, err) == (1, "error: duplicate factor string P\n")
 
 
@@ -891,7 +919,7 @@ def test_oracle_declaring_another_width_exits_1(tmp_path):
     good = write_json(tmp_path / "v.json", VALID_ORACLE)
     wide = write_json(tmp_path / "u.json", {**VALID_ORACLE, "n_qubits": 3})
     out = tmp_path / "out.json"
-    code, err = run_cli(["expval", "--decomp", decomp, "--u", wide, "--v", good, "--out", str(out)])
+    code, _, err = run_cli(["expval", "--decomp", decomp, "--u", wide, "--v", good, "--out", str(out)])
     assert (code, err) == (1, "error: oracle 'U' declares 3 qubits, its matrix acts on 2\n")
     assert not out.exists()
 
@@ -907,7 +935,7 @@ def test_valid_circuit_fixture_verifies(tmp_path):
     circuit_dir.mkdir()
     decomp = write_json(tmp_path / "d.json", {"n_qubits": 2, "terms": [{"re": 1, "im": 0, "factors": "PM"}]})
     write_json(circuit_dir / "term_000.json", valid_circuit())
-    code, err = run_cli(["verify", "--decomp", decomp, "--circuits", str(circuit_dir)])
+    code, _, err = run_cli(["verify", "--decomp", decomp, "--circuits", str(circuit_dir)])
     assert code == 0 and err == ""
 
 
@@ -1070,3 +1098,127 @@ def test_json_writer_refuses_non_finite_and_leaves_no_file(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         _codec.write_json(path, {"values": [[1.0, float("nan")]]})
     assert not path.exists()
+
+
+# One parser serves every main() call in a process; each call must behave as
+# in a fresh interpreter.
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(argv, cwd):
+    """Exit code, stdout and stderr of ``python -m sigmalcu.cli argv``."""
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigmalcu.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_builds_its_parser_once(monkeypatch, request, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    request.addfinalizer(cli._build_parser.cache_clear)
+    for points in ("16", "32", "16,32"):
+        assert main(["compare", "--family", "poisson", "--range", points]) == 0
+    # The top-level parser and one per subcommand, all from the first call.
+    assert len(built) == 8
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_main_runs_the_handler_bound_at_call_time(monkeypatch, capsys):
+    argv = ["compare", "--family", "poisson", "--range", "16"]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_compare", lambda args: seen.append(args.range) or 7)
+    assert main(argv) == 7
+    assert seen == ["16"]
+    monkeypatch.setattr(cli, "cmd_block_encode", lambda args: seen.append(args.epsilon) or 9)
+    assert main(["block-encode", "--decomp", "d.json", "--outdir", "be"]) == 9
+    assert seen == ["16", 1e-3]
+
+
+def snapshot(directory):
+    root = Path(directory)
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def leak_case_inputs(tmp):
+    mtx = write(tmp / "m.mtx", CORNER_PAIR_MTX)
+    assert main(["decompose", "--in", mtx, "--out", str(tmp / "d.json")]) == 0
+    rng = np.random.default_rng(5)
+    for name in ("u", "v", "m"):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        save_oracle(StateOracle(q, name.upper()), str(tmp / f"{name}.json"))
+
+
+# (first call with an option, second call without it); "{in}" holds the
+# shared inputs and "{out}" is a directory of the call's own.
+LEAK_CASES = {
+    "generate --pauli": (
+        ["generate", "--family", "heat", "--s", "2", "--t", "2", "--alpha", "0.7", "--w1", "0.3", "--pauli",
+         "--outdir", "{out}/sys"],
+        ["generate", "--family", "heat", "--s", "2", "--t", "2", "--outdir", "{out}/sys"],
+    ),
+    "compare --out": (
+        ["compare", "--family", "wave", "--range", "4(4)", "--out", "{out}/c.csv"],
+        ["compare", "--family", "wave", "--range", "4(4)"],
+    ),
+    "verify --dilation": (
+        ["verify", "--decomp", "{in}/d.json", "--dilation"],
+        ["verify", "--decomp", "{in}/d.json"],
+    ),
+    "expval --m": (
+        ["expval", "--decomp", "{in}/d.json", "--u", "{in}/u.json", "--v", "{in}/v.json", "--m", "{in}/m.json"],
+        ["expval", "--decomp", "{in}/d.json", "--u", "{in}/u.json", "--v", "{in}/v.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LEAK_CASES)
+def test_options_do_not_leak_into_the_next_call(tmp_path, case):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    leak_case_inputs(inputs)
+
+    def fill(argv, out):
+        out.mkdir()
+        return [arg.replace("{in}", str(inputs)).replace("{out}", str(out)) for arg in argv]
+
+    first, second = LEAK_CASES[case]
+    assert run_cli(fill(first, tmp_path / "first"))[0] == 0
+    argv = fill(second, tmp_path / "here")
+    # The options of the second call are those a fresh parser gives it.
+    fresh = cli._build_parser.__wrapped__().parse_args(argv)
+    assert cli._build_parser().parse_args(argv) == fresh
+    here = run_cli(argv)
+    fresh_out = tmp_path / "fresh"
+    assert run_fresh(fill(second, fresh_out), tmp_path) == here
+    assert here[0] == 0 and here[2] == ""
+    assert snapshot(tmp_path / "here") == snapshot(fresh_out)
+    if case == "generate --pauli":
+        rows = read_csv(tmp_path / "here" / "sys" / "counts.csv")
+        assert [row[4] for row in rows] == ["pauli_terms", ""]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["verify", "--help"], 0),
+    (["verify"], 2),
+    (["frobnicate"], 2),
+], ids=["help", "verify help", "missing option", "unknown command"])
+def test_help_and_usage_repeat_exactly(tmp_path, monkeypatch, argv, code):
+    # argparse wraps help text to COLUMNS; the fresh interpreter gets the same.
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    first, second = run_cli(argv), run_cli(argv)
+    assert first == second
+    assert first[0] == code and (first[1] if code == 0 else first[2]).startswith("usage: sigmalcu")
+    assert run_fresh(argv, tmp_path) == first

@@ -233,6 +233,16 @@ def test_sample_rejects_zero_shots():
         sample_expval(u, u, SigmaTerm(1.0, (I,)), shots=0, seed=0)
 
 
+def test_sample_refuses_a_negative_seed_before_simulating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("circuits simulated for a negative seed")
+
+    monkeypatch.setattr(expectation, "_distributions", refuse)
+    u = identity_oracle(1)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+        sample_expval(u, u, SigmaTerm(1.0, (I,)), shots=10, seed=-5)
+
+
 def test_oracle_validation():
     with pytest.raises(ValueError, match="unitary"):
         StateOracle(np.array([[1, 1], [0, 1]], dtype=complex))
