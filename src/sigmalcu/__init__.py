@@ -25,7 +25,7 @@ from .sigma import (
     save_decomposition,
     term_matrix,
 )
-from .pauli import PauliDecomposition, PauliTerm, decompose_pauli, pauli_matrix, pauli_reconstruct
+from .pauli import PauliDecomposition, PauliTerm, decompose_pauli
 from .pde import HeatParams, PdeSystem, heat_1d, ode_extended_a1, poisson_1d, wave_1d
 from .circuits import (
     CLOSED,
@@ -39,7 +39,6 @@ from .circuits import (
     embedded,
     gate_count,
     load_circuit,
-    row_swap_circuit,
     save_circuit,
     to_qasm,
 )
@@ -111,13 +110,10 @@ __all__ = [
     "load_matrix_market",
     "merge_terms",
     "ode_extended_a1",
-    "pauli_matrix",
-    "pauli_reconstruct",
     "poisson_1d",
     "prep_circuit",
     "reconstruct",
     "resource_report",
-    "row_swap_circuit",
     "run",
     "sample_expval",
     "save_circuit",

@@ -204,21 +204,6 @@ def _pattern_swap_gates(active: tuple[int, ...], a: str, b: str) -> list[Gate]:
     return walk + walk[-2::-1]
 
 
-def row_swap_circuit(n_qubits: int, row_a: int, row_b: int) -> Circuit:
-    """Permutation circuit exchanging two basis rows of the full register.
-
-    Rows differing in k + 1 bits take exactly 2k + 1 multi-controlled X
-    gates; all other rows are fixed.
-    """
-    dim = 1 << n_qubits
-    if not (0 <= row_a < dim and 0 <= row_b < dim):
-        raise ValueError("row index out of range")
-    if row_a == row_b:
-        raise ValueError("rows must differ")
-    a, b = (format(row, f"0{n_qubits}b") for row in (row_a, row_b))
-    return Circuit(n_qubits, tuple(_pattern_swap_gates(tuple(range(n_qubits)), a, b)))
-
-
 def build_dilation_circuit(term: SigmaTerm) -> Circuit:
     """Dilation circuit on n + 1 qubits; ancilla is qubit 0.
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _codec, blockenc, pauli, pde, sigma
+from . import _codec, blockenc, matrices, pauli, pde, sigma
 from .circuits import (
     build_dilation_circuit,
     build_ul_circuit,
@@ -57,19 +57,27 @@ def save_oracle(oracle: StateOracle, path: str) -> None:
     _codec.write_json(path, payload)
 
 
+def _system_width(family: str, s: int, t: int | None) -> int:
+    """Qubits of a grid point's system: poisson takes s, heat s + t and
+    wave s + t + 1."""
+    return s if family == "poisson" else s + t + (family == "wave")
+
+
 def _require_pauli_size(family: str, s: int, t: int | None) -> None:
     """Refuse a grid point over the Pauli decomposition's budget without
-    building it: poisson takes s qubits, heat s + t and wave s + t + 1, and
-    every family's matrix of n qubits has n + 1 bit-flip masks."""
-    width = s if family == "poisson" else s + t + (family == "wave")
+    building it: every family's matrix of n qubits has n + 1 bit-flip
+    masks."""
+    width = _system_width(family, s, t)
     pauli._require_mask_budget(width + 1, width)
 
 
 def _generate_system(
     family: str, s: int, t: int | None, args: argparse.Namespace | None = None
 ) -> pde.PdeSystem:
-    """System of one grid point.  ``args`` carries generate's physical
+    """System of one grid point, refused before anything is built if it is
+    wider than a sparse matrix can be.  ``args`` carries generate's physical
     options; without it every option keeps its library default."""
+    matrices._require_width(_system_width(family, s, t), "sparse matrices", matrices.SPARSE_QUBIT_LIMIT)
     if family == "poisson":
         return pde.poisson_1d(s)
     if family == "heat":

@@ -253,7 +253,7 @@ def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
     _validate_header(path)
     try:
         coo = scipy.sparse.coo_matrix(scipy.io.mmread(path))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer entry past int64
         raise ValueError(f"malformed Matrix Market file {path}: {exc}") from exc
     rows, cols = coo.shape
     if rows != cols:

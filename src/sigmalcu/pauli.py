@@ -17,8 +17,7 @@ product with the 16 x 16 Hadamard matrix: about 4n multiply-adds per
 value.  The work is O(nnz + masks * n * 2^n): for a dense matrix the
 O(n * 4^n) of the tensorized transform (Hantzko, Binkowski and Gupta,
 arXiv:2310.13421), for a PDE matrix, which has n + 1 masks,
-O(n^2 * 2^n).  :func:`pauli_reconstruct` runs the same transform
-backwards.
+O(n^2 * 2^n).
 """
 
 from __future__ import annotations
@@ -32,13 +31,6 @@ import numpy as np
 from .matrices import SPARSE_QUBIT_LIMIT, SparseMatrix, _require_width
 
 PAULI_CHARS = "IXYZ"
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _PAULI_BYTES = np.frombuffer(PAULI_CHARS.encode("ascii"), dtype=np.uint8)
 _PAULI_DIGITS = str.maketrans(PAULI_CHARS, "0123")
@@ -126,7 +118,7 @@ class PauliDecomposition:
 def _require_mask_budget(masks: int, n_qubits: int) -> None:
     """Raise ValueError before a decomposition of ``masks`` bit-flip masks
     on ``n_qubits`` allocates more than the budget of mask x column values."""
-    if masks << n_qubits > _MASK_BUDGET:
+    if masks > _MASK_BUDGET >> n_qubits:  # masks * 2^n_qubits over budget, no shift by the width
         raise ValueError(
             f"pauli decomposition limited to 2^{_MASK_BUDGET.bit_length() - 1} mask x column values, "
             f"got {masks} x 2^{n_qubits}"
@@ -141,11 +133,6 @@ def _popcount(v: np.ndarray, n: int) -> np.ndarray:
 def _spread(v: np.ndarray, n: int) -> np.ndarray:
     """Each n-bit value with its bit k moved to bit 2k."""
     return sum(_SPREAD_8[(v >> k) & 255] << (2 * k) for k in range(0, n, 8))
-
-
-def _compact(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`_spread`: bit 2k of each value moved to bit k."""
-    return sum(((v >> (2 * k)) & 1) << k for k in range(n))
 
 
 def _walsh_hadamard(block: np.ndarray, n: int) -> None:
@@ -192,31 +179,4 @@ def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
     order = np.argsort(keys)
     out = object.__new__(PauliDecomposition)
     out._store(n, keys[order], coeffs[order])
-    return out
-
-
-def pauli_matrix(factors: str) -> np.ndarray:
-    """Dense matrix of a Pauli string, position 0 most significant."""
-    _require_width(len(factors), "pauli_matrix")
-    out = np.array([[1]], dtype=complex)
-    for ch in factors:
-        out = np.kron(out, PAULI_MATRICES[ch])
-    return out
-
-
-def pauli_reconstruct(pd: PauliDecomposition) -> np.ndarray:
-    """Dense sum of the terms; repeated strings add up.  Per mask x, the
-    transform over z of coeff(x, z) i^|x&z| is the column-indexed
-    diagonal A[c ^ x, c]."""
-    n = pd.n_qubits
-    _require_width(n, "pauli_reconstruct")
-    z = _compact(pd.keys >> 1, n)
-    x = _compact(pd.keys, n) ^ z
-    masks, slot = np.unique(x, return_inverse=True)
-    block = np.zeros((masks.size, 1 << n), dtype=complex)
-    np.add.at(block, (slot, z), pd.coeffs * _MINUS_I_POWERS[-_popcount(x & z, n) & 3])
-    _walsh_hadamard(block, n)
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
-    cols = np.arange(1 << n)
-    out[cols ^ masks[:, None], cols] = block
     return out

@@ -29,8 +29,11 @@ as ``circuit_to_matrix`` did before it updated its tensor in place.
 :func:`row_swap_circuit` and :func:`build_dilation_circuit` build the
 pattern swap by the recursion the package used before its one-loop
 ladder: flip the first differing bit, recurse on a copy of the bits with
-that flip applied, and flip back.  ``test_circuits.py`` requires equal
-gate lists.
+that flip applied, and flip back.  ``test_circuits.py`` requires the
+package's one-loop swap, ``circuits._pattern_swap_gates``, to give equal
+gate lists, and :func:`row_swap_circuit` also builds the ``row_swap``
+golden circuit.  :func:`completion_target` is the dense ``[[T, C], [C, T]]``
+that every completion circuit must realize.
 
 :func:`prep_matrix` is PREP's real reflection as ``blockenc`` built it
 before the one builder for both preparations; ``test_blockenc.py``
@@ -42,6 +45,8 @@ before it grouped entries by bit-flip mask: every entry scattered into
 all 4^n coefficients at once, then :func:`pauli_transform`, one 4x4
 transform per qubit.  ``test_pauli.py`` requires the mask kernel to keep
 the same strings in the same order, with coefficients within 1e-12.
+``PAULI_MATRICES`` is the one table of the four Pauli matrices; the
+package needs only their characters.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ from sigmalcu import _codec
 from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _file_kind, _folded_matrix
 from sigmalcu.expectation import _H, StateOracle, _oracle_gate
 from sigmalcu.matrices import ZERO_TOL, SparseMatrix, _require_width
-from sigmalcu.pauli import PAULI_CHARS, PAULI_MATRICES, PauliDecomposition, PauliTerm
-from sigmalcu.sigma import FACTOR_FROM_BITS, Decomposition, SigmaFactor, SigmaTerm
+from sigmalcu.pauli import PAULI_CHARS, PauliDecomposition, PauliTerm
+from sigmalcu.sigma import FACTOR_FROM_BITS, Decomposition, SigmaFactor, SigmaTerm, completion_matrix
 
 
 def assert_same_arrays(got: SparseMatrix, want: SparseMatrix) -> None:
@@ -353,6 +358,14 @@ def build_dilation_circuit(term: SigmaTerm) -> Circuit:
     return Circuit(term.n_qubits + 1, tuple(gates), frozenset({0}))
 
 
+def completion_target(term: SigmaTerm) -> np.ndarray:
+    """[[T, C], [C, T]] for the term's unit-coefficient matrix T and
+    C = completion(T) - T."""
+    block = term_matrix(SigmaTerm(1.0, term.factors)).to_dense()
+    complement = completion_matrix(term) - block
+    return np.block([[block, complement], [complement, block]])
+
+
 def prep_lambda(coeffs: list[complex]) -> float:
     """The lambda :func:`prep_matrix` normalises by: numpy's sum of the
     magnitudes, in the given order."""
@@ -376,6 +389,13 @@ def prep_matrix(coeffs: list[complex]) -> np.ndarray:
     v = v / norm
     return (np.eye(dim) - 2.0 * np.outer(v, v)).astype(complex)
 
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 # Row k: values of Pauli k at bit pairs (0,0), (0,1), (1,0), (1,1).
 PAULI_AT_PAIR = np.array([PAULI_MATRICES[ch].reshape(-1) for ch in PAULI_CHARS])

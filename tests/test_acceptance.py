@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import reference
 from sigmalcu.blockenc import assemble, verify_block_encoding
 from sigmalcu.circuits import build_dilation_circuit, build_ul_circuit, gate_count
 from sigmalcu.expectation import StateOracle, expval_sandwich, expval_term
@@ -19,7 +20,6 @@ from sigmalcu.pde import HeatParams, heat_1d, poisson_1d, wave_1d
 from sigmalcu.sigma import (
     SigmaFactor,
     SigmaTerm,
-    completion_matrix,
     decompose_numerical,
     reconstruct,
     term_matrix,
@@ -57,12 +57,6 @@ def random_term(rng, n, allow_all_identity=True):
         factors = "".join(rng.choice(list("IPMAB")) for _ in range(n))
         if allow_all_identity or factors != SigmaFactor.IDENT * n:
             return SigmaTerm(1.0, factors)
-
-
-def completion_target(term):
-    block = term_matrix(SigmaTerm(1.0, term.factors)).to_dense()
-    complement = completion_matrix(term) - block
-    return np.block([[block, complement], [complement, block]])
 
 
 def test_criterion_1_term_count_formulas():
@@ -119,7 +113,7 @@ def test_criterion_3_completion_circuit_correctness():
             term = random_term(rng, n)
             circuit = build_ul_circuit(term)
             got = circuit_to_matrix(circuit)
-            assert np.array_equal(got, completion_target(term))
+            assert np.array_equal(got, reference.completion_target(term))
             dim = got.shape[0]
             assert np.array_equal(got @ got.conj().T, np.eye(dim))
             counts = gate_count(circuit)

@@ -12,6 +12,7 @@ from sigmalcu.circuits import (
     Circuit,
     Gate,
     _json_bytes,
+    _pattern_swap_gates,
     build_dilation_circuit,
     build_ul_circuit,
     circuit_from_json_dict,
@@ -19,11 +20,10 @@ from sigmalcu.circuits import (
     embedded,
     gate_count,
     load_circuit,
-    row_swap_circuit,
     save_circuit,
     to_qasm,
 )
-from sigmalcu.sigma import SigmaFactor, SigmaTerm, completion_matrix, term_matrix
+from sigmalcu.sigma import SigmaFactor, SigmaTerm, term_matrix
 from sigmalcu.simulate import circuit_to_matrix
 
 I, P, M, A, B = (
@@ -37,12 +37,6 @@ I, P, M, A, B = (
 
 def random_term(rng, n):
     return SigmaTerm(1.0, tuple(rng.choice(list("IPMAB")) for _ in range(n)))
-
-
-def completion_target(term):
-    block = term_matrix(SigmaTerm(1.0, term.factors)).to_dense()
-    complement = completion_matrix(term) - block
-    return np.block([[block, complement], [complement, block]])
 
 
 def dilation_target(term):
@@ -77,7 +71,7 @@ def test_ul_all_identity_is_identity_circuit():
 
 def test_ul_single_raising():
     circuit = build_ul_circuit(SigmaTerm(1.0, (P,)))
-    target = completion_target(SigmaTerm(1.0, (P,)))
+    target = reference.completion_target(SigmaTerm(1.0, (P,)))
     got = circuit_to_matrix(circuit)
     assert np.array_equal(got, target)
     # [[s+, s-], [s-, s+]] block layout
@@ -96,7 +90,7 @@ def test_ul_random_terms_block_structure():
         term = random_term(rng, n)
         circuit = build_ul_circuit(term)
         got = circuit_to_matrix(circuit)
-        assert np.array_equal(got, completion_target(term))
+        assert np.array_equal(got, reference.completion_target(term))
         dim = 1 << n
         assert np.array_equal(got @ got.T.conj(), np.eye(2 * dim))
         assert set(np.unique(got.real)) <= {0.0, 1.0}
@@ -160,13 +154,19 @@ def test_mcx_pair_differing_in_one_control_merges():
     assert np.array_equal(circuit_to_matrix(pair), circuit_to_matrix(merged))
 
 
+def row_swap(n_qubits: int, row_a: int, row_b: int) -> Circuit:
+    """The pattern swap of two rows of the whole register."""
+    a, b = (format(row, f"0{n_qubits}b") for row in (row_a, row_b))
+    return Circuit(n_qubits, tuple(_pattern_swap_gates(tuple(range(n_qubits)), a, b)))
+
+
 def test_row_swap_transposition_costs():
     rng = np.random.default_rng(43)
     for _ in range(30):
         n = int(rng.integers(2, 6))
         dim = 1 << n
         row_a, row_b = rng.choice(dim, size=2, replace=False)
-        circuit = row_swap_circuit(n, int(row_a), int(row_b))
+        circuit = row_swap(n, int(row_a), int(row_b))
         differing = bin(int(row_a) ^ int(row_b)).count("1")
         counts = gate_count(circuit)
         assert len(counts.mcx) == 2 * (differing - 1) + 1
@@ -188,7 +188,7 @@ def row_pairs(draw):
 @given(case=row_pairs())
 def test_row_swap_matches_recursive_reference(case):
     n, row_a, row_b = case
-    assert row_swap_circuit(n, row_a, row_b) == reference.row_swap_circuit(n, row_a, row_b)
+    assert row_swap(n, row_a, row_b) == reference.row_swap_circuit(n, row_a, row_b)
 
 
 @settings(max_examples=200, deadline=None)

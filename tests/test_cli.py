@@ -188,6 +188,14 @@ def test_generate_refuses_tiny_length_and_writes_nothing(tmp_path, capsys, famil
         (["--family", "heat", "--s", "2", "--t", "2", "--final-time", "inf"], "error: final time T must be positive"),
         (["--family", "heat", "--s", "2", "--t", "2", "--final-time", "nan"], "error: final time T must be positive"),
         (["--family", "wave", "--s", "2", "--t", "2", "--final-time", "nan"], "error: final time T must be positive"),
+        # Widths too large to shift by: refused before the grid is sized.
+        (["--family", "poisson", "--s", str(10**20)], f"sparse matrices limited to 31 qubits, got {10**20}"),
+        (["--family", "heat", "--s", "2", "--t", str(10**20)], f"sparse matrices limited to 31 qubits, got {10**20 + 2}"),
+        (["--family", "wave", "--s", str(10**20), "--t", "2"], f"sparse matrices limited to 31 qubits, got {10**20 + 3}"),
+        (
+            ["--family", "poisson", "--s", str(10**20), "--pauli"],
+            f"limited to 2^25 mask x column values, got {10**20 + 1} x 2^{10**20}",
+        ),
     ],
 )
 def test_generate_input_errors_write_nothing(tmp_path, options, message):
@@ -234,6 +242,18 @@ def test_generate_out_of_memory_while_writing_is_an_input_error(tmp_path, monkey
         assert not outdir.exists()
     else:
         assert sorted(p.name for p in outdir.iterdir()) == left
+
+
+def test_decompose_refuses_integer_past_int64(tmp_path):
+    # scipy's reader raises OverflowError, not ValueError, on such an entry.
+    mtx = write(
+        tmp_path / "m.mtx",
+        "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 9223372036854775808\n",
+    )
+    out = tmp_path / "d.json"
+    err = assert_input_error(["decompose", "--in", mtx, "--out", str(out)])
+    assert err == f"error: malformed Matrix Market file {mtx}: Line 3: Integer out of range.\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("small", ["1.0", "1e-16"])

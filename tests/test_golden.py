@@ -33,7 +33,6 @@ from sigmalcu.circuits import (
     build_ul_circuit,
     controlled,
     load_circuit,
-    row_swap_circuit,
     save_circuit,
     to_qasm,
 )
@@ -76,7 +75,7 @@ def circuits():
         "ul_BPMA": build_ul_circuit(term("BPMA")),
         "dilation_PMA": build_dilation_circuit(term("PMA")),
         "dilation_III": build_dilation_circuit(term("III")),
-        "row_swap": row_swap_circuit(4, 3, 12),
+        "row_swap": reference.row_swap_circuit(4, 3, 12),
         "block_encoding": assemble(Decomposition.build(2, be_terms)).overall,
         "hadamard_test": reference.hadamard_test_circuits(U, V, term("PA"))[1],
         "sandwich": reference.hadamard_test_circuits(U, V, term("PA"), M, term("MB"))[0],

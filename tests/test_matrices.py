@@ -17,13 +17,7 @@ from sigmalcu.matrices import (
     load_matrix_market,
     save_matrix_market,
 )
-from sigmalcu.pauli import (
-    PauliDecomposition,
-    PauliTerm,
-    decompose_pauli,
-    pauli_matrix,
-    pauli_reconstruct,
-)
+from sigmalcu.pauli import decompose_pauli
 from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix, term_matrix
 from sigmalcu.simulate import circuit_to_matrix
 
@@ -233,10 +227,6 @@ GUARDED_BUILDERS = {
     "completion_matrix": lambda: completion_matrix(SigmaTerm(1.0, LADDERS)),
     "circuit_to_matrix": lambda: circuit_to_matrix(Circuit(WIDE, ())),
     "decompose_pauli": lambda: decompose_pauli(OVER_MASK_BUDGET),
-    "pauli_reconstruct": lambda: pauli_reconstruct(
-        PauliDecomposition(WIDE, (PauliTerm(1.0, "X" * WIDE),))
-    ),
-    "pauli_matrix": lambda: pauli_matrix("X" * WIDE),
     # 12 system qubits and one term: no selector, plus the completion ancilla.
     "assemble": lambda: assemble(Decomposition.build(WIDE - 1, [SigmaTerm(1.0, LADDERS[1:])])),
 }
