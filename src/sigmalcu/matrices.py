@@ -10,8 +10,9 @@ module in the package.  ``entries``, a ``{(row, col): value}`` mapping, is
 a read-only view derived from the arrays on request, for inspection and
 tests; the package's own code reads the arrays.
 
-All values are immutable after construction (the arrays are read-only);
-operations return new objects and are safe to call concurrently.
+All values are immutable after construction (:class:`_Columnar` makes the
+arrays read-only); operations return new objects and are safe to call
+concurrently.
 
 Matrix Market files are read with scipy, imported on the first read, and
 written with numpy alone, byte for byte as scipy writes them.
@@ -57,14 +58,19 @@ def _magnitudes(vals: np.ndarray) -> np.ndarray:
         return np.abs(vals)
 
 
+def _require_tol(tol: float) -> None:
+    """Refuse a NaN tolerance, under which no magnitude compares as small."""
+    if math.isnan(tol):
+        raise ValueError(f"zero-prune tolerance must be a number, got {tol}")
+
+
 def _coalesce(keys, vals, tol: float = ZERO_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique keys (packed coordinates or factor strings) and the
     sums of their complex values: the package's one summation rule.  Each
     key's values are added in input order from 0.0, real and imaginary
     parts apart, and sums of magnitude at or below ``max(tol, ZERO_TOL)``
     dropped; NaN and infinite sums are kept for the caller to refuse."""
-    if math.isnan(tol):
-        raise ValueError(f"zero-prune tolerance must be a number, got {tol}")
+    _require_tol(tol)
     keys, slot = np.unique(keys, return_inverse=True)
     vals = np.asarray(vals, dtype=complex)
     sums = np.empty(keys.size, dtype=complex)
@@ -83,8 +89,34 @@ class Coo(NamedTuple):
     vals: np.ndarray
 
 
+class _Columnar:
+    """Base of the columnar values: a register width, then numpy columns, as
+    dataclass fields.  They are set once, the arrays read-only, and a value
+    equals another of its type when every field is ``np.array_equal``."""
+
+    def _set_fields(self, n_qubits: int, *columns: np.ndarray) -> None:
+        for array in columns:
+            array.flags.writeable = False
+        # Past the frozen __setattr__; __match_args__ names the fields, even with init=False.
+        vars(self).update(zip(self.__match_args__, (n_qubits, *columns)))
+
+    @classmethod
+    def _from_columns(cls, n_qubits: int, *columns: np.ndarray):
+        """A value over columns that hold ``cls``'s invariants, skipping
+        ``__init__``: for a :class:`SparseMatrix`, coordinates inside it,
+        sorted row-major and unique, and values nonzero with finite magnitude."""
+        out = object.__new__(cls)
+        out._set_fields(n_qubits, *columns)
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__match_args__)
+
+
 @dataclass(frozen=True, init=False, eq=False)
-class SparseMatrix:
+class SparseMatrix(_Columnar):
     """Coordinate-form complex matrix of dimension ``2**n_qubits``.
 
     ``SparseMatrix(n, {(row, col): value})`` stores the mapping as given.
@@ -106,25 +138,7 @@ class SparseMatrix:
         vals = np.fromiter(entries.values(), dtype=complex, count=len(entries))
         _check_values(rows, cols, vals)
         order = np.argsort((rows << n_qubits) | cols)
-        self._store(n_qubits, rows[order], cols[order], vals[order])
-
-    @classmethod
-    def _from_sorted(
-        cls, n_qubits: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-    ) -> "SparseMatrix":
-        """Matrix over checked arrays: coordinates inside it, sorted
-        row-major and unique, and values nonzero with finite magnitude."""
-        out = object.__new__(cls)
-        out._store(n_qubits, rows, cols, vals)
-        return out
-
-    def _store(self, n_qubits: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-        for array in (rows, cols, vals):
-            array.flags.writeable = False
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
+        self._set_fields(n_qubits, rows[order], cols[order], vals[order])
 
     @property
     def dim(self) -> int:
@@ -163,7 +177,7 @@ class SparseMatrix:
         keys, sums = _coalesce((rows << n_qubits) | cols, items.vals, tol)
         rows, cols = keys >> n_qubits, keys & ((1 << n_qubits) - 1)
         _check_values(rows, cols, sums)
-        return cls._from_sorted(n_qubits, rows, cols, sums)
+        return cls._from_columns(n_qubits, rows, cols, sums)
 
     @classmethod
     def from_dense(cls, array: np.ndarray, tol: float = ZERO_TOL) -> "SparseMatrix":
@@ -181,16 +195,6 @@ class SparseMatrix:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         out[self.rows, self.cols] = self.vals
         return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (
-            self.n_qubits == other.n_qubits
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.cols, other.cols)
-            and np.array_equal(self.vals, other.vals)
-        )
 
 
 def _check_values(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .matrices import SPARSE_QUBIT_LIMIT, SparseMatrix, _require_width
+from .matrices import SPARSE_QUBIT_LIMIT, SparseMatrix, _Columnar, _require_tol, _require_width
 
 PAULI_CHARS = "IXYZ"
 
@@ -61,7 +61,7 @@ class PauliTerm:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class PauliDecomposition:
+class PauliDecomposition(_Columnar):
     """Pauli terms over a shared register width, held as two columns.
 
     ``keys`` holds each factor string as an int64 base-4 number with one
@@ -85,15 +85,8 @@ class PauliDecomposition:
             if len(t.factors) != n_qubits:
                 raise ValueError(f"Pauli string {t.factors!r} does not act on {n_qubits} qubits")
         keys = np.array([int(t.factors.translate(_PAULI_DIGITS), 4) for t in terms], dtype=np.int64)
-        self._store(n_qubits, keys, np.array([t.coeff for t in terms], dtype=complex))
+        self._set_fields(n_qubits, keys, np.array([t.coeff for t in terms], dtype=complex))
         object.__setattr__(self, "terms", terms)
-
-    def _store(self, n_qubits: int, keys: np.ndarray, coeffs: np.ndarray) -> None:
-        for array in (keys, coeffs):
-            array.flags.writeable = False
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "coeffs", coeffs)
 
     @cached_property
     def terms(self) -> tuple[PauliTerm, ...]:
@@ -105,20 +98,13 @@ class PauliDecomposition:
     def __len__(self) -> int:
         return self.coeffs.size
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PauliDecomposition):
-            return NotImplemented
-        return (
-            self.n_qubits == other.n_qubits
-            and np.array_equal(self.keys, other.keys)
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
 
 def _require_mask_budget(masks: int, n_qubits: int) -> None:
     """Raise ValueError before a decomposition of ``masks`` bit-flip masks
     on ``n_qubits`` allocates more than the budget of mask x column values."""
-    if masks > _MASK_BUDGET >> n_qubits:  # masks * 2^n_qubits over budget, no shift by the width
+    # masks * 2^n_qubits over budget, without forming masks << n_qubits; a
+    # width below 1 is the grid's to refuse, and >> would raise on it.
+    if n_qubits >= 1 and masks > _MASK_BUDGET >> n_qubits:
         raise ValueError(
             f"pauli decomposition limited to 2^{_MASK_BUDGET.bit_length() - 1} mask x column values, "
             f"got {masks} x 2^{n_qubits}"
@@ -156,8 +142,9 @@ def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
     Terms come out sorted by factor string.  Reconstruction from the kept
     terms matches the input within tol * L in Frobenius norm.  A matrix
     whose masks x 2^n exceed the budget is refused before any transform
-    is allocated.
+    is allocated.  A NaN ``tol`` is refused.
     """
+    _require_tol(tol)
     n, dim = m.n_qubits, m.dim
     masks, slot = np.unique(m.rows ^ m.cols, return_inverse=True)
     _require_mask_budget(masks.size, n)
@@ -177,6 +164,4 @@ def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
         coeffs.append(block[r, z] / dim * _MINUS_I_POWERS[_popcount(flips & z, n) & 3])
     keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
     order = np.argsort(keys)
-    out = object.__new__(PauliDecomposition)
-    out._store(n, keys[order], coeffs[order])
-    return out
+    return PauliDecomposition._from_columns(n, keys[order], coeffs[order])

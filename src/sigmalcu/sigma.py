@@ -28,7 +28,8 @@ from typing import Iterable
 import numpy as np
 
 from . import _codec
-from .matrices import SPARSE_QUBIT_LIMIT, ZERO_TOL, Coo, SparseMatrix, _coalesce, _magnitudes, _require_width
+from .matrices import SPARSE_QUBIT_LIMIT, ZERO_TOL, Coo, SparseMatrix, _Columnar
+from .matrices import _coalesce, _magnitudes, _require_width
 
 
 class SigmaFactor(str, Enum):
@@ -139,7 +140,7 @@ class SigmaTerm:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class Decomposition:
+class Decomposition(_Columnar):
     """Sigma terms over a shared register width, held as two columns.
 
     ``factors`` is a read-only ``(len, n_qubits)`` uint8 array holding one
@@ -169,15 +170,8 @@ class Decomposition:
         terms = tuple(sorted(terms, key=lambda t: t.factors))
         keys = np.array([t.factors for t in terms], dtype="S")
         coeffs = np.array([t.coeff for t in terms], dtype=complex)
-        self._store(n_qubits, _rows(keys, n_qubits), coeffs)
+        self._set_fields(n_qubits, _rows(keys, n_qubits), coeffs)
         object.__setattr__(self, "terms", terms)
-
-    def _store(self, n_qubits: int, factors: np.ndarray, coeffs: np.ndarray) -> None:
-        for array in (factors, coeffs):
-            array.flags.writeable = False
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def keys(self) -> np.ndarray:
@@ -214,21 +208,10 @@ class Decomposition:
         if (widths != n_qubits).any():
             width = widths[(widths != n_qubits).argmax()]
             raise ValueError(f"term width {width} does not match register {n_qubits}")
-        out = object.__new__(cls)
-        out._store(n_qubits, _rows(keys, n_qubits), coeffs)
-        return out
+        return cls._from_columns(n_qubits, _rows(keys, n_qubits), coeffs)
 
     def __len__(self) -> int:
         return self.coeffs.size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return (
-            self.n_qubits == other.n_qubits
-            and np.array_equal(self.factors, other.factors)
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
 
     def __hash__(self) -> int:
         return hash((self.n_qubits, self.factors.tobytes()))
@@ -308,7 +291,7 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
     # Sorted and unique by construction, and the term's coefficient is
     # finite; 0j + coeff is its sum as matrices._coalesce forms it.
     vals = np.full(offsets.size, 0j + t.coeff)
-    return SparseMatrix._from_sorted(t.n_qubits, rows, cols, vals)
+    return SparseMatrix._from_columns(t.n_qubits, rows, cols, vals)
 
 
 def reconstruct(d: Decomposition) -> SparseMatrix:

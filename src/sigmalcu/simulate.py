@@ -32,7 +32,7 @@ class StateVector:
                 f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN amplitudes
             raise ValueError(f"state is not normalized (norm {norm})")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -47,6 +47,9 @@ transform per qubit.  ``test_pauli.py`` requires the mask kernel to keep
 the same strings in the same order, with coefficients within 1e-12.
 ``PAULI_MATRICES`` is the one table of the four Pauli matrices; the
 package needs only their characters.
+
+:func:`random_unitary` draws a Haar-random unitary for the simulator and
+acceptance tests.
 """
 
 from __future__ import annotations
@@ -241,6 +244,14 @@ def _gate_to_json(g: Gate) -> dict:
 def circuit_json(c: Circuit) -> bytes:
     """The circuit file of ``c`` through ``json.dumps`` with ``indent=1``."""
     return (json.dumps(circuit_to_json_dict(c), indent=1, allow_nan=False) + "\n").encode("ascii")
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random ``dim x dim`` unitary: QR of a complex Gaussian matrix,
+    with the phases of R's diagonal moved into Q."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def apply_dense(tensor: np.ndarray, targets: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import reference
+from reference import random_unitary
 from sigmalcu.blockenc import assemble, verify_block_encoding
 from sigmalcu.circuits import build_dilation_circuit, build_ul_circuit, gate_count
 from sigmalcu.expectation import StateOracle, expval_sandwich, expval_term
@@ -44,12 +45,6 @@ def criterion(number, description, budget_seconds):
         f"criterion {number} took {elapsed:.2f}s, budget {budget_seconds}s"
     )
     print(f"[PASS] criterion {number}: {description} ({elapsed:.2f}s)")
-
-
-def random_unitary(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_term(rng, n, allow_all_identity=True):

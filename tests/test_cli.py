@@ -196,6 +196,9 @@ def test_generate_refuses_tiny_length_and_writes_nothing(tmp_path, capsys, famil
             ["--family", "poisson", "--s", str(10**20), "--pauli"],
             f"limited to 2^25 mask x column values, got {10**20 + 1} x 2^{10**20}",
         ),
+        # A width below 1 is the grid's to refuse, not the Pauli budget's to shift by.
+        (["--family", "poisson", "--s", "-1", "--pauli"], "error: s must be >= 1"),
+        (["--family", "heat", "--s", "2", "--t", "-3", "--pauli"], "error: s and t must be >= 1"),
     ],
 )
 def test_generate_input_errors_write_nothing(tmp_path, options, message):

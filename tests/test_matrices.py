@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,8 +18,16 @@ from sigmalcu.matrices import (
     load_matrix_market,
     save_matrix_market,
 )
-from sigmalcu.pauli import decompose_pauli
-from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix, term_matrix
+from sigmalcu.pauli import PauliDecomposition, PauliTerm, decompose_pauli
+from sigmalcu.sigma import (
+    Decomposition,
+    SigmaFactor,
+    SigmaTerm,
+    completion_matrix,
+    decompose_numerical,
+    merge_terms,
+    term_matrix,
+)
 from sigmalcu.simulate import circuit_to_matrix
 
 
@@ -350,3 +359,50 @@ def test_entries_is_a_read_only_view():
         m.entries[(0, 0)] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         m.vals[0] = 5.0
+
+
+_ENTRIES = {(0, 0): 1.5, (1, 1): 1.5, (0, 3): 2j, (3, 2): -1.0}
+_SIGMA_TERMS = [SigmaTerm(1.0, "PI"), SigmaTerm(2j, "AB")]
+
+# Every constructor of the three columnar values, public or private.
+COLUMNAR_CONSTRUCTORS = {
+    "SparseMatrix": lambda: SparseMatrix(2, _ENTRIES),
+    "from_entries": lambda: SparseMatrix.from_entries(2, [(r, c, v) for (r, c), v in _ENTRIES.items()]),
+    "from_dense": lambda: SparseMatrix.from_dense(SparseMatrix(2, _ENTRIES).to_dense()),
+    "term_matrix": lambda: term_matrix(SigmaTerm(3.0, "PI")),
+    "Decomposition": lambda: Decomposition(2, _SIGMA_TERMS),
+    "build": lambda: Decomposition.build(2, _SIGMA_TERMS + _SIGMA_TERMS),
+    "_coalesced": lambda: Decomposition._coalesced(2, np.array([b"PI", b"MA", b"PI"]), [1.0, 2.0, 3.0]),
+    "decompose_numerical": lambda: decompose_numerical(SparseMatrix(2, _ENTRIES)),
+    "merge_terms": lambda: merge_terms(decompose_numerical(SparseMatrix(2, _ENTRIES))),
+    "PauliDecomposition": lambda: PauliDecomposition(2, [PauliTerm(1.0, "XI"), PauliTerm(0.5j, "ZY")]),
+    "decompose_pauli": lambda: decompose_pauli(SparseMatrix(2, _ENTRIES)),
+}
+
+
+@pytest.mark.parametrize("construct", COLUMNAR_CONSTRUCTORS.values(), ids=COLUMNAR_CONSTRUCTORS)
+def test_columnar_values_are_read_only_and_equal_field_by_field(construct):
+    value = construct()
+    names = [f.name for f in dataclasses.fields(value)]
+    fields = [getattr(value, name) for name in names]
+    assert names[0] == "n_qubits" and len(fields) > 2
+    for column in fields[1:]:
+        assert isinstance(column, np.ndarray) and column.size and not column.flags.writeable
+    # Equal fields in fresh arrays make an equal value.
+    assert value == type(value)._from_columns(fields[0], *(column.copy() for column in fields[1:]))
+    for i, name in enumerate(names):
+        changed = list(fields)
+        if i == 0:
+            changed[0] += 1
+        else:
+            changed[i] = fields[i].copy()
+            changed[i].flat[-1] += 1
+        assert value != type(value)._from_columns(*changed), name
+    others = [construct() for construct in COLUMNAR_CONSTRUCTORS.values()]
+    for other in [tuple(fields), None, *(o for o in others if type(o) is not type(value))]:
+        assert (value == other) is False and (other == value) is False
+    if isinstance(value, Decomposition):
+        assert hash(value) == hash(construct())
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)

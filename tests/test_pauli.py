@@ -206,6 +206,12 @@ def test_tolerance_prunes():
     assert {t.factors for t in pd.terms} == {"I"}
 
 
+def test_nan_tolerance_refused():
+    m = SparseMatrix.from_entries(1, [(0, 0, 1.0)])
+    with pytest.raises(ValueError, match="^zero-prune tolerance must be a number, got nan$"):
+        decompose_pauli(m, tol=float("nan"))
+
+
 def test_guard():
     """No qubit limit: 13-qubit poisson decomposes.  The limit is a budget
     of 2^25 mask x column values, refused before any transform exists."""

@@ -554,10 +554,8 @@ def test_saved_files_match_the_json_writer_and_read_back(d, merge):
 
 def unchecked(n_qubits, strings, coeffs):
     """A decomposition over arrays that skip every check."""
-    d = object.__new__(Decomposition)
     rows = np.array([list(f.encode("ascii")) for f in strings], dtype=np.uint8).reshape(-1, n_qubits)
-    d._store(n_qubits, rows, np.array(coeffs, dtype=complex))
-    return d
+    return Decomposition._from_columns(n_qubits, rows, np.array(coeffs, dtype=complex))
 
 
 @pytest.mark.parametrize("coeffs", [

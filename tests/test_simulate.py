@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import reference
+from reference import random_unitary
 from sigmalcu.circuits import (
     CLOSED,
     OPEN,
@@ -30,12 +31,6 @@ from sigmalcu.simulate import (
 def random_state(rng, n):
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return StateVector(n, amps / np.linalg.norm(amps))
-
-
-def random_unitary(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_x_flips_basis():
@@ -229,6 +224,11 @@ def test_state_vector_validation():
         StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="amplitudes"):
         StateVector(2, np.array([1.0, 0.0]))
+
+
+def test_state_vector_refuses_nan_amplitudes():
+    with pytest.raises(ValueError, match=r"not normalized \(norm nan\)"):
+        StateVector(1, np.array([np.nan, 0]))
 
 
 # Slow reference: every gate becomes a dense matrix on its qubits (controls
