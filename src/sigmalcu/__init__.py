@@ -25,7 +25,7 @@ from .sigma import (
     save_decomposition,
     term_matrix,
 )
-from .pauli import PauliDecomposition, PauliTerm, decompose_pauli
+from .pauli import PauliDecomposition, decompose_pauli
 from .pde import HeatParams, PdeSystem, heat_1d, ode_extended_a1, poisson_1d, wave_1d
 from .circuits import (
     CLOSED,
@@ -79,7 +79,6 @@ __all__ = [
     "HeatParams",
     "OPEN",
     "PauliDecomposition",
-    "PauliTerm",
     "PdeSystem",
     "SigmaFactor",
     "SigmaTerm",

@@ -25,6 +25,7 @@ import numpy as np
 _MISSING = object()
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+_NUMBER_TYPES = frozenset((int, float))  # exact types: a boolean is no number
 
 
 def _require_power_of_two(dim: int) -> int:
@@ -94,8 +95,9 @@ def complex_pairs(values) -> list[list[float]]:
 
 
 def complex_matrix(pairs: list, dim: int | None = None) -> np.ndarray:
-    """Row-major ``[re, im]`` pairs as a ``dim`` x ``dim`` matrix.  Without
-    ``dim`` the side is inferred and must be a power of two."""
+    """Row-major ``[re, im]`` pairs of numbers, as :func:`field` admits
+    them, as a ``dim`` x ``dim`` matrix.  Without ``dim`` the side is
+    inferred and must be a power of two."""
     if dim is None:
         dim = math.isqrt(len(pairs))
         if dim * dim != len(pairs):
@@ -103,10 +105,18 @@ def complex_matrix(pairs: list, dim: int | None = None) -> np.ndarray:
         _require_power_of_two(dim)
     elif len(pairs) != dim * dim:
         raise ValueError(f"matrix payload has {len(pairs)} entries, expected {dim * dim}")
+    parts = []
     try:
-        flat = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError, OverflowError):
+        for re, im in pairs:
+            if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
+                raise TypeError
+            parts += re, im
+    except (TypeError, ValueError):
         raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
+    try:
+        flat = np.array(parts, dtype=float).view(complex)
+    except OverflowError:  # an integer too large for a float
+        flat = np.array([math.inf])
     if not np.isfinite(flat).all():
         raise ValueError("matrix entries out of floating-point range")
     return flat.reshape(dim, dim)

@@ -48,15 +48,6 @@ def load_oracle(path: str, label: str) -> StateOracle:
     return oracle
 
 
-def save_oracle(oracle: StateOracle, path: str) -> None:
-    payload = {
-        "n_qubits": oracle.n_qubits,
-        "label": oracle.label,
-        "matrix": _codec.complex_pairs(oracle.matrix.reshape(-1)),
-    }
-    _codec.write_json(path, payload)
-
-
 def _system_width(family: str, s: int, t: int | None) -> int:
     """Qubits of a grid point's system: poisson takes s, heat s + t and
     wave s + t + 1."""

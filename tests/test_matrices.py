@@ -18,7 +18,7 @@ from sigmalcu.matrices import (
     load_matrix_market,
     save_matrix_market,
 )
-from sigmalcu.pauli import PauliDecomposition, PauliTerm, decompose_pauli
+from sigmalcu.pauli import decompose_pauli
 from sigmalcu.sigma import (
     Decomposition,
     SigmaFactor,
@@ -375,7 +375,6 @@ COLUMNAR_CONSTRUCTORS = {
     "_coalesced": lambda: Decomposition._coalesced(2, np.array([b"PI", b"MA", b"PI"]), [1.0, 2.0, 3.0]),
     "decompose_numerical": lambda: decompose_numerical(SparseMatrix(2, _ENTRIES)),
     "merge_terms": lambda: merge_terms(decompose_numerical(SparseMatrix(2, _ENTRIES))),
-    "PauliDecomposition": lambda: PauliDecomposition(2, [PauliTerm(1.0, "XI"), PauliTerm(0.5j, "ZY")]),
     "decompose_pauli": lambda: decompose_pauli(SparseMatrix(2, _ENTRIES)),
 }
 
