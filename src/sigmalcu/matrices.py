@@ -6,9 +6,7 @@ repeated coordinate and no stored zero.  The dimension is fixed to
 ``2**n_qubits``.  Bit ``p`` of a row or column index is the value of qubit
 ``p``, with ``p = 0`` the most significant bit, i.e.
 ``r = sum_p 2**(n-1-p) * bit_p``.  This convention is shared by every
-module in the package.  ``entries``, a ``{(row, col): value}`` mapping, is
-a read-only view derived from the arrays on request, for inspection and
-tests; the package's own code reads the arrays.
+module in the package.
 
 All values are immutable after construction (:class:`_Columnar` makes the
 arrays read-only); operations return new objects and are safe to call
@@ -21,8 +19,8 @@ written with numpy alone, byte for byte as scipy writes them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -123,7 +121,8 @@ class SparseMatrix(_Columnar):
     Use :meth:`from_entries` or :meth:`from_dense` to build one from raw
     data; they sum repeated coordinates and prune magnitudes at
     ``ZERO_TOL``.  Zero and non-finite entries are refused, whichever
-    constructor is used; so is a finite value whose magnitude overflows.
+    constructor is used; so are a finite value whose magnitude overflows
+    and a coordinate that is not an integer.
     """
 
     n_qubits: int
@@ -132,8 +131,8 @@ class SparseMatrix(_Columnar):
     vals: np.ndarray
 
     def __init__(self, n_qubits: int, entries: Mapping[tuple[int, int], complex]) -> None:
-        coords = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-        rows, cols = coords[:, 0], coords[:, 1]
+        coords = [(_coordinate(r), _coordinate(c)) for r, c in entries]
+        rows, cols = np.array(coords, dtype=np.int64).reshape(-1, 2).T
         _check_coords(n_qubits, rows, cols)
         vals = np.fromiter(entries.values(), dtype=complex, count=len(entries))
         _check_values(rows, cols, vals)
@@ -148,12 +147,6 @@ class SparseMatrix(_Columnar):
     def nnz(self) -> int:
         return self.vals.size
 
-    @property
-    def entries(self) -> Mapping[tuple[int, int], complex]:
-        """Read-only ``{(row, col): value}`` view, rebuilt on each access."""
-        coords = zip(self.rows.tolist(), self.cols.tolist())
-        return MappingProxyType(dict(zip(coords, self.vals.tolist())))
-
     @classmethod
     def from_entries(
         cls,
@@ -165,14 +158,13 @@ class SparseMatrix(_Columnar):
         :class:`Coo` arrays, coalesced by :func:`_coalesce`; a NaN or
         infinite sum is refused."""
         if not isinstance(items, Coo):
-            triples = [(int(r), int(c), complex(v)) for r, c, v in items]
+            triples = [(_coordinate(r), _coordinate(c), complex(v)) for r, c, v in items]
             items = Coo(
                 np.array([t[0] for t in triples], dtype=np.int64),
                 np.array([t[1] for t in triples], dtype=np.int64),
                 np.array([t[2] for t in triples], dtype=complex),
             )
-        rows = np.asarray(items.rows, dtype=np.int64)
-        cols = np.asarray(items.cols, dtype=np.int64)
+        rows, cols = _integer_coords(items.rows), _integer_coords(items.cols)
         _check_coords(n_qubits, rows, cols)
         keys, sums = _coalesce((rows << n_qubits) | cols, items.vals, tol)
         rows, cols = keys >> n_qubits, keys & ((1 << n_qubits) - 1)
@@ -208,6 +200,24 @@ def _check_values(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
         raise ValueError(f"entry ({rows[i]}, {cols[i]}) stores a {kind} value")
 
 
+def _coordinate(x) -> int:
+    """One coordinate of a triple or mapping key as an int, refusing a
+    non-integer."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"coordinates must be integers, got {x!r}") from None
+
+
+def _integer_coords(values) -> np.ndarray:
+    """Coordinates as an int64 array, refusing an array of non-integer
+    dtype unless it is empty; the dtype is read once, not each value."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"coordinates must be integers, got {array.dtype} values")
+    return array.astype(np.int64, copy=False)
+
+
 def _check_coords(n_qubits: int, rows: np.ndarray, cols: np.ndarray) -> None:
     """Raise ValueError unless the register width is supported and every
     coordinate lies inside the ``2**n_qubits`` square."""
@@ -230,7 +240,8 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _validate_header(path: str) -> None:
+def _validate_header(path: str) -> str:
+    """The field of a supported Matrix Market header."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().strip().split()
     if len(header) != 5 or header[0].lower() != "%%matrixmarket":
@@ -242,23 +253,52 @@ def _validate_header(path: str) -> None:
         raise ValueError(f"unsupported Matrix Market field {field!r}")
     if symmetry != "general":
         raise ValueError(f"unsupported Matrix Market symmetry {symmetry!r}")
+    return field
+
+
+# bytes.translate table to 0 at a byte that separates Matrix Market tokens
+# (space, and tab to carriage return) and 1 at any other byte.
+_TOKEN_BYTES = bytes(int(b not in b" \t\n\v\f\r") for b in range(256))
+
+
+def _check_value_count(path: str, field: str) -> None:
+    """Raise ValueError unless the entry lines hold nnz * (3 or 4 for a
+    complex field) tokens, which the reader does not check: it drops a
+    line's extra values."""
+    with open(path, "rb") as fh:
+        fh.readline()  # the header
+        for line in fh:  # comment and blank lines, then the size line
+            if line.strip() and not line.lstrip().startswith(b"%"):
+                break
+        token = np.frombuffer(fh.read().translate(_TOKEN_BYTES), dtype=bool)
+    # A token starts at a token byte after a separator, or at the first byte.
+    got = np.count_nonzero(token[1:] > token[:-1]) + (token.size and token[0])
+    nnz = int(line.split()[2])
+    want = nnz * (4 if field == "complex" else 3)
+    if got != want:
+        raise ValueError(
+            f"malformed Matrix Market file {path}: "
+            f"expected {want} values for {nnz} {field} entries, got {got}"
+        )
 
 
 def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
     """Read a Matrix Market coordinate file (real or complex, general).
 
-    The declared dimensions must be equal and a power of two.  1-indexed
-    file entries become 0-indexed; duplicate coordinates are summed and
-    pruned at ``tol`` (never below ``ZERO_TOL``).
+    The declared dimensions must be equal and a power of two, and each
+    entry line must hold its three values (four if complex), no more.
+    1-indexed file entries become 0-indexed; duplicate coordinates are
+    summed and pruned at ``tol`` (never below ``ZERO_TOL``).
     """
     import scipy.io  # imported here: only the Matrix Market reader needs scipy
     import scipy.sparse
 
-    _validate_header(path)
+    field = _validate_header(path)
     try:
         coo = scipy.sparse.coo_matrix(scipy.io.mmread(path))
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer entry past int64
         raise ValueError(f"malformed Matrix Market file {path}: {exc}") from exc
+    _check_value_count(path, field)
     rows, cols = coo.shape
     if rows != cols:
         raise ValueError(f"matrix is not square: {rows}x{cols}")

@@ -42,39 +42,15 @@ class SigmaFactor(str, Enum):
     SPSM = "A"  # |0><0|
     SMSP = "B"  # |1><1|
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return _FACTOR_MATRICES[self]
 
-    @property
-    def bit_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(row_bit, col_bit) positions holding a 1 in the 2x2 matrix."""
-        return _FACTOR_BIT_PAIRS[self]
-
-    @property
-    def is_ladder(self) -> bool:
-        """True for s+ and s-, the factors completed by X."""
-        return all(r != c for r, c in self.bit_pairs)
-
-
-_FACTOR_MATRICES = {
-    SigmaFactor.IDENT: np.eye(2, dtype=complex),
-    SigmaFactor.SPLUS: np.array([[0, 1], [0, 0]], dtype=complex),
-    SigmaFactor.SMINUS: np.array([[0, 0], [1, 0]], dtype=complex),
-    SigmaFactor.SPSM: np.array([[1, 0], [0, 0]], dtype=complex),
-    SigmaFactor.SMSP: np.array([[0, 0], [0, 1]], dtype=complex),
-}
-
-# Derived from the matrices once, at import.
-_FACTOR_BIT_PAIRS = {
-    f: tuple((int(r), int(c)) for r, c in zip(*np.nonzero(m)))
-    for f, m in _FACTOR_MATRICES.items()
-}
-
-# Factor carrying a 1 at (row_bit, col_bit); the single-entry decomposition
-# of a matrix places one of these per qubit.
+# The alphabet's one table: the factor whose single 1 sits at (row_bit,
+# col_bit).  The identity is the factor without a single 1.  The
+# single-entry decomposition of a matrix places one of these per qubit.
 FACTOR_FROM_BITS = {
-    pairs[0]: f for f, pairs in _FACTOR_BIT_PAIRS.items() if len(pairs) == 1
+    (0, 0): SigmaFactor.SPSM,
+    (0, 1): SigmaFactor.SPLUS,
+    (1, 0): SigmaFactor.SMINUS,
+    (1, 1): SigmaFactor.SMSP,
 }
 
 # str.translate tables from a factor string to base-2 digits: the row bit

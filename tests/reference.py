@@ -4,10 +4,13 @@ The sparse-core functions are the one-entry-at-a-time loops the package
 used before its sparse matrices became sorted COO arrays and its sigma
 terms were keyed by factor string.  They still work on tuples of factor
 enums, converted from each term's string with
-``tuple(map(SigmaFactor, t.factors))``, so they stay independent of the
-string tables.  The property tests in ``test_matrices.py`` and
-``test_sigma.py`` require the fast versions to agree with these bit for
-bit (:func:`assert_same_arrays`).  :func:`merge_terms` is the dict loop
+``tuple(map(SigmaFactor, t.factors))``, and read each factor's 1s from
+``FACTOR_MATRICES``, the five 2x2 matrices written out, through
+:func:`bit_pairs` and ``FACTOR_AT_BITS``, so they stay independent of the
+package's bit table and string tables.  :func:`entries` is a matrix's
+``{(row, col): value}`` dict, which the package never builds.  The
+property tests in ``test_matrices.py`` and ``test_sigma.py`` require the
+fast versions to agree with these bit for bit (:func:`assert_same_arrays`).  :func:`merge_terms` is the dict loop
 that ``sigma.merge_terms`` ran before decompositions became arrays,
 :func:`decomposition_json` writes a decomposition file through
 ``json.dumps`` and :func:`from_json_dict` reads one term object at a time.
@@ -60,6 +63,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from typing import Iterable
 
 import numpy as np
@@ -71,7 +75,7 @@ from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _fi
 from sigmalcu.expectation import _H, StateOracle, _oracle_gate
 from sigmalcu.matrices import ZERO_TOL, SparseMatrix, _require_width
 from sigmalcu.pauli import PAULI_CHARS, PauliDecomposition
-from sigmalcu.sigma import FACTOR_FROM_BITS, Decomposition, SigmaFactor, SigmaTerm, completion_matrix
+from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix
 
 
 def assert_same_arrays(got: SparseMatrix, want: SparseMatrix) -> None:
@@ -92,13 +96,44 @@ def matrix_market_bytes(m: SparseMatrix) -> bytes:
     return buffer.getvalue()
 
 
+FACTOR_MATRICES = {
+    SigmaFactor.IDENT: np.eye(2, dtype=complex),
+    SigmaFactor.SPLUS: np.array([[0, 1], [0, 0]], dtype=complex),
+    SigmaFactor.SMINUS: np.array([[0, 0], [1, 0]], dtype=complex),
+    SigmaFactor.SPSM: np.array([[1, 0], [0, 0]], dtype=complex),
+    SigmaFactor.SMSP: np.array([[0, 0], [0, 1]], dtype=complex),
+}
+
+
+def bit_pairs(f: SigmaFactor) -> tuple[tuple[int, int], ...]:
+    """(row_bit, col_bit) positions holding a 1 in the factor's matrix."""
+    return tuple((int(r), int(c)) for r, c in zip(*np.nonzero(FACTOR_MATRICES[f])))
+
+
+# The factor with its single 1 at (row_bit, col_bit).
+FACTOR_AT_BITS = {bit_pairs(f)[0]: f for f in FACTOR_MATRICES if len(bit_pairs(f)) == 1}
+
+
+def is_ladder(f: SigmaFactor) -> bool:
+    """True for s+ and s-, the factors completed by X."""
+    return all(r != c for r, c in bit_pairs(f))
+
+
+def entries(m: SparseMatrix) -> dict[tuple[int, int], complex]:
+    """The stored ``{(row, col): value}`` entries, in row-major order."""
+    return dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.vals.tolist()))
+
+
 def from_entries(
     n_qubits: int, items: Iterable[tuple[int, int, complex]], tol: float = ZERO_TOL
 ) -> SparseMatrix:
     """A dict of running sums started at 0j, one triple at a time, then a
-    prune at ``max(tol, ZERO_TOL)`` that keeps NaN sums."""
+    prune at ``max(tol, ZERO_TOL)`` that keeps NaN sums.  A coordinate that
+    is not an integer is refused."""
     acc: dict[tuple[int, int], complex] = {}
     for r, c, v in items:
+        if not (isinstance(r, numbers.Integral) and isinstance(c, numbers.Integral)):
+            raise ValueError(f"coordinates must be integers, got ({r!r}, {c!r})")
         key = (int(r), int(c))
         acc[key] = acc.get(key, 0j) + complex(v)
     floor = max(tol, ZERO_TOL)
@@ -120,7 +155,7 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
     """One entry per choice of a 1 in every factor, summed by
     :func:`from_entries`."""
     entries = []
-    for pairs in itertools.product(*(f.bit_pairs for f in map(SigmaFactor, t.factors))):
+    for pairs in itertools.product(*map(bit_pairs, map(SigmaFactor, t.factors))):
         r = 0
         c = 0
         for row_bit, col_bit in pairs:
@@ -133,7 +168,7 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
 def reconstruct(d: Decomposition) -> SparseMatrix:
     items = []
     for t in d.terms:
-        items.extend((r, c, v) for (r, c), v in term_matrix(t).entries.items())
+        items.extend((r, c, v) for (r, c), v in entries(term_matrix(t)).items())
     return from_entries(d.n_qubits, items)
 
 
@@ -141,9 +176,9 @@ def decompose_numerical(m: SparseMatrix) -> Decomposition:
     """One term per stored entry, its factors read off bit by bit."""
     n = m.n_qubits
     terms = []
-    for (r, c), v in m.entries.items():
+    for (r, c), v in entries(m).items():
         factors = tuple(
-            FACTOR_FROM_BITS[((r >> (n - 1 - p)) & 1, (c >> (n - 1 - p)) & 1)]
+            FACTOR_AT_BITS[((r >> (n - 1 - p)) & 1, (c >> (n - 1 - p)) & 1)]
             for p in range(n)
         )
         terms.append(SigmaTerm(v, factors))
@@ -365,8 +400,8 @@ def build_dilation_circuit(term: SigmaTerm) -> Circuit:
     pair."""
     factors = tuple(map(SigmaFactor, term.factors))
     fixed = [p for p, f in enumerate(factors, start=1) if f is not SigmaFactor.IDENT]
-    bits_row = {0: 0} | {p: factors[p - 1].bit_pairs[0][0] for p in fixed}
-    bits_col = {0: 1} | {p: factors[p - 1].bit_pairs[0][1] for p in fixed}
+    bits_row = {0: 0} | {p: bit_pairs(factors[p - 1])[0][0] for p in fixed}
+    bits_col = {0: 1} | {p: bit_pairs(factors[p - 1])[0][1] for p in fixed}
     gates = [Gate("x", (0,)), *pattern_swap_gates((0, *fixed), bits_row, bits_col)]
     return Circuit(term.n_qubits + 1, tuple(gates), frozenset({0}))
 

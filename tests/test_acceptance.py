@@ -195,7 +195,7 @@ def test_criterion_7_dilation_comparison():
             n = int(rng.integers(1, 8))
             term = random_term(rng, n, allow_all_identity=False)
             circuit = build_dilation_circuit(term)
-            s = sum(1 for f in term.factors if SigmaFactor(f).is_ladder)
+            s = sum(1 for f in term.factors if reference.is_ladder(SigmaFactor(f)))
             counts = gate_count(circuit)
             assert len(counts.mcx) == 2 * s + 1
             got = circuit_to_matrix(circuit)

@@ -130,7 +130,7 @@ def test_dilation_random_terms():
         circuit = build_dilation_circuit(term)
         got = circuit_to_matrix(circuit)
         assert np.array_equal(got, dilation_target(term))
-        s = sum(1 for f in term.factors if SigmaFactor(f).is_ladder)
+        s = sum(1 for f in term.factors if reference.is_ladder(SigmaFactor(f)))
         k = term.factors.count(I)
         counts = gate_count(circuit)
         if k == n:

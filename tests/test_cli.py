@@ -260,6 +260,18 @@ def test_decompose_refuses_integer_past_int64(tmp_path):
     assert not out.exists()
 
 
+def test_decompose_refuses_an_extra_value(tmp_path):
+    # scipy's reader drops the 5.0: decompose printed "terms: 2  nnz: 2".
+    mtx = write(
+        tmp_path / "m.mtx",
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0 5.0\n2 2 2.0\n",
+    )
+    out = tmp_path / "d.json"
+    err = assert_input_error(["decompose", "--in", mtx, "--out", str(out)])
+    assert err == f"error: malformed Matrix Market file {mtx}: expected 6 values for 2 real entries, got 7\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("small", ["1.0", "1e-16"])
 def test_decompose_refuses_nan_tolerance(tmp_path, small):
     # Without the check a NaN tolerance kept every entry: the 1e-16 one was

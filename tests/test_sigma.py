@@ -64,7 +64,9 @@ def test_factor_matrices_match_definitions():
         B: [[0, 0], [0, 1]],
     }
     for factor, matrix in expected.items():
-        assert np.array_equal(factor.matrix, np.asarray(matrix, dtype=complex))
+        want = np.asarray(matrix, dtype=complex)
+        assert np.array_equal(term_matrix(SigmaTerm(1.0, factor)).to_dense(), want)
+        assert np.array_equal(reference.FACTOR_MATRICES[factor], want)
 
 
 def test_term_matrix_matches_kron():
@@ -74,13 +76,13 @@ def test_term_matrix_matches_kron():
         term = random_term(rng, n, coeff=complex(rng.standard_normal(), rng.standard_normal()))
         dense = np.array([[1]], dtype=complex)
         for f in map(SigmaFactor, term.factors):
-            dense = np.kron(dense, f.matrix)
+            dense = np.kron(dense, reference.FACTOR_MATRICES[f])
         assert np.array_equal(term_matrix(term).to_dense(), term.coeff * dense)
 
 
 def test_term_matrix_examples():
-    assert term_matrix(SigmaTerm(1.0, (M, M))).entries == {(3, 0): 1.0}
-    assert term_matrix(SigmaTerm(1.0, (M, I, A))).entries == {(4, 0): 1.0, (6, 2): 1.0}
+    assert reference.entries(term_matrix(SigmaTerm(1.0, (M, M)))) == {(3, 0): 1.0}
+    assert reference.entries(term_matrix(SigmaTerm(1.0, (M, I, A)))) == {(4, 0): 1.0, (6, 2): 1.0}
     c = complex(0.5, -0.25)
     ident = term_matrix(SigmaTerm(c, (I, I)))
     assert np.array_equal(ident.to_dense(), c * np.eye(4))
