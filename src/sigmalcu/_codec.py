@@ -12,17 +12,35 @@ one-line message on the first mismatch, so malformed input surfaces as an
 input error instead of a ``TypeError`` deep inside a constructor.  Numbers
 must be finite both ways: NaN and Infinity literals are refused on read and
 on write, and so is a decoded value that overflows to infinity (``1e400``).
+
+:func:`read_json` parses with orjson, about 3x faster than json on an
+oracle file's 17-digit floats, and leaves every refusal to json.  orjson
+reads a shallow ASCII document and the caller's schema, ``build``, makes
+the result from its value.  json reads any other document, and again any
+document that orjson or ``build`` refuses, and ``build`` then runs on
+json's value.  An accepted document therefore yields json's value and a
+refused one json's message.  On the documents orjson is given the two
+parsers agree, floats bit for bit, but for an integer literal outside
+[-2^63, 2^64), which orjson reads as a float: a schema that wants an
+integer refuses it, and one that wants a number turns json's integer into
+the same float.  Nesting is why a document must be shallow: orjson parses
+any depth until its stack overflows and the process dies (a million
+brackets do it), while json refuses nesting past Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import cmath
+import io
 import json
 import math
+from typing import Callable, TypeVar
 
 import numpy as np
 
 _MISSING = object()
+
+_T = TypeVar("_T")
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 _NUMBER_TYPES = frozenset((int, float))  # exact types: a boolean is no number
@@ -40,17 +58,56 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
-def read_json(path: str) -> object:
-    with open(path, "r", encoding="ascii") as fh:
+# bytes.translate arguments that keep only a document's brackets, as [ and ],
+# its quotes and its backslashes.
+_OUTLINE = bytes.maketrans(b"{}", b"[]"), bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+
+# The deepest nesting that orjson parses; json takes anything deeper.
+_ORJSON_DEPTH = 32
+
+
+def _nests_at_most(data: bytes, depth: int) -> bool:
+    """Whether the brackets of ``data`` outside its strings nest at most
+    ``depth`` deep.  Without a backslash every quote starts or ends a
+    string; with one, or if ``data`` is malformed, the answer is False."""
+    outline = data.translate(*_OUTLINE)
+    if b"\\" in outline:
+        return False
+    outline = b"".join(outline.split(b'"')[::2])  # the brackets outside the strings
+    for _ in range(depth):  # each pass drops the innermost pairs
+        outline = outline.replace(b"[]", b"")
+    return not outline
+
+
+def read_json(path: str, build: Callable[[object], _T]) -> _T:
+    """``build`` of the JSON document at ``path``, parsed by orjson if it is
+    ASCII and shallow and by json otherwise, or if orjson or ``build``
+    refuses orjson's value (see the module docstring)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.isascii() and _nests_at_most(data, _ORJSON_DEPTH):
+        import orjson  # imported here: only the JSON readers need it
+
         try:
-            return json.load(fh, parse_constant=_reject_constant)
+            return build(orjson.loads(data))
+        except Exception:
+            # Whatever refused, orjson or build: json's value decides, and a
+            # true refusal is raised again from it in json's words.
+            pass
+    # As open(path, encoding="ascii") reads the file: decode errors and line ends alike.
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
+        try:
+            value = json.load(fh, parse_constant=_reject_constant)
         except RecursionError:
             raise ValueError("JSON nesting too deep") from None
+    return build(value)
 
 
-def write_json(path, payload: dict, indent: int | None = None) -> None:
-    """Serialize first, so that a non-finite value leaves no partial file."""
-    text = json.dumps(payload, indent=indent, allow_nan=False)
+def write_json(path, payload: dict | str, indent: int | None = None) -> None:
+    """Write ``payload``, serialized by json or, as a str, already rendered,
+    and a newline.  Serialize first, so that a non-finite value leaves no
+    partial file."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=indent, allow_nan=False)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text + "\n")
 
@@ -90,8 +147,17 @@ def complex_field(data: object) -> complex:
     return value
 
 
-def complex_pairs(values) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in values]
+def pairs_json(values: np.ndarray) -> str:
+    """The text ``json.dumps([[v.real, v.imag] for v in values],
+    allow_nan=False)`` writes for complex ``values``, byte for byte, with
+    the same refusal of a non-finite part: one row of bytes per value
+    (:func:`join_rows`), which ``float.__repr__`` writes as json does."""
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    if not values.size:
+        return "[]"
+    pairs = join_rows([b"[", float_column(values.real), b", ", float_column(values.imag), b"], "])
+    return "[" + pairs[: -len(b", ")].decode("ascii") + "]"
 
 
 def complex_matrix(pairs: list, dim: int | None = None) -> np.ndarray:

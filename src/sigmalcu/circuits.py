@@ -364,7 +364,7 @@ def save_circuit(c: Circuit, path: str) -> None:
 
 
 def load_circuit(path: str) -> Circuit:
-    return circuit_from_json_dict(_codec.read_json(path))
+    return _codec.read_json(path, circuit_from_json_dict)
 
 
 def to_qasm(c: Circuit) -> str:

@@ -38,14 +38,18 @@ POISSON_GRID = (4, 5, 6, 7)  # n_x = 16, 32, 64, 128
 HEAT_WAVE_GRID = ((2, 2), (2, 3), (3, 3), (3, 4))  # n_x(n_t) = 4(4), 4(8), 8(8), 8(16)
 
 
-def load_oracle(path: str, label: str) -> StateOracle:
-    data = _codec.read_json(path)
+def oracle_from_json_dict(label: str, data: object) -> StateOracle:
+    """The oracle an oracle file holds; ``label`` unless the file names one."""
     n = _codec.field(data, "n_qubits", int)
     matrix = _codec.complex_matrix(_codec.field(data, "matrix", list))
     oracle = StateOracle(matrix, _codec.field(data, "label", str, label))
     if oracle.n_qubits != n:
         raise ValueError(f"oracle {oracle.label!r} declares {n} qubits, its matrix acts on {oracle.n_qubits}")
     return oracle
+
+
+def load_oracle(path: str, label: str) -> StateOracle:
+    return _codec.read_json(path, functools.partial(oracle_from_json_dict, label))
 
 
 def _system_width(family: str, s: int, t: int | None) -> int:
@@ -98,8 +102,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _require_pauli_size(args.family, args.s, args.t)
     system = _generate_system(args.family, args.s, args.t, args)
     pauli_terms = len(pauli.decompose_pauli(system.matrix)) if args.pauli else ""
-    if system.rhs is not None:  # the largest payload, built before any file is written
-        rhs = {"length": int(system.rhs.size), "values": _codec.complex_pairs(system.rhs)}
+    if system.rhs is not None:  # the largest payload, rendered before any file is written
+        rhs = '{"length": %d, "values": %s}' % (system.rhs.size, _codec.pairs_json(system.rhs))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_matrix_market(system.matrix, str(outdir / "matrix.mtx"))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -132,8 +133,7 @@ class SparseMatrix(_Columnar):
 
     def __init__(self, n_qubits: int, entries: Mapping[tuple[int, int], complex]) -> None:
         coords = [(_coordinate(r), _coordinate(c)) for r, c in entries]
-        rows, cols = np.array(coords, dtype=np.int64).reshape(-1, 2).T
-        _check_coords(n_qubits, rows, cols)
+        rows, cols = _checked_coords(n_qubits, *_index_array(coords).reshape(-1, 2).T)
         vals = np.fromiter(entries.values(), dtype=complex, count=len(entries))
         _check_values(rows, cols, vals)
         order = np.argsort((rows << n_qubits) | cols)
@@ -157,16 +157,14 @@ class SparseMatrix(_Columnar):
         """Accumulate (row, col, value) triples, given one by one or as
         :class:`Coo` arrays, coalesced by :func:`_coalesce`; a NaN or
         infinite sum is refused."""
-        if not isinstance(items, Coo):
+        if isinstance(items, Coo):
+            rows, cols, vals = _integer_coords(items.rows), _integer_coords(items.cols), items.vals
+        else:
             triples = [(_coordinate(r), _coordinate(c), complex(v)) for r, c, v in items]
-            items = Coo(
-                np.array([t[0] for t in triples], dtype=np.int64),
-                np.array([t[1] for t in triples], dtype=np.int64),
-                np.array([t[2] for t in triples], dtype=complex),
-            )
-        rows, cols = _integer_coords(items.rows), _integer_coords(items.cols)
-        _check_coords(n_qubits, rows, cols)
-        keys, sums = _coalesce((rows << n_qubits) | cols, items.vals, tol)
+            rows, cols = (_index_array([t[k] for t in triples]) for k in (0, 1))
+            vals = np.array([t[2] for t in triples], dtype=complex)
+        rows, cols = _checked_coords(n_qubits, rows, cols)
+        keys, sums = _coalesce((rows << n_qubits) | cols, vals, tol)
         rows, cols = keys >> n_qubits, keys & ((1 << n_qubits) - 1)
         _check_values(rows, cols, sums)
         return cls._from_columns(n_qubits, rows, cols, sums)
@@ -209,18 +207,29 @@ def _coordinate(x) -> int:
         raise ValueError(f"coordinates must be integers, got {x!r}") from None
 
 
+def _index_array(values: list) -> np.ndarray:
+    """Python int coordinates as an int64 array, or as an object array if
+    one is past int64, so that :func:`_checked_coords` quotes it whole."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def _integer_coords(values) -> np.ndarray:
-    """Coordinates as an int64 array, refusing an array of non-integer
-    dtype unless it is empty; the dtype is read once, not each value."""
+    """Coordinates as an array of integer dtype, refusing any other dtype
+    unless the array is empty; the dtype is read once, not each value."""
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"coordinates must be integers, got {array.dtype} values")
-    return array.astype(np.int64, copy=False)
+    return array
 
 
-def _check_coords(n_qubits: int, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Raise ValueError unless the register width is supported and every
-    coordinate lies inside the ``2**n_qubits`` square."""
+def _checked_coords(n_qubits: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and ``cols`` as int64 arrays, after raising ValueError unless
+    the register width is supported and every coordinate lies inside the
+    ``2**n_qubits`` square.  The check reads the integers as given, so that
+    a uint64 or Python int past int64 is quoted as it is, not wrapped."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     _require_width(n_qubits, "sparse matrices", SPARSE_QUBIT_LIMIT)
@@ -229,6 +238,7 @@ def _check_coords(n_qubits: int, rows: np.ndarray, cols: np.ndarray) -> None:
     if outside.any():
         i = int(np.argmax(outside))
         raise ValueError(f"entry ({rows[i]}, {cols[i]}) outside {dim}x{dim} matrix")
+    return rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -256,23 +266,70 @@ def _validate_header(path: str) -> str:
     return field
 
 
-# bytes.translate table to 0 at a byte that separates Matrix Market tokens
-# (space, and tab to carriage return) and 1 at any other byte.
-_TOKEN_BYTES = bytes(int(b not in b" \t\n\v\f\r") for b in range(256))
+# The class of a byte of the entry lines, as one bit: a separator (space,
+# and tab to carriage return), a digit, a sign, a decimal point, an exponent
+# mark, or any other byte.  _CLASS_OF is the bytes.translate table.
+_SEPARATOR, _DIGIT, _SIGN, _POINT, _EXPONENT, _OTHER = (1 << k for k in range(6))
+_CLASS_OF = bytes(
+    next((1 << k for k, chars in enumerate((b" \t\n\v\f\r", b"0123456789", b"+-", b".", b"eE")) if b in chars), _OTHER)
+    for b in range(256)
+)
+
+# The classes that may follow each class in a run of separators and whole
+# decimal numbers with a digit before any point, [+-]?\d+\.?\d*([eE][+-]?\d+)?;
+# _whole_numbers checks apart that a number has at most one point and one
+# exponent mark, the point first.  A value such as .5 is left to the slow
+# check.
+_FOLLOWERS = {
+    _SEPARATOR: _SEPARATOR | _DIGIT | _SIGN,
+    _DIGIT: _SEPARATOR | _DIGIT | _POINT | _EXPONENT,
+    _SIGN: _DIGIT,
+    _POINT: _SEPARATOR | _DIGIT | _EXPONENT,
+    _EXPONENT: _DIGIT | _SIGN,
+}
+# bytes.translate table from a class to the classes that may not follow it.
+_NOT_AFTER = bytes(~_FOLLOWERS.get(c, 0) & 0xFF for c in range(256))
+
+# One value as the slow check reads it: a whole decimal number or, outside
+# integer fields, NaN or infinity, which load as non-finite and are refused
+# as such.
+_VALUE = {
+    "integer": re.compile(rb"[+-]?\d+"),
+    "real": re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?(?:nan|inf|infinity)", re.IGNORECASE),
+}
 
 
-def _check_value_count(path: str, field: str) -> None:
+def _whole_numbers(classes: bytes, field: str) -> bool:
+    """Whether the tokens of a text whose byte ``classes`` start and end with
+    a separator are whole decimal numbers with a digit before any point,
+    integers in an integer field: a few passes over the classes, with no
+    loop over the tokens.  False sends the text to the slow check."""
+    if field == "integer" and (bytes([_POINT]) in classes or bytes([_EXPONENT]) in classes):
+        return False
+    kinds = np.frombuffer(classes, dtype=np.uint8)
+    if (np.frombuffer(classes.translate(_NOT_AFTER), dtype=np.uint8)[:-1] & kinds[1:]).any():
+        return False
+    marks = classes.translate(None, bytes([_DIGIT, _SIGN]))  # separators, points and exponent marks
+    return not any(bytes(pair) in marks for pair in ((_POINT, _POINT), (_EXPONENT, _EXPONENT), (_EXPONENT, _POINT)))
+
+
+def _check_entry_text(path: str, field: str) -> None:
     """Raise ValueError unless the entry lines hold nnz * (3 or 4 for a
-    complex field) tokens, which the reader does not check: it drops a
-    line's extra values."""
+    complex field) values, each a whole decimal number (an integer in an
+    integer field), which the reader does not check: it drops a line's
+    extra values and reads a value's longest number prefix (``1.0x`` as
+    1.0, ``0x10`` as 0, ``1.5`` in an integer field as 1)."""
     with open(path, "rb") as fh:
         fh.readline()  # the header
+        lines = 1
         for line in fh:  # comment and blank lines, then the size line
+            lines += 1
             if line.strip() and not line.lstrip().startswith(b"%"):
                 break
-        token = np.frombuffer(fh.read().translate(_TOKEN_BYTES), dtype=bool)
-    # A token starts at a token byte after a separator, or at the first byte.
-    got = np.count_nonzero(token[1:] > token[:-1]) + (token.size and token[0])
+        body = fh.read()
+    classes = (b" " + body + b" ").translate(_CLASS_OF)  # every token between separators
+    kinds = np.frombuffer(classes, dtype=np.uint8)
+    got = np.count_nonzero((kinds[:-1] == _SEPARATOR) & (kinds[1:] != _SEPARATOR))
     nnz = int(line.split()[2])
     want = nnz * (4 if field == "complex" else 3)
     if got != want:
@@ -280,13 +337,25 @@ def _check_value_count(path: str, field: str) -> None:
             f"malformed Matrix Market file {path}: "
             f"expected {want} values for {nnz} {field} entries, got {got}"
         )
+    if _whole_numbers(classes, field):
+        return
+    value = _VALUE["integer" if field == "integer" else "real"]
+    for number, row in enumerate(body.split(b"\n"), start=lines + 1):
+        for token in row.split():
+            if not value.fullmatch(token):
+                kind = "an integer" if field == "integer" else "a decimal number"
+                raise ValueError(
+                    f"malformed Matrix Market file {path}: "
+                    f"value {token.decode('ascii', 'backslashreplace')!r} on line {number} is not {kind}"
+                )
 
 
 def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
     """Read a Matrix Market coordinate file (real or complex, general).
 
     The declared dimensions must be equal and a power of two, and each
-    entry line must hold its three values (four if complex), no more.
+    entry line must hold its three values (four if complex), no more, each
+    a whole decimal number (an integer in an integer field).
     1-indexed file entries become 0-indexed; duplicate coordinates are
     summed and pruned at ``tol`` (never below ``ZERO_TOL``).
     """
@@ -298,7 +367,7 @@ def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
         coo = scipy.sparse.coo_matrix(scipy.io.mmread(path))
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer entry past int64
         raise ValueError(f"malformed Matrix Market file {path}: {exc}") from exc
-    _check_value_count(path, field)
+    _check_entry_text(path, field)
     rows, cols = coo.shape
     if rows != cols:
         raise ValueError(f"matrix is not square: {rows}x{cols}")

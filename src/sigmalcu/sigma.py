@@ -426,7 +426,7 @@ def save_decomposition(d: Decomposition, path: str) -> None:
 
 
 def load_decomposition(path: str) -> Decomposition:
-    d = from_json_dict(_codec.read_json(path))
+    d = _codec.read_json(path, from_json_dict)
     if not len(d):
         raise ValueError(f"decomposition {path} has no terms")
     return d

@@ -14,6 +14,9 @@ fast versions to agree with these bit for bit (:func:`assert_same_arrays`).  :fu
 that ``sigma.merge_terms`` ran before decompositions became arrays,
 :func:`decomposition_json` writes a decomposition file through
 ``json.dumps`` and :func:`from_json_dict` reads one term object at a time.
+:func:`read_json` is the stdlib JSON reader the package used before it
+parsed with orjson, and ``DECIMAL_NUMBER`` and ``INTEGER`` are the values
+a Matrix Market file may hold, as regular expressions.
 :func:`matrix_market_bytes` writes a Matrix Market file through
 ``scipy.io.mmwrite``, as ``save_matrix_market`` did before it rendered the
 text itself.
@@ -64,6 +67,7 @@ import itertools
 import json
 import math
 import numbers
+import re
 from typing import Iterable
 
 import numpy as np
@@ -122,6 +126,17 @@ def is_ladder(f: SigmaFactor) -> bool:
 def entries(m: SparseMatrix) -> dict[tuple[int, int], complex]:
     """The stored ``{(row, col): value}`` entries, in row-major order."""
     return dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.vals.tolist()))
+
+
+def complex_pairs(values) -> list[list[float]]:
+    """Complex values as the ``[re, im]`` pairs of a JSON payload."""
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
+# A whole Matrix Market value: a decimal number, and an integer in an
+# integer field.  float() and int() read every match.
+DECIMAL_NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def from_entries(
@@ -233,6 +248,23 @@ def decomposition_json(d: Decomposition) -> str:
     return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def read_json(path: str, build):
+    """``build`` of the JSON document at ``path``, read as the package read
+    every JSON file before orjson: stdlib json on the ASCII text, refusing
+    NaN and Infinity literals, with nesting past Python's recursion limit
+    refused in one line."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            value = json.load(fh, parse_constant=_reject_constant)
+        except RecursionError:
+            raise ValueError("JSON nesting too deep") from None
+    return build(value)
+
+
 def from_json_dict(data: dict) -> Decomposition:
     """A decomposition file's JSON read term by term into
     :class:`SigmaTerm` objects and summed by :func:`build`, as the package
@@ -273,7 +305,7 @@ def _gate_to_json(g: Gate) -> dict:
             "kind": "dense",
             "targets": list(g.qubits),
             "label": g.label,
-            "matrix": _codec.complex_pairs(_folded_matrix(g).reshape(-1)),
+            "matrix": complex_pairs(_folded_matrix(g).reshape(-1)),
         }
     return {"kind": kind, "target": g.targets[0]}
 
@@ -443,7 +475,7 @@ def save_oracle(oracle: StateOracle, path: str) -> None:
     payload = {
         "n_qubits": oracle.n_qubits,
         "label": oracle.label,
-        "matrix": _codec.complex_pairs(oracle.matrix.reshape(-1)),
+        "matrix": complex_pairs(oracle.matrix.reshape(-1)),
     }
     _codec.write_json(path, payload)
 

@@ -224,7 +224,7 @@ def test_generate_out_of_memory_is_an_input_error(tmp_path, monkeypatch, exc):
 @pytest.mark.parametrize(
     "module, writer, left",
     [
-        pytest.param(_codec, "complex_pairs", None, id="complex_pairs"),
+        pytest.param(_codec, "pairs_json", None, id="pairs_json"),
         pytest.param(sigma, "_json_text", ["matrix.mtx"], id="_json_text"),
         pytest.param(_codec, "write_json", ["decomposition.json", "matrix.mtx"], id="write_json"),
     ],
@@ -531,6 +531,44 @@ def test_commands_that_read_no_matrix_market_file_leave_scipy_out(argv, tmp_path
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "heat", "--s", "3", "--t", "2", "--outdir", "{tmp}"],
+    ["compare", "--family", "wave", "--range", "4(4),8(4)"],
+    ["decompose", "--in", "{tmp}/m.mtx", "--out", "{tmp}/d.json"],
+], ids=["generate", "compare", "decompose"])
+def test_commands_that_read_no_json_leave_orjson_out(argv, tmp_path):
+    # orjson is imported by the first JSON read; these commands read none.
+    write(tmp_path / "m.mtx", CORNER_PAIR_MTX)
+    code = (
+        "import sys\n"
+        "from sigmalcu.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_decompose_refuses_a_value_read_in_part(tmp_path):
+    # scipy's reader read 1D3 as 1: decompose wrote the coefficient 1.0.
+    mtx = write(tmp_path / "m.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1D3\n")
+    out = tmp_path / "d.json"
+    err = assert_input_error(["decompose", "--in", mtx, "--out", str(out)])
+    assert err == f"error: malformed Matrix Market file {mtx}: value '1D3' on line 3 is not a decimal number\n"
+    assert not out.exists()
+
+
+def test_expval_quotes_an_oracle_width_past_int64(tmp_path):
+    # orjson reads the width as a float; json's exact integer is quoted.
+    decomp = write_json(tmp_path / "d.json", VALID_DECOMPOSITION)
+    good = write_json(tmp_path / "v.json", VALID_ORACLE)
+    wide = write_json(tmp_path / "u.json", {**VALID_ORACLE, "n_qubits": 2**70})
+    code, _, err = run_cli(["expval", "--decomp", decomp, "--u", wide, "--v", good])
+    assert (code, err) == (1, f"error: oracle 'U' declares {2**70} qubits, its matrix acts on 2\n")
 
 
 def test_circuit_command(tmp_path):
@@ -1279,3 +1317,13 @@ def test_help_and_usage_repeat_exactly(tmp_path, monkeypatch, argv, code):
     assert first == second
     assert first[0] == code and (first[1] if code == 0 else first[2]).startswith("usage: sigmalcu")
     assert run_fresh(argv, tmp_path) == first
+
+
+def test_expval_refuses_an_oracle_nested_a_million_deep(tmp_path):
+    # orjson parses any depth until its stack overflows and the process dies;
+    # json refuses past the recursion limit, so the reader gives it deep files.
+    decomp = write_json(tmp_path / "d.json", VALID_DECOMPOSITION)
+    deep = write(tmp_path / "u.json", "[" * 10**6 + "]" * 10**6)
+    assert run_fresh(["expval", "--decomp", decomp, "--u", deep, "--v", deep], tmp_path) == (
+        1, "", "error: JSON nesting too deep\n"
+    )

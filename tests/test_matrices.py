@@ -165,6 +165,81 @@ def test_load_accepts_layouts_around_the_values(tmp_path, lines, end):
     assert reference.entries(load_matrix_market(str(path))) == {(0, 0): 1.0, (1, 1): 2.0}
 
 
+# Values that scipy's reader reads only in part, by its longest valid
+# prefix (0x10 and 0x1p3 as 0, the integer field's 1.5 and 1e5 as 1):
+# decompose wrote the coefficient 1.0 for the entry 1D3.
+MISREAD_VALUES = [
+    ("real", v) for v in
+    ["1.0x", "1e5x", "1.2.3", "1e5e3", "1+2", "1-", "1e+", "1.0e", "1_0", "1d3", "1D3", "0x10", "0x1p3", "2.0,"]
+] + [("integer", "1.5"), ("integer", "1e5"), ("integer", "3x"), ("complex", "1.0 2.0x")]
+
+
+@pytest.mark.parametrize("field, values", MISREAD_VALUES, ids=[f"{f}-{v}" for f, v in MISREAD_VALUES])
+def test_load_refuses_a_value_read_in_part(tmp_path, field, values):
+    bad = values.split()[-1]
+    want = reference.INTEGER if field == "integer" else reference.DECIMAL_NUMBER
+    assert not want.fullmatch(bad)
+    first = "2 2 1 0" if field == "complex" else "2 2 1"
+    text = f"%%MatrixMarket matrix coordinate {field} general\n% a comment\n2 2 2\n{first}\n1 1 {values}\n"
+    path = write_mtx(tmp_path / "m.mtx", text)
+    kind = "an integer" if field == "integer" else "a decimal number"
+    message = f"malformed Matrix Market file {path}: value {bad!r} on line 5 is not {kind}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_matrix_market(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_load_still_refuses_nan_and_inf_as_non_finite(tmp_path, value):
+    path = write_mtx(tmp_path / "m.mtx", f"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 {value}\n")
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) stores a non-finite value$"):
+        load_matrix_market(path)
+
+
+@pytest.mark.parametrize("value", [".5", "-.5", "5.", "5.e-1", "-0", "1E+2"])
+def test_load_reads_every_decimal_form(tmp_path, value):
+    # A value with no digit before its point is read by the slow check.
+    path = write_mtx(tmp_path / "m.mtx", f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 {value}\n2 2 1\n")
+    want = {(0, 0): complex(float(value))} if float(value) else {}
+    assert reference.entries(load_matrix_market(path)) == {**want, (1, 1): 1.0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(["real", "integer"]),
+    value=st.text(alphabet="0123456789+-.eExdD_ ", min_size=1, max_size=8).filter(str.strip),
+)
+def test_load_reads_whole_values_or_refuses(tmp_path_factory, field, value):
+    # A loaded value is float(value), or int(value) in an integer field, bit
+    # for bit; a value outside the reference grammar never loads.
+    path = tmp_path_factory.mktemp("mtx") / "m.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate {field} general\n2 2 1\n1 1 {value}\n")
+    grammar = reference.INTEGER if field == "integer" else reference.DECIMAL_NUMBER
+    try:
+        m = load_matrix_market(str(path))
+    except ValueError:
+        return
+    assert grammar.fullmatch(value.strip())
+    number = float(int(value)) if field == "integer" else float(value)
+    want = {} if abs(number) <= ZERO_TOL else {(0, 0): complex(number)}
+    assert reference.entries(m) == want
+    assert all(v.real == number and math.copysign(1, v.real) == math.copysign(1, number) for v in m.vals)
+
+
+@pytest.mark.parametrize(
+    "row, build",
+    [
+        (2**70, lambda: SparseMatrix.from_entries(1, [(2**70, 0, 1.0)])),
+        (2**70, lambda: SparseMatrix(1, {(2**70, 0): 1.0})),
+        (2**63, lambda: SparseMatrix.from_entries(1, Coo(np.array([2**63], dtype=np.uint64), np.array([0]), np.array([1.0])))),
+    ],
+    ids=["triples", "mapping", "uint64-coo"],
+)
+def test_coordinates_past_int64_are_outside_the_matrix(row, build):
+    # Python ints raised OverflowError, and the uint64 row wrapped to -2^63.
+    with pytest.raises(ValueError, match=rf"^entry \({row}, 0\) outside 2x2 matrix$"):
+        build()
+
+
 def test_to_dense_cases():
     m = SparseMatrix.from_entries(1, [(1, 0, 1.0)])
     assert np.array_equal(m.to_dense(), np.array([[0, 0], [1, 0]], dtype=complex))
