@@ -12,8 +12,9 @@ All values are immutable after construction (:class:`_Columnar` makes the
 arrays read-only); operations return new objects and are safe to call
 concurrently.
 
-Matrix Market files are read with scipy, imported on the first read, and
-written with numpy alone, byte for byte as scipy writes them.
+Matrix Market files are read from their bytes, parsed by orjson (imported on
+the first read), and written with numpy alone, byte for byte as
+``scipy.io.mmwrite`` writes them; the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import BinaryIO, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -250,11 +252,19 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _validate_header(path: str) -> str:
-    """The field of a supported Matrix Market header."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        header = fh.readline().strip().split()
-    if len(header) != 5 or header[0].lower() != "%%matrixmarket":
+def _shown(token: bytes) -> str:
+    """A token of a file as a refusal quotes it."""
+    return repr(token.decode("ascii", "backslashreplace"))
+
+
+def _read_head(path: str, fh: BinaryIO) -> tuple[str, int, int, int]:
+    """The field, dimension and entry count that a Matrix Market file's
+    header and size line declare, and the size line's number, read from
+    ``fh`` up to the entry lines, after refusing an unsupported header, a
+    size line that is not three non-negative integers and a matrix that is
+    not square."""
+    header = fh.readline().decode("ascii", "replace").split()
+    if len(header) != 5 or header[0] != "%%MatrixMarket":
         raise ValueError(f"malformed Matrix Market header in {path}")
     obj, fmt, field, symmetry = (tok.lower() for tok in header[1:])
     if obj != "matrix" or fmt != "coordinate":
@@ -263,116 +273,157 @@ def _validate_header(path: str) -> str:
         raise ValueError(f"unsupported Matrix Market field {field!r}")
     if symmetry != "general":
         raise ValueError(f"unsupported Matrix Market symmetry {symmetry!r}")
-    return field
+    for number, line in enumerate(fh, start=2):  # comment and blank lines, then the size line
+        if line.strip() and not line.lstrip().startswith(b"%"):
+            break
+    else:
+        raise ValueError(f"malformed Matrix Market file {path}: no size line")
+    sizes = line.split()
+    if len(sizes) != 3 or not all(size.isdigit() for size in sizes):
+        raise ValueError(
+            f"malformed Matrix Market file {path}: "
+            f"size line {_shown(line.strip())} on line {number} is not three non-negative integers"
+        )
+    rows, cols, nnz = map(int, sizes)
+    if rows != cols:
+        raise ValueError(f"matrix is not square: {rows}x{cols}")
+    return field, rows, nnz, number
 
 
-# The class of a byte of the entry lines, as one bit: a separator (space,
-# and tab to carriage return), a digit, a sign, a decimal point, an exponent
-# mark, or any other byte.  _CLASS_OF is the bytes.translate table.
-_SEPARATOR, _DIGIT, _SIGN, _POINT, _EXPONENT, _OTHER = (1 << k for k in range(6))
-_CLASS_OF = bytes(
-    next((1 << k for k, chars in enumerate((b" \t\n\v\f\r", b"0123456789", b"+-", b".", b"eE")) if b in chars), _OTHER)
-    for b in range(256)
-)
+# bytes.translate table that keeps the bytes of JSON numbers, turns the
+# separators (space, and tab to carriage return) into commas and every
+# other byte into "#", which no JSON text holds outside a string.
+_AS_JSON = bytes(b if b in b"0123456789+-.eE" else ord(",") if b in b" \t\n\v\f\r" else ord("#") for b in range(256))
 
-# The classes that may follow each class in a run of separators and whole
-# decimal numbers with a digit before any point, [+-]?\d+\.?\d*([eE][+-]?\d+)?;
-# _whole_numbers checks apart that a number has at most one point and one
-# exponent mark, the point first.  A value such as .5 is left to the slow
-# check.
-_FOLLOWERS = {
-    _SEPARATOR: _SEPARATOR | _DIGIT | _SIGN,
-    _DIGIT: _SEPARATOR | _DIGIT | _POINT | _EXPONENT,
-    _SIGN: _DIGIT,
-    _POINT: _SEPARATOR | _DIGIT | _EXPONENT,
-    _EXPONENT: _DIGIT | _SIGN,
-}
-# bytes.translate table from a class to the classes that may not follow it.
-_NOT_AFTER = bytes(~_FOLLOWERS.get(c, 0) & 0xFF for c in range(256))
-
-# One value as the slow check reads it: a whole decimal number or, outside
-# integer fields, NaN or infinity, which load as non-finite and are refused
-# as such.
+# One token as the token reader reads it: an integer (a coordinate, or a
+# value in an integer field), or a decimal number or, outside integer
+# fields, NaN or infinity, which load as non-finite and are refused as such.
 _VALUE = {
     "integer": re.compile(rb"[+-]?\d+"),
     "real": re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?(?:nan|inf|infinity)", re.IGNORECASE),
 }
 
 
-def _whole_numbers(classes: bytes, field: str) -> bool:
-    """Whether the tokens of a text whose byte ``classes`` start and end with
-    a separator are whole decimal numbers with a digit before any point,
-    integers in an integer field: a few passes over the classes, with no
-    loop over the tokens.  False sends the text to the slow check."""
-    if field == "integer" and (bytes([_POINT]) in classes or bytes([_EXPONENT]) in classes):
-        return False
-    kinds = np.frombuffer(classes, dtype=np.uint8)
-    if (np.frombuffer(classes.translate(_NOT_AFTER), dtype=np.uint8)[:-1] & kinds[1:]).any():
-        return False
-    marks = classes.translate(None, bytes([_DIGIT, _SIGN]))  # separators, points and exponent marks
-    return not any(bytes(pair) in marks for pair in ((_POINT, _POINT), (_EXPONENT, _EXPONENT), (_EXPONENT, _POINT)))
+def _json_numbers(text: bytes) -> list | None:
+    """The whitespace-separated tokens of ``text`` as orjson reads them
+    joined by commas into an array, or None if that is no JSON: a run of
+    separators, or a token outside JSON's number grammar, itself a subset
+    of the decimal numbers a Matrix Market file may hold.  orjson reads an
+    integer token as an int, and one outside [-2^63, 2^64) as a float."""
+    import orjson  # imported here, as by _codec.read_json
+
+    try:
+        return orjson.loads(b"[" + text.translate(_AS_JSON).strip(b",") + b"]")
+    except orjson.JSONDecodeError:
+        return None
 
 
-def _check_entry_text(path: str, field: str) -> None:
-    """Raise ValueError unless the entry lines hold nnz * (3 or 4 for a
-    complex field) values, each a whole decimal number (an integer in an
-    integer field), which the reader does not check: it drops a line's
-    extra values and reads a value's longest number prefix (``1.0x`` as
-    1.0, ``0x10`` as 0, ``1.5`` in an integer field as 1)."""
-    with open(path, "rb") as fh:
-        fh.readline()  # the header
-        lines = 1
-        for line in fh:  # comment and blank lines, then the size line
-            lines += 1
-            if line.strip() and not line.lstrip().startswith(b"%"):
-                break
-        body = fh.read()
-    classes = (b" " + body + b" ").translate(_CLASS_OF)  # every token between separators
-    kinds = np.frombuffer(classes, dtype=np.uint8)
-    got = np.count_nonzero((kinds[:-1] == _SEPARATOR) & (kinds[1:] != _SEPARATOR))
-    nnz = int(line.split()[2])
-    want = nnz * (4 if field == "complex" else 3)
+def _packed(code: str, numbers: list) -> np.ndarray:
+    """Python numbers as an int64 (``code`` "q") or float64 ("d") array.
+    Packing as int64 raises struct.error for a float or an int past int64;
+    as float64, each int is rounded to the nearest float."""
+    return np.frombuffer(struct.pack(f"{len(numbers)}{code}", *numbers), dtype=code)
+
+
+def _reals(numbers: list) -> np.ndarray:
+    """Python ints and floats as a float64 array, each int rounded to the
+    nearest float.  A column of ints packs faster as int64: packing an int
+    as a double makes a float object of it first."""
+    try:
+        return _packed("q", numbers).astype(float)
+    except struct.error:
+        return _packed("d", numbers)
+
+
+def _entries(numbers: list, field: str, nnz: int, dim: int) -> Coo | None:
+    """The 0-based entries in a file's numbers, ``nnz`` rows of row,
+    column and value (real and imaginary parts if complex), or None unless
+    there are that many numbers, the coordinates are ints in ``1..dim`` and
+    an integer field's values ints in int64.  orjson reads -0 as the int
+    0, dropping a sign that ``_coalesce`` drops anyway: it adds each value
+    to 0.0."""
+    stride = 4 if field == "complex" else 3
+    if len(numbers) != nnz * stride:
+        return None
+    try:
+        rows, cols = _packed("q", numbers[0::stride]), _packed("q", numbers[1::stride])
+        vals = _packed("q", numbers[2::3]) if field == "integer" else _reals(numbers[2::stride])
+    except struct.error:
+        return None
+    if field == "complex":
+        vals = vals.astype(complex)
+        vals.imag = _reals(numbers[3::4])
+    if ((rows < 1) | (rows > dim) | (cols < 1) | (cols > dim)).any():
+        return None
+    return Coo(rows - 1, cols - 1, vals)
+
+
+def _token_numbers(path: str, body: bytes, line: int, field: str, nnz: int, dim: int) -> list:
+    """The numbers of the entry lines ``body``, which start after line
+    ``line``, read one token at a time with ``int`` and ``float``, after
+    raising ValueError unless there are ``nnz`` entries and each token is a
+    number of its kind: a coordinate an integer in ``1..dim``, a value an
+    integer in int64 in an integer field and a decimal number otherwise."""
+    stride = 4 if field == "complex" else 3
+    want, got = nnz * stride, len(body.split())
     if got != want:
         raise ValueError(
             f"malformed Matrix Market file {path}: "
             f"expected {want} values for {nnz} {field} entries, got {got}"
         )
-    if _whole_numbers(classes, field):
-        return
-    value = _VALUE["integer" if field == "integer" else "real"]
-    for number, row in enumerate(body.split(b"\n"), start=lines + 1):
+    numbers: list = []
+    for number, row in enumerate(body.split(b"\n"), start=line + 1):
         for token in row.split():
-            if not value.fullmatch(token):
-                kind = "an integer" if field == "integer" else "a decimal number"
+            role = len(numbers) % stride
+            what = ("row", "column")[role] if role < 2 else "value"
+            integer = role < 2 or field == "integer"
+            if not _VALUE["integer" if integer else "real"].fullmatch(token):
+                kind = "an integer" if integer else "a decimal number"
                 raise ValueError(
-                    f"malformed Matrix Market file {path}: "
-                    f"value {token.decode('ascii', 'backslashreplace')!r} on line {number} is not {kind}"
+                    f"malformed Matrix Market file {path}: {what} {_shown(token)} on line {number} is not {kind}"
                 )
+            value = int(token) if integer else float(token)
+            low, high = (1, dim) if role < 2 else (-(1 << 63), (1 << 63) - 1)
+            if integer and not low <= value <= high:
+                raise ValueError(
+                    f"malformed Matrix Market file {path}: {what} {_shown(token)} on line {number} is outside {low}..{high}"
+                )
+            numbers.append(value)
+    return numbers
 
 
 def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
-    """Read a Matrix Market coordinate file (real or complex, general).
+    """Read a Matrix Market coordinate file (real, complex or integer,
+    general).
 
-    The declared dimensions must be equal and a power of two, and each
-    entry line must hold its three values (four if complex), no more, each
-    a whole decimal number (an integer in an integer field).
-    1-indexed file entries become 0-indexed; duplicate coordinates are
-    summed and pruned at ``tol`` (never below ``ZERO_TOL``).
+    The declared dimensions must be equal and a power of two, and the
+    entry lines must hold nnz * (3, or 4 if complex) numbers: each entry's
+    1-based row and column, integers in range, then its value, a decimal
+    number (an integer in int64 in an integer field).  Entries are read
+    as one stream of tokens, as the format's reference reader scans them.
+    Duplicate coordinates are summed and pruned at ``tol`` (never below
+    ``ZERO_TOL``).
+
+    The file is read once.  orjson parses the entry lines with their
+    separators turned into commas and CRLF line ends read as LF; where
+    that is no JSON (another run of separators), it parses the tokens
+    rejoined by single separators; and a file it still refuses (numbers
+    such as ``+1``, ``5.``, ``.5`` and ``01``, or a fault) is read token by
+    token, which quotes the first fault.
     """
-    import scipy.io  # imported here: only the Matrix Market reader needs scipy
-    import scipy.sparse
-
-    field = _validate_header(path)
-    try:
-        coo = scipy.sparse.coo_matrix(scipy.io.mmread(path))
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer entry past int64
-        raise ValueError(f"malformed Matrix Market file {path}: {exc}") from exc
-    _check_entry_text(path, field)
-    rows, cols = coo.shape
-    if rows != cols:
-        raise ValueError(f"matrix is not square: {rows}x{cols}")
-    n = _require_power_of_two(rows)
-    return SparseMatrix.from_entries(n, Coo(coo.row, coo.col, coo.data), tol=tol)
+    with open(path, "rb") as fh:
+        field, dim, nnz, line = _read_head(path, fh)
+        body = fh.read()
+    n = _require_power_of_two(dim)
+    if b"\r" in body:  # so that a CRLF line end is one separator, as LF is
+        body = body.replace(b"\r\n", b"\n")
+    numbers = _json_numbers(body)
+    if numbers is None:
+        numbers = _json_numbers(b" ".join(body.split()))
+    entries = None if numbers is None else _entries(numbers, field, nnz, dim)
+    if entries is None:
+        entries = _entries(_token_numbers(path, body, line, field, nnz, dim), field, nnz, dim)
+    return SparseMatrix.from_entries(n, entries, tol=tol)
 
 
 def _matrix_market_number(v: float) -> str:

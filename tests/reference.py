@@ -19,7 +19,9 @@ parsed with orjson, and ``DECIMAL_NUMBER`` and ``INTEGER`` are the values
 a Matrix Market file may hold, as regular expressions.
 :func:`matrix_market_bytes` writes a Matrix Market file through
 ``scipy.io.mmwrite``, as ``save_matrix_market`` did before it rendered the
-text itself.
+text itself, and :func:`read_matrix_market` reads one through
+``scipy.io.mmread``, as ``load_matrix_market`` did before it parsed the
+bytes itself.
 
 :func:`hadamard_test_circuits` builds the full Hadamard-test circuits
 that ``expectation`` evaluates from a cached prefix and index
@@ -77,7 +79,7 @@ import scipy.sparse
 from sigmalcu import _codec
 from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _file_kind, _folded_matrix
 from sigmalcu.expectation import _H, StateOracle, _oracle_gate
-from sigmalcu.matrices import ZERO_TOL, SparseMatrix, _require_width
+from sigmalcu.matrices import ZERO_TOL, Coo, SparseMatrix, _require_width
 from sigmalcu.pauli import PAULI_CHARS, PauliDecomposition
 from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix
 
@@ -88,6 +90,17 @@ def assert_same_arrays(got: SparseMatrix, want: SparseMatrix) -> None:
     for name in ("rows", "cols", "vals"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def read_matrix_market(path: str) -> SparseMatrix:
+    """The matrix ``load_matrix_market`` read when it parsed the file with
+    ``scipy.io.mmread``: scipy's coordinate arrays, summed and pruned by
+    ``SparseMatrix.from_entries``.  A token's leading ``+``, which the
+    format allows and ``mmread`` refuses, is dropped first."""
+    with open(path, "rb") as fh:
+        text = re.sub(rb"(?<![^\s])\+", b"", fh.read())
+    coo = scipy.sparse.coo_matrix(scipy.io.mmread(io.BytesIO(text)))
+    return SparseMatrix.from_entries(coo.shape[0].bit_length() - 1, Coo(coo.row, coo.col, coo.data))
 
 
 def matrix_market_bytes(m: SparseMatrix) -> bytes:

@@ -249,14 +249,39 @@ def test_generate_out_of_memory_while_writing_is_an_input_error(tmp_path, monkey
 
 
 def test_decompose_refuses_integer_past_int64(tmp_path):
-    # scipy's reader raises OverflowError, not ValueError, on such an entry.
+    # scipy's reader raised OverflowError, not ValueError, on such an entry.
     mtx = write(
         tmp_path / "m.mtx",
         "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 9223372036854775808\n",
     )
     out = tmp_path / "d.json"
     err = assert_input_error(["decompose", "--in", mtx, "--out", str(out)])
-    assert err == f"error: malformed Matrix Market file {mtx}: Line 3: Integer out of range.\n"
+    assert err == (
+        f"error: malformed Matrix Market file {mtx}: "
+        "value '9223372036854775808' on line 3 is outside -9223372036854775808..9223372036854775807\n"
+    )
+    assert not out.exists()
+
+
+# Files that scipy's reader refused in its own words: each is still one
+# error line, and no output is written.
+@pytest.mark.parametrize(
+    "body",
+    [
+        "2 2\n", "2 2 1 7\n1 1 1.0\n", "2 2 x\n", "2 2 -1\n", "",
+        "2 2 1\n0 1 1.0\n", "2 2 1\n3 1 1.0\n", "2 2 1\n1.5 1 1.0\n", "2 2 1\n1 9223372036854775808 1.0\n",
+        "2 2 1\n1 1 1.0\n%\n",
+    ],
+    ids=[
+        "two-sizes", "four-sizes", "letter-size", "negative-count", "header-only",
+        "row-0", "row-3", "row-1.5", "column-past-int64", "trailing-comment",
+    ],
+)
+def test_decompose_refuses_a_malformed_matrix_market_file(tmp_path, body):
+    mtx = write(tmp_path / "m.mtx", "%%MatrixMarket matrix coordinate real general\n" + body)
+    out = tmp_path / "d.json"
+    err = assert_input_error(["decompose", "--in", mtx, "--out", str(out)])
+    assert err.startswith(f"error: malformed Matrix Market file {mtx}: ")
     assert not out.exists()
 
 
@@ -506,7 +531,7 @@ def test_verify_prints_the_fail_line_of_each_check(tmp_path, capsys, monkeypatch
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is imported only where Matrix Market files are read.
+    # The package imports no scipy; only the tests' references use it.
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys, sigmalcu.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": src}
@@ -514,43 +539,55 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["generate", "--family", "heat", "--s", "3", "--t", "2", "--alpha", "0.7", "--outdir", "{tmp}"],
-    ["generate", "--family", "poisson", "--s", "3", "--pauli", "--outdir", "{tmp}"],
-    ["compare", "--family", "wave", "--range", "4(4),8(4)"],
-], ids=["generate", "generate --pauli", "compare"])
-def test_commands_that_read_no_matrix_market_file_leave_scipy_out(argv, tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        "import sys\n"
-        "from sigmalcu.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
-@pytest.mark.parametrize("argv", [
-    ["generate", "--family", "heat", "--s", "3", "--t", "2", "--outdir", "{tmp}"],
-    ["compare", "--family", "wave", "--range", "4(4),8(4)"],
-    ["decompose", "--in", "{tmp}/m.mtx", "--out", "{tmp}/d.json"],
-], ids=["generate", "compare", "decompose"])
-def test_commands_that_read_no_json_leave_orjson_out(argv, tmp_path):
-    # orjson is imported by the first JSON read; these commands read none.
+def packages_loaded_by(argv, tmp_path):
+    """The top-level names in ``sys.modules`` after ``main(argv)`` exits 0
+    in a fresh interpreter, run on the inputs in ``tmp_path``: a Matrix
+    Market file, a decomposition and an oracle."""
     write(tmp_path / "m.mtx", CORNER_PAIR_MTX)
+    write_json(tmp_path / "d.json", VALID_DECOMPOSITION)
+    write_json(tmp_path / "u.json", VALID_ORACLE)
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from sigmalcu.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
-        "print('orjson' in sys.modules)\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))\n"
     )
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "heat", "--s", "3", "--t", "2", "--alpha", "0.7", "--outdir", "{tmp}/sys"],
+    ["generate", "--family", "poisson", "--s", "3", "--pauli", "--outdir", "{tmp}/sys"],
+    ["compare", "--family", "wave", "--range", "4(4),8(4)"],
+    ["verify", "--decomp", "{tmp}/d.json", "--dilation"],
+    ["circuit", "--term", "PMA", "--out", "{tmp}/c.json", "--qasm"],
+    ["expval", "--decomp", "{tmp}/d.json", "--u", "{tmp}/u.json", "--v", "{tmp}/u.json", "--out", "{tmp}/e.json"],
+    ["block-encode", "--decomp", "{tmp}/d.json", "--outdir", "{tmp}/be"],
+], ids=["generate", "generate --pauli", "compare", "verify", "circuit", "expval", "block-encode"])
+def test_commands_that_read_no_matrix_market_file_leave_scipy_out(argv, tmp_path):
+    assert "scipy" not in packages_loaded_by(argv, tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--in", "{tmp}/m.mtx", "--out", "{tmp}/d2.json"],
+    ["decompose", "--in", "{tmp}/m.mtx", "--out", "{tmp}/d2.json", "--merge"],
+], ids=["decompose", "decompose --merge"])
+def test_commands_that_read_a_matrix_market_file_leave_scipy_out(argv, tmp_path):
+    # The reader parses the file with orjson, where it once imported scipy.io for mmread.
+    assert "scipy" not in packages_loaded_by(argv, tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "heat", "--s", "3", "--t", "2", "--outdir", "{tmp}/sys"],
+    ["compare", "--family", "wave", "--range", "4(4),8(4)"],
+], ids=["generate", "compare"])
+def test_commands_that_read_no_json_leave_orjson_out(argv, tmp_path):
+    # orjson is imported by the first JSON or Matrix Market read; these
+    # commands make no read.
+    assert "orjson" not in packages_loaded_by(argv, tmp_path)
 
 
 def test_decompose_refuses_a_value_read_in_part(tmp_path):

@@ -181,3 +181,8 @@ def test_matrix_market_bytes(name, tmp_path):
     save_matrix_market(MATRIX_MARKET[name], str(path))
     assert path.read_bytes() == (GOLDEN / f"{name}.mtx").read_bytes()
     assert load_matrix_market(str(path)) == MATRIX_MARKET[name]
+
+
+@pytest.mark.parametrize("path", sorted([*GOLDEN.glob("*.mtx"), *DECOMPOSE.glob("*.mtx")]), ids=lambda p: p.stem)
+def test_matrix_market_loads_as_scipy_reads_it(path):
+    reference.assert_same_arrays(load_matrix_market(str(path)), reference.read_matrix_market(str(path)))

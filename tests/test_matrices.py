@@ -137,13 +137,54 @@ def test_load_rejects_malformed_entry(tmp_path):
         ("real", ["2 2 2", "1 1 1.0 5.0", "2 2 2.0"], "expected 6 values for 2 real entries, got 7"),
         ("complex", ["2 2 1", "1 1 1.0 2.0 3.0"], "expected 4 values for 1 complex entries, got 5"),
         ("integer", ["2 2 1", "1 1 5 6"], "expected 3 values for 1 integer entries, got 4"),
+        # A comment after the size line is entry text; scipy refused it as "file too long".
+        ("real", ["2 2 1", "1 1 1.0", "%"], "expected 3 values for 1 real entries, got 4"),
     ],
-    ids=["real", "complex", "integer"],
+    ids=["real", "complex", "integer", "trailing-comment"],
 )
 def test_load_refuses_an_extra_value(tmp_path, field, lines, message):
     text = "\n".join([f"%%MatrixMarket matrix coordinate {field} general", *lines, ""])
     path = write_mtx(tmp_path / "m.mtx", text)
     with pytest.raises(ValueError, match=f"^malformed Matrix Market file {re.escape(path)}: {message}$"):
+        load_matrix_market(path)
+
+
+# Files that scipy's reader refused in its own words: the size line, and
+# coordinates or integer values that are not integers in range.
+@pytest.mark.parametrize(
+    "field, lines, message",
+    [
+        ("real", ["2 2"], "size line '2 2' on line 2 is not three non-negative integers"),
+        ("real", ["2 2 1 7", "1 1 1.0"], "size line '2 2 1 7' on line 2 is not three non-negative integers"),
+        ("real", ["2 2 x"], "size line '2 2 x' on line 2 is not three non-negative integers"),
+        ("real", ["2 2 -1"], "size line '2 2 -1' on line 2 is not three non-negative integers"),
+        ("real", ["% only a comment"], "no size line"),
+        ("real", [], "no size line"),
+        ("real", ["2 2 1", "0 1 1.0"], "row '0' on line 3 is outside 1..2"),
+        ("real", ["2 2 1", "1 3 1.0"], "column '3' on line 3 is outside 1..2"),
+        ("real", ["2 2 1", "1.5 1 1.0"], "row '1.5' on line 3 is not an integer"),
+        ("complex", ["2 2 1", "1 1e0 1.0 0"], "column '1e0' on line 3 is not an integer"),
+        ("real", ["2 2 1", "9223372036854775808 1 1.0"], "row '9223372036854775808' on line 3 is outside 1..2"),
+        (
+            "integer",
+            ["2 2 2", "1 1 1", "", "2 2 9223372036854775808"],
+            "value '9223372036854775808' on line 5 is outside -9223372036854775808..9223372036854775807",
+        ),
+        (
+            "integer",
+            ["2 2 1", "1 1 -9223372036854775809"],
+            "value '-9223372036854775809' on line 3 is outside -9223372036854775808..9223372036854775807",
+        ),
+    ],
+    ids=[
+        "two-sizes", "four-sizes", "letter-size", "negative-count", "comment-only", "header-only",
+        "row-0", "column-3", "row-1.5", "column-1e0", "row-past-int64", "value-past-int64", "value-below-int64",
+    ],
+)
+def test_load_refuses_a_malformed_size_line_or_entry(tmp_path, field, lines, message):
+    text = "\n".join([f"%%MatrixMarket matrix coordinate {field} general", *lines, ""])
+    path = write_mtx(tmp_path / "m.mtx", text)
+    with pytest.raises(ValueError, match=f"^malformed Matrix Market file {re.escape(path)}: {re.escape(message)}$"):
         load_matrix_market(path)
 
 
@@ -154,8 +195,12 @@ def test_load_refuses_an_extra_value(tmp_path, field, lines, message):
         (["2 2 2  ", "1 1 1.0 \t", "2 2 2.0   "], "\n"),
         (["2 2 2", "1 1 1.0", "2 2 2.0"], "\r\n"),
         (["2 2 2", "1 1 1.0", "2 2 2.0"], ""),
+        # Entries are one stream of tokens, as the format's reference
+        # reader scans them with fscanf; scipy refused both layouts.
+        (["2 2 2", "1 1", "1.0 2 2 2.0"], "\n"),
+        (["2 2 2", "+1 01 +1.0", "2 2 2.0"], "\n"),
     ],
-    ids=["blank-lines", "trailing-spaces", "crlf", "no-final-newline"],
+    ids=["blank-lines", "trailing-spaces", "crlf", "no-final-newline", "entries-across-lines", "signed-and-padded"],
 )
 def test_load_accepts_layouts_around_the_values(tmp_path, lines, end):
     newline = "\r\n" if end == "\r\n" else "\n"
@@ -223,6 +268,90 @@ def test_load_reads_whole_values_or_refuses(tmp_path_factory, field, value):
     want = {} if abs(number) <= ZERO_TOL else {(0, 0): complex(number)}
     assert reference.entries(m) == want
     assert all(v.real == number and math.copysign(1, v.real) == math.copysign(1, number) for v in m.vals)
+
+
+def _real_tokens(x: float | int, loose: bool) -> list[str]:
+    """Spellings of ``x`` that read as ``x``: JSON numbers, and with
+    ``loose`` the forms JSON refuses (+1, 5., .5, 01).  An int is spelt as
+    an integer, which a real field rounds to the nearest float."""
+    if isinstance(x, int):
+        return _integer_tokens(x, loose)
+    text = repr(x)
+    forms = [text, re.sub(r"e(?=\d)", "E+", text).upper(), f"{x:.20e}"]
+    if x.is_integer() and abs(x) < 2**63:
+        forms.append(("-" if math.copysign(1, x) < 0 else "") + str(abs(int(x))))
+    if loose:
+        sign, digits = ("-", text[1:]) if text[0] == "-" else ("+", text)
+        forms += [sign + digits, sign + "0" + digits]
+        if digits.startswith("0."):
+            forms.append(sign + digits[1:])
+        if x.is_integer() and abs(x) < 2**63:
+            forms.append(sign + str(abs(int(x))) + ".")
+    return forms
+
+
+def _integer_tokens(k: int, loose: bool) -> list[str]:
+    forms = [str(k)]
+    if loose:
+        sign, digits = ("-", str(-k)) if k < 0 else ("+", str(k))
+        forms += [sign + digits, sign + "00" + digits]
+    return forms
+
+
+@st.composite
+def matrix_market_files(draw) -> bytes:
+    """Matrix Market files that scipy.io.mmread reads, once a token's
+    leading + is dropped: real, complex and integer fields, values in
+    every spelling, duplicates that cancel, and the layouts around them."""
+    field = draw(st.sampled_from(["real", "complex", "integer"]))
+    dim = 1 << draw(st.integers(1, 3))
+    # Plain tokens and layouts are JSON once the separators are commas;
+    # loose tokens take the forms JSON refuses, and loose layouts runs of
+    # separators.
+    loose, runs = draw(st.booleans()), draw(st.booleans())
+    if field == "integer":
+        # Symmetric, so that a cancelling entry stays in int64.
+        number = st.one_of(st.integers(-9, 9), st.integers(1 - (1 << 63), (1 << 63) - 1))
+    else:
+        number = st.one_of(
+            st.floats(-1e300, 1e300, allow_subnormal=True),
+            st.integers(-9, 9).map(float),
+            st.integers(-(1 << 62), 1 << 62).map(float),
+            st.integers(-(1 << 65), 1 << 65),
+        )
+
+    def spelt(v, spellings=_integer_tokens if field == "integer" else _real_tokens):
+        return draw(st.sampled_from(spellings(v, loose)))
+
+    width = 2 if field == "complex" else 1
+    coordinate = st.integers(1, dim)
+    entries = draw(st.lists(st.tuples(coordinate, coordinate, st.lists(number, min_size=width, max_size=width)), max_size=8))
+    if entries and draw(st.booleans()):
+        r, c, vals = entries[0]
+        entries.append((r, c, [-v for v in vals]))  # cancels the first entry
+    tokens = [[spelt(r, _integer_tokens), spelt(c, _integer_tokens), *map(spelt, vals)] for r, c, vals in entries]
+    if field == "real" and draw(st.booleans()):  # an integer past 2^64 and a negative zero
+        tokens.append(["1", "1", "123456789012345678901234567890"])
+        tokens.append(["1", "1", "-0"])
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t"] if runs else [" ", "\t"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "  \n", "\n\n"])) if runs else "\n"
+    head = draw(st.sampled_from([[], ["%"], ["% a comment", ""], [""]]))
+    lines = [f"%%MatrixMarket matrix coordinate {field} general", *head, f"{dim} {dim} {len(tokens)}"]
+    text = end.join(lines + [sep.join(line) for line in tokens])
+    return (text + draw(st.sampled_from(["", end]))).encode("ascii")
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=matrix_market_files())
+@example(text=b"%%MatrixMarket matrix coordinate real general\n4 4 3\n+1 01 +1\n2 2 5.\n3 3 .5\n")
+@example(text=b"%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1E+2 -0\n1 1 -1E+2 0\n")
+@example(text=b"%%MatrixMarket matrix coordinate integer general\r\n\r\n2 2 1\r\n2\t1  -9223372036854775808 \r\n")
+def test_load_equals_scipy_mmread_bit_for_bit(tmp_path_factory, text):
+    # Each of the reader's paths runs here: orjson over the file's tokens,
+    # orjson over the tokens rejoined, and the token-by-token reader.
+    path = tmp_path_factory.mktemp("mtx") / "m.mtx"
+    path.write_bytes(text)
+    reference.assert_same_arrays(load_matrix_market(str(path)), reference.read_matrix_market(str(path)))
 
 
 @pytest.mark.parametrize(
