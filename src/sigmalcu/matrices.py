@@ -405,21 +405,15 @@ def load_matrix_market(path: str, tol: float = ZERO_TOL) -> SparseMatrix:
     ``ZERO_TOL``).
 
     The file is read once.  orjson parses the entry lines with their
-    separators turned into commas and CRLF line ends read as LF; where
-    that is no JSON (another run of separators), it parses the tokens
-    rejoined by single separators; and a file it still refuses (numbers
-    such as ``+1``, ``5.``, ``.5`` and ``01``, or a fault) is read token by
-    token, which quotes the first fault.
+    separators turned into commas; a file that is no JSON that way (a run
+    of separators, numbers such as ``+1``, ``5.``, ``.5`` and ``01``, or a
+    fault) is read token by token, which quotes the first fault.
     """
     with open(path, "rb") as fh:
         field, dim, nnz, line = _read_head(path, fh)
         body = fh.read()
     n = _require_power_of_two(dim)
-    if b"\r" in body:  # so that a CRLF line end is one separator, as LF is
-        body = body.replace(b"\r\n", b"\n")
     numbers = _json_numbers(body)
-    if numbers is None:
-        numbers = _json_numbers(b" ".join(body.split()))
     entries = None if numbers is None else _entries(numbers, field, nnz, dim)
     if entries is None:
         entries = _entries(_token_numbers(path, body, line, field, nnz, dim), field, nnz, dim)

@@ -263,28 +263,6 @@ def test_decompose_refuses_integer_past_int64(tmp_path):
     assert not out.exists()
 
 
-# Files that scipy's reader refused in its own words: each is still one
-# error line, and no output is written.
-@pytest.mark.parametrize(
-    "body",
-    [
-        "2 2\n", "2 2 1 7\n1 1 1.0\n", "2 2 x\n", "2 2 -1\n", "",
-        "2 2 1\n0 1 1.0\n", "2 2 1\n3 1 1.0\n", "2 2 1\n1.5 1 1.0\n", "2 2 1\n1 9223372036854775808 1.0\n",
-        "2 2 1\n1 1 1.0\n%\n",
-    ],
-    ids=[
-        "two-sizes", "four-sizes", "letter-size", "negative-count", "header-only",
-        "row-0", "row-3", "row-1.5", "column-past-int64", "trailing-comment",
-    ],
-)
-def test_decompose_refuses_a_malformed_matrix_market_file(tmp_path, body):
-    mtx = write(tmp_path / "m.mtx", "%%MatrixMarket matrix coordinate real general\n" + body)
-    out = tmp_path / "d.json"
-    err = assert_input_error(["decompose", "--in", mtx, "--out", str(out)])
-    assert err.startswith(f"error: malformed Matrix Market file {mtx}: ")
-    assert not out.exists()
-
-
 def test_decompose_refuses_an_extra_value(tmp_path):
     # scipy's reader drops the 5.0: decompose printed "terms: 2  nnz: 2".
     mtx = write(

@@ -130,7 +130,9 @@ def test_load_rejects_malformed_entry(tmp_path):
 
 
 # Entry lines holding one value past their field's count, which scipy's
-# reader dropped: the real file read as diag(1, 2).
+# reader dropped (the real file read as diag(1, 2)), and files that
+# scipy's reader refused in its own words: the size line, and coordinates
+# or integer values that are not integers in range.
 @pytest.mark.parametrize(
     "field, lines, message",
     [
@@ -139,21 +141,6 @@ def test_load_rejects_malformed_entry(tmp_path):
         ("integer", ["2 2 1", "1 1 5 6"], "expected 3 values for 1 integer entries, got 4"),
         # A comment after the size line is entry text; scipy refused it as "file too long".
         ("real", ["2 2 1", "1 1 1.0", "%"], "expected 3 values for 1 real entries, got 4"),
-    ],
-    ids=["real", "complex", "integer", "trailing-comment"],
-)
-def test_load_refuses_an_extra_value(tmp_path, field, lines, message):
-    text = "\n".join([f"%%MatrixMarket matrix coordinate {field} general", *lines, ""])
-    path = write_mtx(tmp_path / "m.mtx", text)
-    with pytest.raises(ValueError, match=f"^malformed Matrix Market file {re.escape(path)}: {message}$"):
-        load_matrix_market(path)
-
-
-# Files that scipy's reader refused in its own words: the size line, and
-# coordinates or integer values that are not integers in range.
-@pytest.mark.parametrize(
-    "field, lines, message",
-    [
         ("real", ["2 2"], "size line '2 2' on line 2 is not three non-negative integers"),
         ("real", ["2 2 1 7", "1 1 1.0"], "size line '2 2 1 7' on line 2 is not three non-negative integers"),
         ("real", ["2 2 x"], "size line '2 2 x' on line 2 is not three non-negative integers"),
@@ -177,11 +164,12 @@ def test_load_refuses_an_extra_value(tmp_path, field, lines, message):
         ),
     ],
     ids=[
+        "real", "complex", "integer", "trailing-comment",
         "two-sizes", "four-sizes", "letter-size", "negative-count", "comment-only", "header-only",
         "row-0", "column-3", "row-1.5", "column-1e0", "row-past-int64", "value-past-int64", "value-below-int64",
     ],
 )
-def test_load_refuses_a_malformed_size_line_or_entry(tmp_path, field, lines, message):
+def test_load_refuses_an_extra_value(tmp_path, field, lines, message):
     text = "\n".join([f"%%MatrixMarket matrix coordinate {field} general", *lines, ""])
     path = write_mtx(tmp_path / "m.mtx", text)
     with pytest.raises(ValueError, match=f"^malformed Matrix Market file {re.escape(path)}: {re.escape(message)}$"):
@@ -347,8 +335,8 @@ def matrix_market_files(draw) -> bytes:
 @example(text=b"%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1E+2 -0\n1 1 -1E+2 0\n")
 @example(text=b"%%MatrixMarket matrix coordinate integer general\r\n\r\n2 2 1\r\n2\t1  -9223372036854775808 \r\n")
 def test_load_equals_scipy_mmread_bit_for_bit(tmp_path_factory, text):
-    # Each of the reader's paths runs here: orjson over the file's tokens,
-    # orjson over the tokens rejoined, and the token-by-token reader.
+    # Both of the reader's paths run here: orjson over the file's tokens,
+    # and the token-by-token reader.
     path = tmp_path_factory.mktemp("mtx") / "m.mtx"
     path.write_bytes(text)
     reference.assert_same_arrays(load_matrix_market(str(path)), reference.read_matrix_market(str(path)))
