@@ -26,7 +26,7 @@ from .sigma import (
     term_matrix,
 )
 from .pauli import PauliDecomposition, decompose_pauli
-from .pde import HeatParams, PdeSystem, heat_1d, ode_extended_a1, poisson_1d, wave_1d
+from .pde import HeatParams, PdeSystem, heat_1d, poisson_1d, wave_1d
 from .circuits import (
     CLOSED,
     OPEN,
@@ -53,7 +53,6 @@ from .simulate import (
 )
 from .expectation import (
     StateOracle,
-    expval_full,
     expval_sandwich,
     expval_term,
     sample_expval,
@@ -61,7 +60,6 @@ from .expectation import (
 from .blockenc import (
     BlockEncoding,
     assemble,
-    prep_circuit,
     resource_report,
     select_circuit,
     verify_block_encoding,
@@ -98,7 +96,6 @@ __all__ = [
     "decompose_numerical",
     "decompose_pauli",
     "embedded",
-    "expval_full",
     "expval_sandwich",
     "expval_term",
     "frobenius_distance",
@@ -108,9 +105,7 @@ __all__ = [
     "load_decomposition",
     "load_matrix_market",
     "merge_terms",
-    "ode_extended_a1",
     "poisson_1d",
-    "prep_circuit",
     "reconstruct",
     "resource_report",
     "run",

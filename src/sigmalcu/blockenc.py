@@ -10,7 +10,9 @@ refuses a lambda that is not positive and finite.
 
 PREP loads a_l = sqrt(|coeff_l| / lambda) onto selector value l and UNPREP
 loads b_l = a_l e^{-i arg coeff_l}, a state-preparation pair (Gilyen, Su,
-Low & Wiebe, arXiv:1806.01838): conj(b_l) a_l = coeff_l / lambda.  SELECT
+Low & Wiebe, arXiv:1806.01838): conj(b_l) a_l = coeff_l / lambda.
+:func:`assemble` builds both reflections side by side from one amplitude
+array; a one-term encoding has no selector and no PREP.  SELECT
 applies each term's completion circuit under multi-controlled selection on
 the binary selector value, with X and MCX gates only; padded selector
 values act as the identity.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _term_controls
 from .matrices import ZERO_TOL, _require_width, frobenius_distance
-from .sigma import Decomposition, _magnitude, reconstruct
+from .sigma import Decomposition, reconstruct
 from .simulate import circuit_to_matrix
 
 # Largest Frobenius distance between the extracted block and A / lambda
@@ -73,12 +75,11 @@ def _prep_matrix(target: np.ndarray) -> np.ndarray:
 
 
 def _lambda(coeffs) -> tuple[np.ndarray, float]:
-    """Each |c_l|, read as inf where it overflows, and lambda = their sum:
-    the one lambda of the package.  Refuses a lambda that is not positive
-    and finite."""
+    """Each |c_l| and lambda = their sum: the one lambda of the package.
+    Refuses a lambda that is not positive and finite."""
     # Python's abs, not np.abs: the two differ in the last bit on about one
     # value in six, and PREP's bytes are pinned to abs.
-    mags = np.array([_magnitude(complex(c)) for c in coeffs], dtype=float)
+    mags = np.array([abs(complex(c)) for c in coeffs], dtype=float)
     with np.errstate(over="ignore"):
         lam = float(mags.sum())
     if not math.isfinite(lam):
@@ -86,28 +87,6 @@ def _lambda(coeffs) -> tuple[np.ndarray, float]:
     if lam <= 0:
         raise ValueError("need at least one nonzero coefficient")
     return mags, lam
-
-
-def _amplitudes(coeffs) -> tuple[np.ndarray, float]:
-    """sqrt(|c_l| / lambda), zero-padded to a power of two of at least 2,
-    and lambda."""
-    mags, lam = _lambda(coeffs)
-    amplitudes = np.zeros(1 << max(1, _selector_width(mags.size)))
-    amplitudes[: mags.size] = np.sqrt(mags / lam)
-    return amplitudes, lam
-
-
-def _prep_gate(amplitudes: np.ndarray) -> Gate:
-    targets = tuple(range(amplitudes.size.bit_length() - 1))
-    return Gate("dense", targets, matrix=_prep_matrix(amplitudes), label="prep")
-
-
-def prep_circuit(coeffs: list[complex]) -> Circuit:
-    """PREP, loading sqrt(|c_l| / lambda) onto selector value l, as one
-    dense reflection on at least one qubit; the unprepare of
-    :func:`assemble` loads the phases."""
-    prep = _prep_gate(_amplitudes(coeffs)[0])
-    return Circuit(len(prep.targets), (prep,))
 
 
 def _registers(d: Decomposition, what: str) -> tuple[int, int]:
@@ -136,7 +115,7 @@ def assemble(d: Decomposition) -> BlockEncoding:
     width, total = _registers(d, "block-encode")
     _require_width(total, "block encoding")
     coeffs = d.coeffs.tolist()
-    amplitudes, lam = _amplitudes(coeffs)
+    mags, lam = _lambda(coeffs)
     select = select_circuit(d)
     if width == 0:  # no selector: the coefficient's phase is global
         gates = select.gates
@@ -144,10 +123,13 @@ def assemble(d: Decomposition) -> BlockEncoding:
         if abs(phase - 1.0) > ZERO_TOL:
             gates += (Gate("dense", (0,), matrix=phase * np.eye(2, dtype=complex), label="phase"),)
     else:
+        amplitudes = np.zeros(1 << width)
+        amplitudes[: mags.size] = np.sqrt(mags / lam)
         unprepare = amplitudes.astype(complex)
-        unprepare[: len(coeffs)] *= np.conj([_phase(c) for c in coeffs])
-        prep = _prep_gate(amplitudes)
-        prep_dag = Gate("dense", prep.targets, matrix=_prep_matrix(unprepare).conj().T, label="prep_dag")
+        unprepare[: mags.size] *= np.conj([_phase(c) for c in coeffs])
+        targets = tuple(range(width))
+        prep = Gate("dense", targets, matrix=_prep_matrix(amplitudes), label="prep")
+        prep_dag = Gate("dense", targets, matrix=_prep_matrix(unprepare).conj().T, label="prep_dag")
         gates = (prep, *select.gates, prep_dag)
     return BlockEncoding(width, d.n_qubits, lam, Circuit(total, gates, select.ancillas), d)
 

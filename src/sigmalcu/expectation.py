@@ -31,7 +31,7 @@ import numpy as np
 
 from .circuits import CLOSED, OPEN, Circuit, Gate, _check_unitary, _controlled_term
 from .matrices import _require_power_of_two
-from .sigma import Decomposition, SigmaTerm
+from .sigma import SigmaTerm
 from .simulate import StateVector, _apply_to_tensor, _permuted_indices, ancilla_probs, run, zero_state
 
 # Largest shot count a seeded multinomial draw accepts.
@@ -177,15 +177,6 @@ def expval_sandwich(
     _check_width(ti.n_qubits, u, v, m)
     real, imaginary = _distributions(u, v, tj, m, ti)
     return complex(real["00"] - real["10"], imaginary["00"] - imaginary["10"])
-
-
-def expval_full(u: StateOracle, v: StateOracle, d: Decomposition) -> complex:
-    """<0| U^dag A V |0> by linearity over the decomposition of A."""
-    _check_width(d.n_qubits, u, v)
-    return sum(
-        (t.coeff * expval_term(u, v, t) for t in d.terms),
-        start=0j,
-    )
 
 
 def sample_expval(

@@ -158,23 +158,10 @@ def poisson_1d(s: int) -> PdeSystem:
     )
 
 
-def ode_extended_a1(t: int, s: int) -> Decomposition:
-    """Time-stepping block of an extended Euler system.
-
-    Block-bidiagonal matrix with identity blocks of size 2**s on the
-    diagonal and negated identities on the subdiagonal, over 2**t blocks:
-    I minus the time register's increment operator, times I on space;
-    exactly t + 1 terms.
-    """
-    if t < 1 or s < 0:
-        raise ValueError("need t >= 1 and s >= 0")
-    return _time_stepped(t, s, [], 0.0)
-
-
 def _time_stepped(t: int, s: int, spatial_terms: list[SigmaTerm], scale: float) -> Decomposition:
-    """The time-stepping block of :func:`ode_extended_a1` plus the spatial
-    terms on s qubits, scaled and lifted onto all time blocks except the
-    first: identity prefix minus the all-|0><0| prefix selecting block zero."""
+    """Euler time stepping, I minus the time register's increment times I
+    on space (t + 1 terms), plus the spatial terms on s qubits, scaled and
+    lifted onto every time block but the first by I - |0..0><0..0| on time."""
     terms = [SigmaTerm(1.0, I * (t + s)), *(SigmaTerm(-1.0, f + I * s) for f in _increment(t))]
     for term in spatial_terms:
         terms.append(SigmaTerm(scale * term.coeff, I * t + term.factors))

@@ -27,6 +27,9 @@ bytes itself.
 that ``expectation`` evaluates from a cached prefix and index
 permutations; ``test_expectation.py`` runs them gate by gate as the
 reference, and ``test_golden.py`` pins their file format.
+:func:`expval_full` is <0| U^dag A V |0> summed term by term, which the
+package offered beside ``cmd_expval``; ``test_cli.py`` requires the
+``expval`` total to equal it bit for bit.
 
 :func:`circuit_to_json_dict` is the dict ``save_circuit`` wrote through
 ``json.dumps(..., indent=1)`` before it rendered the file itself, and
@@ -45,8 +48,8 @@ that every completion circuit must realize.
 
 :func:`prep_matrix` is PREP's real reflection as ``blockenc`` built it
 before the one builder for both preparations; ``test_blockenc.py``
-requires ``prep_circuit`` to reproduce it byte for byte, and every lambda
-the package reports to equal :func:`prep_lambda` bit for bit.
+requires the PREP gate of ``assemble`` to reproduce it byte for byte, and
+every lambda the package reports to equal :func:`prep_lambda` bit for bit.
 
 :func:`decompose_pauli` is the Pauli decomposition as the package ran it
 before it grouped entries by bit-flip mask: every entry scattered into
@@ -78,7 +81,7 @@ import scipy.sparse
 
 from sigmalcu import _codec
 from sigmalcu.circuits import CLOSED, OPEN, Circuit, Gate, _controlled_term, _file_kind, _folded_matrix
-from sigmalcu.expectation import _H, StateOracle, _oracle_gate
+from sigmalcu.expectation import _H, StateOracle, _check_width, _oracle_gate, expval_term
 from sigmalcu.matrices import ZERO_TOL, Coo, SparseMatrix, _require_width
 from sigmalcu.pauli import PAULI_CHARS, PauliDecomposition
 from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix
@@ -408,6 +411,17 @@ def hadamard_test_circuits(
     real = Circuit(width, (_H, *body, _H), ancillas)
     imaginary = Circuit(width, (_H, Gate("sdg", (0,)), *body, _H), ancillas)
     return real, imaginary
+
+
+def expval_full(u: StateOracle, v: StateOracle, d: Decomposition) -> complex:
+    """<0| U^dag A V |0> by linearity over the decomposition of A, as
+    ``expectation.expval_full`` summed it when the package exported it
+    beside ``cmd_expval``, which sums the same terms itself."""
+    _check_width(d.n_qubits, u, v)
+    return sum(
+        (t.coeff * expval_term(u, v, t) for t in d.terms),
+        start=0j,
+    )
 
 
 def pattern_swap_gates(

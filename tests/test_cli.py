@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import save_oracle
 from sigmalcu import _codec, blockenc, cli, pde, sigma
 from sigmalcu.circuits import (
@@ -630,6 +631,25 @@ def test_expval_identity(tmp_path, capsys):
     assert payload["re"] == pytest.approx(1.0, abs=1e-12)
     assert payload["im"] == pytest.approx(0.0, abs=1e-12)
     assert len(payload["per_term"]) == 1
+
+
+def test_expval_total_is_linear_in_the_terms(tmp_path, capsys):
+    system = pde.poisson_1d(2)
+    decomp = str(tmp_path / "d.json")
+    sigma.save_decomposition(system.decomposition, decomp)
+    rng = np.random.default_rng(77)
+    upath, vpath = str(tmp_path / "u.json"), str(tmp_path / "v.json")
+    save_oracle(StateOracle(reference.random_unitary(rng, 4), "U"), upath)
+    save_oracle(StateOracle(reference.random_unitary(rng, 4), "V"), vpath)
+    capsys.readouterr()
+    assert main(["expval", "--decomp", decomp, "--u", upath, "--v", vpath]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    total = complex(payload["re"], payload["im"])
+    u, v = cli.load_oracle(upath, "U"), cli.load_oracle(vpath, "V")
+    # Both sum coeff * expval_term in term order, so they agree bit for bit.
+    assert total == reference.expval_full(u, v, load_decomposition(decomp))
+    dense = (u.matrix.conj().T @ system.matrix.to_dense() @ v.matrix)[0, 0]
+    assert abs(total - dense) < 1e-9 * len(system.decomposition)
 
 
 def test_expval_shots_deterministic(tmp_path):

@@ -11,13 +11,12 @@ from sigmalcu import expectation
 from sigmalcu.expectation import (
     StateOracle,
     _distributions,
-    expval_full,
     expval_sandwich,
     expval_term,
     sample_expval,
 )
 from sigmalcu.pde import HeatParams, heat_1d, poisson_1d
-from sigmalcu.sigma import Decomposition, SigmaFactor, SigmaTerm, completion_matrix, term_matrix
+from sigmalcu.sigma import SigmaFactor, SigmaTerm, completion_matrix, term_matrix
 from sigmalcu.simulate import ancilla_probs, run, zero_state
 from sigmalcu.circuits import Circuit, Gate
 
@@ -176,21 +175,6 @@ def test_sandwich_gram_symmetry():
             left = expval_sandwich(u, u, ident, ti, tj)
             right = expval_sandwich(u, u, ident, tj, ti)
             assert abs(left - right.conjugate()) < 1e-10
-
-
-def test_expval_full_linearity():
-    rng = np.random.default_rng(77)
-    system = poisson_1d(2)
-    u = random_oracle(rng, 2, "U")
-    v = random_oracle(rng, 2, "V")
-    got = expval_full(u, v, system.decomposition)
-    dense = (u.matrix.conj().T @ system.matrix.to_dense() @ v.matrix)[0, 0]
-    assert abs(got - dense) < 1e-9 * len(system.decomposition)
-
-
-def test_expval_full_empty_is_zero():
-    u = identity_oracle(2)
-    assert expval_full(u, u, Decomposition(2, ())) == 0j
 
 
 def test_sample_deterministic_for_seed():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sigmalcu.matrices import frobenius_distance
-from sigmalcu.pde import HeatParams, heat_1d, ode_extended_a1, poisson_1d, wave_1d
+from sigmalcu.pde import HeatParams, _time_stepped, heat_1d, poisson_1d, wave_1d
 from sigmalcu.sigma import decompose_numerical, merge_terms, reconstruct
 
 
@@ -90,7 +90,7 @@ def test_poisson_rejects_bad_size():
 
 
 def test_ode_extended_base_case():
-    d = ode_extended_a1(1, 0)
+    d = _time_stepped(1, 0, [], 0.0)  # the time-stepping block alone
     assert {(t.factors, t.coeff) for t in d.terms} == {("I", 1.0), ("M", -1.0)}
     assert np.array_equal(
         reconstruct(d).to_dense(), np.array([[1, 0], [-1, 1]], dtype=complex)
@@ -98,23 +98,16 @@ def test_ode_extended_base_case():
 
 
 def test_ode_extended_term_count():
-    assert len(ode_extended_a1(3, 0)) == 4
+    assert len(_time_stepped(3, 0, [], 0.0)) == 4
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_ode_extended_matches_block_assembly(t, s):
-    d = ode_extended_a1(t, s)
+    d = _time_stepped(t, s, [], 0.0)
     assert len(d) == t + 1
     direct = stepping_dense(1 << t, 1 << s)
     assert np.array_equal(reconstruct(d).to_dense(), direct)
-
-
-def test_ode_extended_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        ode_extended_a1(0, 1)
-    with pytest.raises(ValueError):
-        ode_extended_a1(1, -1)
 
 
 def test_heat_default_counts_and_assembly():
