@@ -6,7 +6,8 @@ in that order from the most significant qubit.  Its top-left 2^n block,
 reached with selector and ancilla in |0>, equals A / lambda with
 lambda = sum |coeff_l|, summed once, by :func:`_lambda`: PREP, the
 unprepare, :func:`assemble` and both reports read that one number, and it
-refuses a lambda that is not positive and finite.
+refuses a lambda that is not finite.  A decomposition holds at least one
+term, each above ZERO_TOL in magnitude, so lambda is positive.
 
 PREP loads a_l = sqrt(|coeff_l| / lambda) onto selector value l and UNPREP
 loads b_l = a_l e^{-i arg coeff_l}, a state-preparation pair (Gilyen, Su,
@@ -76,7 +77,7 @@ def _prep_matrix(target: np.ndarray) -> np.ndarray:
 
 def _lambda(coeffs) -> tuple[np.ndarray, float]:
     """Each |c_l| and lambda = their sum: the one lambda of the package.
-    Refuses a lambda that is not positive and finite."""
+    Refuses a lambda that is not finite."""
     # Python's abs, not np.abs: the two differ in the last bit on about one
     # value in six, and PREP's bytes are pinned to abs.
     mags = np.array([abs(complex(c)) for c in coeffs], dtype=float)
@@ -84,23 +85,19 @@ def _lambda(coeffs) -> tuple[np.ndarray, float]:
         lam = float(mags.sum())
     if not math.isfinite(lam):
         raise ValueError("lambda = sum |coeff| out of floating-point range")
-    if lam <= 0:
-        raise ValueError("need at least one nonzero coefficient")
     return mags, lam
 
 
-def _registers(d: Decomposition, what: str) -> tuple[int, int]:
+def _registers(d: Decomposition) -> tuple[int, int]:
     """Selector width, and total width with ancilla and system."""
-    if not d.terms:
-        raise ValueError(f"cannot {what} an empty decomposition")
-    width = _selector_width(len(d.terms))
+    width = _selector_width(len(d))
     return width, width + 1 + d.n_qubits
 
 
 def select_circuit(d: Decomposition) -> Circuit:
     """Term selection on selector + ancilla + system qubits, of X and MCX
     gates only: the preparations carry the coefficients."""
-    width, total = _registers(d, "select from")
+    width, total = _registers(d)
     gates: list[Gate] = []
     for value, term in enumerate(d.terms):
         # One control per selector qubit, qubit 0 holding the value's top bit.
@@ -112,7 +109,7 @@ def select_circuit(d: Decomposition) -> Circuit:
 def assemble(d: Decomposition) -> BlockEncoding:
     """Full encoding W = UNPREP^dag . SELECT . PREP, refused before any gate
     is built when selector + 1 + system exceeds the dense limit."""
-    width, total = _registers(d, "block-encode")
+    width, total = _registers(d)
     _require_width(total, "block encoding")
     coeffs = d.coeffs.tolist()
     mags, lam = _lambda(coeffs)

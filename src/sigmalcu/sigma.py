@@ -75,9 +75,10 @@ _CHAR_AT_BITS = np.frombuffer(
 
 
 def _magnitude(c: complex) -> float:
-    """``|c|``, reading inf where a finite ``c``'s magnitude overflows."""
+    """``|c|`` as a float, reading inf where it overflows: the magnitude
+    of a finite complex, or an int past float range."""
     try:
-        return abs(c)
+        return float(abs(c))
     except OverflowError:
         return math.inf
 
@@ -121,15 +122,17 @@ class Decomposition(_Columnar):
 
     ``factors`` is a read-only ``(len, n_qubits)`` uint8 array holding one
     factor string per row as ASCII codes, so that its rows viewed as
-    ``S{n_qubits}`` strings sort and search like the strings themselves;
-    the rows are sorted and unique (an empty decomposition holds a
-    ``(0, 0)`` array, whatever its width).  ``coeffs`` holds the complex128
-    coefficients.  ``terms`` builds the matching :class:`SigmaTerm` tuple
-    on first use.
+    ``S{n_qubits}`` strings sort and search like the strings themselves.
+    ``coeffs`` holds the complex128 coefficients.  ``terms`` builds the
+    matching :class:`SigmaTerm` tuple on first use.
 
-    ``Decomposition(n, terms)`` stores the given terms sorted by string,
-    with their coefficients as given; it refuses a term of another width
-    and a repeated string.  :meth:`build` sums equal strings instead.
+    Every value holds what a decomposition file may hold: at least one
+    term, sorted unique strings of width ``n_qubits >= 1``, and each
+    coefficient above ``ZERO_TOL`` and finite in magnitude, so lambda =
+    sum |coeff| is positive.  ``Decomposition(n, terms)`` stores the given
+    terms sorted by string, with their coefficients as given; it refuses a
+    repeated string and a zero coefficient.  :meth:`build` sums equal
+    strings and prunes instead.
     """
 
     n_qubits: int
@@ -138,22 +141,18 @@ class Decomposition(_Columnar):
 
     def __init__(self, n_qubits: int, terms: Iterable[SigmaTerm]) -> None:
         terms = tuple(terms)
-        _require_register(n_qubits)
-        for t in terms:
-            if t.n_qubits != n_qubits:
-                raise ValueError(f"term width {t.n_qubits} does not match register {n_qubits}")
         _refuse_repeats([t.factors for t in terms])
+        for t in terms:
+            if _magnitude(t.coeff) <= ZERO_TOL:
+                raise ValueError(f"sigma term coefficient {t.coeff} is not above {ZERO_TOL} in magnitude")
         terms = tuple(sorted(terms, key=lambda t: t.factors))
         keys = np.array([t.factors for t in terms], dtype="S")
-        coeffs = np.array([t.coeff for t in terms], dtype=complex)
-        self._set_fields(n_qubits, _rows(keys, n_qubits), coeffs)
+        self._set_fields(*_checked(n_qubits, keys, np.array([t.coeff for t in terms], dtype=complex)))
         object.__setattr__(self, "terms", terms)
 
     @property
     def keys(self) -> np.ndarray:
         """The factor strings as a sorted ``S{n_qubits}`` array."""
-        if not len(self):  # an empty S1 array, whatever the width
-            return np.empty(0, dtype="S1")
         return self.factors.view(f"S{self.n_qubits}").ravel()
 
     @cached_property
@@ -171,20 +170,9 @@ class Decomposition(_Columnar):
     @classmethod
     def _coalesced(cls, n_qubits: int, keys: np.ndarray, coeffs) -> "Decomposition":
         """Terms from parallel factor strings (a bytes array) and
-        coefficients, coalesced by :func:`matrices._coalesce`.  Refuses a
-        sum that is not finite in magnitude, a register below one qubit and
-        a kept string of another width, in that order."""
-        keys, coeffs = _coalesce(keys, coeffs)
-        bad = ~(_magnitudes(coeffs) < math.inf)
-        if bad.any():
-            coeff = complex(coeffs[bad.argmax()])
-            raise ValueError(f"sigma term coefficient {coeff} is not finite in magnitude")
-        _require_register(n_qubits)
-        widths = np.char.str_len(keys)
-        if (widths != n_qubits).any():
-            width = widths[(widths != n_qubits).argmax()]
-            raise ValueError(f"term width {width} does not match register {n_qubits}")
-        return cls._from_columns(n_qubits, _rows(keys, n_qubits), coeffs)
+        coefficients, coalesced by :func:`matrices._coalesce` and checked
+        by :func:`_checked`."""
+        return cls._from_columns(*_checked(n_qubits, *_coalesce(keys, coeffs)))
 
     def __len__(self) -> int:
         return self.coeffs.size
@@ -193,18 +181,25 @@ class Decomposition(_Columnar):
         return hash((self.n_qubits, self.factors.tobytes()))
 
 
-def _rows(keys: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Factor strings of width ``n_qubits`` as ``(len, n_qubits)`` uint8
-    rows of ASCII codes.  No strings give a ``(0, 0)`` array: numpy
-    refuses a dimension of 2**63 or more, which a width may be."""
-    if not keys.size:
-        return np.empty((0, 0), dtype=np.uint8)
-    return keys.astype(f"S{n_qubits}").view(np.uint8).reshape(-1, n_qubits)
-
-
-def _require_register(n_qubits: int) -> None:
+def _checked(n_qubits: int, keys: np.ndarray, coeffs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The fields of a decomposition over sorted unique factor strings (a
+    bytes array) and coefficients above ``ZERO_TOL`` in magnitude: the one
+    check of its invariant.  Refuses a coefficient that is not finite in
+    magnitude, a register below one qubit, no terms and a string of
+    another width, in that order."""
+    bad = ~(_magnitudes(coeffs) < math.inf)
+    if bad.any():
+        coeff = complex(coeffs[bad.argmax()])
+        raise ValueError(f"sigma term coefficient {coeff} is not finite in magnitude")
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
+    if not keys.size:
+        raise ValueError(f"decomposition has no terms above {ZERO_TOL} in magnitude")
+    widths = np.char.str_len(keys)
+    if (widths != n_qubits).any():
+        width = widths[(widths != n_qubits).argmax()]
+        raise ValueError(f"term width {width} does not match register {n_qubits}")
+    return n_qubits, keys.astype(f"S{n_qubits}").view(np.uint8).reshape(-1, n_qubits), coeffs
 
 
 def _refuse_repeats(strings: list[str]) -> None:
@@ -274,8 +269,6 @@ def reconstruct(d: Decomposition) -> SparseMatrix:
     """Entrywise sum of all term matrices, pruned at ``ZERO_TOL``: one
     coalescing pass over the terms' arrays, summed in term order."""
     parts = [term_matrix(t) for t in d.terms]
-    if not parts:
-        return SparseMatrix(d.n_qubits, {})
     coo = Coo(
         np.concatenate([p.rows for p in parts]),
         np.concatenate([p.cols for p in parts]),
@@ -358,8 +351,10 @@ def merge_terms(d: Decomposition) -> Decomposition:
             if not equal.any():
                 continue
             # Halved before adding, so that the mean of two finite values is
-            # finite; for normal numbers this is (a + b) / 2 bit for bit.
-            mean = a[equal] / 2 + b[equal] / 2
+            # finite; for normal numbers this is (a + b) / 2 bit for bit.  An
+            # infinite total of an earlier merge halves to NaN, refused at the end.
+            with np.errstate(invalid="ignore"):
+                mean = a[equal] / 2 + b[equal] / 2
             merged = rows[cand[equal]]
             merged[:, p] = ident
             merged = merged.view(f"S{n}").ravel()  # sorted, as the candidates are
@@ -397,8 +392,6 @@ def _json_text(d: Decomposition) -> str:
     fixed text around its values, which ``float.__repr__`` writes as json
     does."""
     _codec.require_finite(d.coeffs)
-    if not len(d):
-        return '{\n "n_qubits": %d,\n "terms": []\n}\n' % d.n_qubits
     before_re, before_im, before_factors, after = _JSON_TERM
     re, im = _codec.float_column(d.coeffs.real), _codec.float_column(d.coeffs.imag)
     terms = _codec.join_rows([before_re, re, before_im, im, before_factors, d.factors, after])[: -len(b",\n")]
@@ -426,7 +419,4 @@ def save_decomposition(d: Decomposition, path: str) -> None:
 
 
 def load_decomposition(path: str) -> Decomposition:
-    d = _codec.read_json(path, from_json_dict)
-    if not len(d):
-        raise ValueError(f"decomposition {path} has no terms")
-    return d
+    return _codec.read_json(path, from_json_dict)

@@ -36,7 +36,7 @@ STRINGS2 = sorted("".join(f) for f in itertools.product("IPMAB", repeat=2))
 
 def sorted_decomposition(coeffs):
     """The coefficients in the given order, on sorted distinct strings, so
-    that Decomposition(n, terms) keeps zero and tiny ones as given."""
+    that Decomposition(n, terms) keeps tiny ones as given."""
     return Decomposition(2, (SigmaTerm(c, f) for c, f in zip(coeffs, STRINGS2)))
 
 
@@ -59,10 +59,17 @@ def test_prep_poisson_base_coefficients():
 
 
 def test_prep_rejects_all_zero():
-    for coeffs in ([0.0], [0.0, 0.0], [0.0, 0j, 0.0]):
+    # No decomposition holds a zero coefficient, so PREP never sees one:
+    # the constructor refuses it, and summed and pruned, all-zero terms
+    # leave none.
+    for coeffs, zero in [([0.0], 0.0), ([0.0, 0j, 0.0], 0.0), ([1.0, 0j], 0j), ([3.0, 1e-300j, -1.0], 1e-300j)]:
         with pytest.raises(ValueError) as info:
-            assemble(sorted_decomposition(coeffs))
-        assert str(info.value) == "need at least one nonzero coefficient"
+            sorted_decomposition(coeffs)
+        assert str(info.value) == f"sigma term coefficient {zero} is not above 1e-14 in magnitude"
+        if not any(coeffs):
+            with pytest.raises(ValueError) as info:
+                Decomposition.build(2, (SigmaTerm(c, f) for c, f in zip(coeffs, STRINGS2)))
+            assert str(info.value) == "decomposition has no terms above 1e-14 in magnitude"
 
 
 @pytest.mark.parametrize("coeffs", [[1e308] * 3], ids=["sum-overflows"])
@@ -168,8 +175,9 @@ def test_lambda_scales_with_coefficients():
 
 
 def test_assemble_rejects_empty_and_oversized():
-    with pytest.raises(ValueError, match="empty"):
-        assemble(Decomposition(2, ()))
+    # An empty decomposition is refused before there is one to assemble.
+    with pytest.raises(ValueError, match="no terms above 1e-14"):
+        Decomposition(2, ())
     # 11 system qubits + ancilla + 2 selector qubits > 12
     wide = Decomposition.build(
         11,
@@ -260,13 +268,13 @@ def test_report_arities_match_built_completion_circuits(d):
 @settings(max_examples=200, deadline=None)
 @given(
     coeffs=st.lists(
-        st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False) | st.just(0j),
+        st.complex_numbers(min_magnitude=2e-14, max_magnitude=1e300, allow_nan=False, allow_infinity=False),
         min_size=2,
         max_size=9,
-    ).filter(any)
+    )
 )
-@example(coeffs=[0.0, 1.0, -2.0])  # a zero first coefficient, one padded entry
-@example(coeffs=[3.0, 1e-300j, -1.0, 0.5, 2.0])  # three padded entries
+@example(coeffs=[2e-14, 1.0, -2.0])  # a tiny first coefficient, one padded entry
+@example(coeffs=[3.0, 2e-14j, -1.0, 0.5, 2.0])  # three padded entries
 def test_prep_is_the_real_reflection(coeffs):
     prep = assemble(sorted_decomposition(coeffs)).overall.gates[0]
     assert prep.matrix.tobytes() == reference.prep_matrix(coeffs).tobytes()
@@ -289,11 +297,11 @@ def test_select_is_x_only_and_preparations_are_the_only_dense_gates(d):
 
 @st.composite
 def scaled_decompositions(draw):
-    """Complex, negative and 1e-300-magnitude coefficients, which
-    Decomposition(n, terms) keeps as given."""
+    """Complex, negative and tiny coefficients, down to 1e-13 in magnitude,
+    which Decomposition(n, terms) keeps as given."""
     n = draw(st.integers(1, 3))
     strings = st.text(alphabet="IPMAB", min_size=n, max_size=n)
-    magnitudes = st.floats(0.1, 4) | st.floats(0.1, 4).map(lambda m: m * 1e-300)
+    magnitudes = st.floats(0.1, 4) | st.floats(0.1, 4).map(lambda m: m * 1e-12)
     phases = st.sampled_from([1, -1, 1j, -1j]) | st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t))
     coeffs = st.builds(lambda m, p: m * p, magnitudes, phases)
     terms = draw(st.dictionaries(strings, coeffs, min_size=1, max_size=6))
@@ -303,13 +311,13 @@ def scaled_decompositions(draw):
 @settings(max_examples=100, deadline=None)
 @given(d=scaled_decompositions())
 @example(d=Decomposition(1, (SigmaTerm(2 + 5e-324j, I), SigmaTerm(1.0, P))))
-@example(d=Decomposition(1, (SigmaTerm(1e-300, P), SigmaTerm(-1e-300j, M))))
+@example(d=Decomposition(1, (SigmaTerm(2e-14, P), SigmaTerm(-2e-14j, M))))
 def test_block_is_the_matrix_over_lambda(d):
     encoding = assemble(d)
     dim = 1 << d.n_qubits
     block = circuit_to_matrix(encoding.overall, columns=dim)[:dim]
-    # Summed from unit terms: reconstruct prunes terms below ZERO_TOL, and
-    # here every term may be below it.
+    # Summed from unit terms, apart from reconstruct and its prune at
+    # ZERO_TOL.
     target = sum(t.coeff / encoding.lam * term_matrix(SigmaTerm(1.0, t.factors)).to_dense() for t in d.terms)
     assert frobenius_distance(block, target) <= BLOCK_TOL
     assert verify_block_encoding(encoding)["frobenius_error"] <= BLOCK_TOL

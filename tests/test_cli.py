@@ -996,6 +996,9 @@ def test_malformed_decomposition_exits_1(command, payload):
         # Wider than any numpy dimension, with no term or only a pruned one.
         ({"n_qubits": 2**70, "terms": []}, "no terms"),
         ({"n_qubits": 2**70, "terms": [{"re": 0.0, "im": 0.0, "factors": "P"}]}, "no terms"),
+        # Pruned at 1e-14 by the reader, as by Decomposition.build.
+        ({"n_qubits": 1, "terms": [{"re": 0.0, "im": 0.0, "factors": "P"}]}, "no terms above 1e-14 in magnitude"),
+        ({"n_qubits": 1, "terms": [{"re": 1e-300, "im": 0.0, "factors": "P"}]}, "no terms above 1e-14 in magnitude"),
     ],
 )
 def test_decomposition_without_terms_or_width_exits_1(tmp_path, command, payload, reason):

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import reference
@@ -129,8 +129,38 @@ def test_round_trip_exact_random():
         assert reconstruct(d) == m
 
 
-def test_reconstruct_empty_is_zero():
-    assert reconstruct(Decomposition(2, ())) == SparseMatrix(2, {})
+NO_TERMS = "decomposition has no terms above 1e-14 in magnitude"
+
+
+# Each once gave a decomposition without terms, which a file cannot hold.
+@pytest.mark.parametrize("make", [
+    lambda: Decomposition(2, ()),
+    lambda: Decomposition.build(1, []),
+    lambda: Decomposition.build(1, [SigmaTerm(1.0, "P"), SigmaTerm(-1.0, "P")]),
+    # A + B - I on one qubit: the merged identity cancels.
+    lambda: merge_terms(Decomposition(1, (SigmaTerm(1.0, "A"), SigmaTerm(1.0, "B"), SigmaTerm(-1.0, "I")))),
+    lambda: from_json_dict({"n_qubits": 1, "terms": [{"re": 1e-300, "im": 0.0, "factors": "P"}]}),
+], ids=["constructor", "build", "build-cancels", "merge-cancels", "reader-prunes"])
+def test_decomposition_without_terms_is_refused(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == NO_TERMS
+
+
+# Each was once stored as given, and a saved file read back without it.
+@pytest.mark.parametrize("terms, zero", [
+    ((SigmaTerm(1e-20, "PP"), SigmaTerm(1.0, "MM")), "1e-20"),
+    ((SigmaTerm(5e-324, "A"), SigmaTerm(2.0, "B"), SigmaTerm(-1e-15, "I")), "5e-324"),
+    ((SigmaTerm(complex(-0.0, 5e-324), "P"), SigmaTerm(-1e308, "M")), "(-0+5e-324j)"),
+    ((SigmaTerm(1.0, "P"), SigmaTerm(0, "M")), "0"),
+])
+def test_constructor_refuses_a_zero_coefficient(terms, zero):
+    with pytest.raises(ValueError) as info:
+        Decomposition(len(terms[0].factors), terms)
+    assert str(info.value) == f"sigma term coefficient {zero} is not above 1e-14 in magnitude"
+    # build prunes the same terms instead.
+    kept = [t for t in terms if abs(t.coeff) > ZERO_TOL]
+    assert Decomposition.build(len(terms[0].factors), terms) == Decomposition(len(terms[0].factors), kept)
 
 
 def test_merge_projector_pair():
@@ -181,6 +211,16 @@ def test_merge_preserves_reconstruct_and_count():
         assert reconstruct(merged) == m
 
 
+def outcome(make, arg):
+    """The decomposition ``make(arg)`` returns, as comparable bytes, or the
+    message refusing it."""
+    try:
+        d = make(arg)
+    except (ValueError, OverflowError) as exc:
+        return str(exc)
+    return d.n_qubits, d.keys.tobytes(), d.coeffs.tobytes()
+
+
 def merge_terms_sorted_reference(d):
     """Slow reference for ``merge_terms``: the loop as first written, which
     re-sorts every candidate string at each position of each pass."""
@@ -215,14 +255,15 @@ def decompositions_with_repeated_coefficients(draw):
     # existing identity string.
     factors = st.lists(st.sampled_from([A, B, I, P]), min_size=n, max_size=n)
     coeffs = st.sampled_from([1.0, -1.0, 0.5j])
-    terms = draw(st.dictionaries(factors.map(tuple), coeffs, max_size=16))
+    terms = draw(st.dictionaries(factors.map(tuple), coeffs, min_size=1, max_size=16))
     return Decomposition.build(n, (SigmaTerm(c, fs) for fs, c in terms.items()))
 
 
 @settings(max_examples=300, deadline=None)
 @given(d=decompositions_with_repeated_coefficients())
 def test_merge_matches_sorted_reference(d):
-    assert merge_terms(d) == merge_terms_sorted_reference(d)
+    # Equal, or refused alike where every term cancels.
+    assert outcome(merge_terms, d) == outcome(merge_terms_sorted_reference, d)
 
 
 @st.composite
@@ -239,6 +280,10 @@ def nudged_decompositions(draw):
 @given(pair=nudged_decompositions())
 def test_merge_tolerates_near_equal_coefficients(pair):
     exact, nudged = pair
+    if isinstance(outcome(merge_terms, exact), str):  # every term cancels
+        with pytest.raises(ValueError, match="no terms"):
+            merge_terms(nudged)
+        return
     merged = merge_terms(nudged)
     assert len(merged) <= len(nudged)
     # Rounding neither blocks a merge nor makes one that exact values would not.
@@ -299,9 +344,17 @@ def test_decomposition_refuses_a_repeated_factor_string():
     assert str(info.value) == "duplicate factor string P"
 
 
-# The last is finite, but its magnitude overflows a float.
+# The last two are finite, but their magnitudes overflow a float; an int's
+# compares below math.inf.
 @pytest.mark.parametrize(
-    "bad", [float("nan"), float("inf"), complex(0.0, float("-inf")), complex(1.7e308, 1.7e308)]
+    "bad",
+    [
+        float("nan"),
+        float("inf"),
+        complex(0.0, float("-inf")),
+        complex(1.7e308, 1.7e308),
+        pytest.param(10**400, id="int-past-float-range"),
+    ],
 )
 def test_term_rejects_non_finite_coefficient(bad):
     with pytest.raises(ValueError, match="not finite"):
@@ -442,9 +495,9 @@ def test_build_and_reconstruct_match_references(case):
     n, terms = case
     try:
         want = reference.build(n, terms)
-    except (ValueError, OverflowError):
-        # A sum that is not finite, or whose magnitude overflows.
-        with pytest.raises(ValueError, match="not finite"):
+    except (ValueError, OverflowError) as exc:
+        # A sum that is not finite, or whose magnitude overflows; or no term left.
+        with pytest.raises(ValueError, match="no terms" if "no terms" in str(exc) else "not finite"):
             Decomposition.build(n, terms)
         return
     got = Decomposition.build(n, terms)
@@ -481,20 +534,20 @@ def test_decompose_numerical_matches_per_entry_reference(m):
 @example(d=Decomposition(1, (SigmaTerm(complex(-0.0, 1.0), (A,)), SigmaTerm(complex(-0.0, 1.0), (B,)))))
 @example(d=Decomposition(2, (SigmaTerm(complex(2.0, -0.0), (A, P)),)))
 def test_merge_matches_enum_tuple_reference(d):
-    assert_same_terms(merge_terms(d), reference.merge_terms(d))
+    assert outcome(merge_terms, d) == outcome(reference.merge_terms, d)
 
 
 @settings(max_examples=200, deadline=None)
 @given(pair=nudged_decompositions())
 def test_merge_of_nudged_coefficients_matches_enum_tuple_reference(pair):
     _, nudged = pair
-    assert_same_terms(merge_terms(nudged), reference.merge_terms(nudged))
+    assert outcome(merge_terms, nudged) == outcome(reference.merge_terms, nudged)
 
 
 
 # Coefficient parts for decompositions stored as given by the constructor:
-# signed zeros, subnormals, parts pruned at ZERO_TOL, and 1e308, so that
-# merged means and sums cancel, are pruned or overflow.
+# signed zeros, subnormals, parts below ZERO_TOL, and 1e308, so that merged
+# means and sums cancel, are pruned or overflow.
 EXTREME_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-15, -1e-15, 1.0, -1.0, 0.5, 1e308, -1e308])
 
 
@@ -502,10 +555,12 @@ EXTREME_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-15, -1e-15, 1.0,
 def stored_decompositions(draw):
     """Constructor-built decompositions over few factors and coefficients,
     so that most draws hold mergeable pairs, some only near-equal: every
-    coefficient may be moved by up to four ulps."""
+    coefficient may be moved by up to four ulps.  Each coefficient is above
+    ZERO_TOL in magnitude, as the constructor requires."""
     n = draw(st.integers(1, 3))
     strings = st.lists(st.sampled_from("ABIP"), min_size=n, max_size=n).map("".join)
-    coeffs = draw(st.dictionaries(strings, st.builds(complex, EXTREME_PARTS, EXTREME_PARTS), max_size=12))
+    coeff = st.builds(complex, EXTREME_PARTS, EXTREME_PARTS).filter(lambda c: abs(c) > ZERO_TOL)
+    coeffs = draw(st.dictionaries(strings, coeff, min_size=1, max_size=12))
     ulps = draw(st.lists(st.integers(-4, 4), min_size=len(coeffs), max_size=len(coeffs)))
     return Decomposition(
         n, [SigmaTerm(c * (1 + k * 2.0**-52), f) for (f, c), k in zip(coeffs.items(), ulps)]
@@ -516,15 +571,16 @@ def stored_decompositions(draw):
 @given(d=stored_decompositions())
 @example(d=Decomposition(1, (SigmaTerm(1e308, "A"), SigmaTerm(1e308, "B"), SigmaTerm(1e308, "I"))))
 @example(d=Decomposition(1, (SigmaTerm(complex(1e308, 1e308), "A"), SigmaTerm(complex(1e308, 1e308), "B"))))
-@example(d=Decomposition(1, (SigmaTerm(5e-324, "A"), SigmaTerm(-0.0, "B"), SigmaTerm(-1e-15, "I"))))
+@example(d=Decomposition(1, (SigmaTerm(complex(1.0, 5e-324), "A"), SigmaTerm(1.0, "B"), SigmaTerm(-1.0, "I"))))
 @example(d=Decomposition(2, (SigmaTerm(1.0, "AA"), SigmaTerm(1.0, "AB"), SigmaTerm(-1.0, "BI"))))
-@example(d=Decomposition(3, ()))
+# AA and AB merge to an infinite AI, which is then taken as equal to BI.
+@example(d=Decomposition(2, (SigmaTerm(1e308, "AA"), SigmaTerm(1e308, "AB"), SigmaTerm(1e308, "AI"), SigmaTerm(1j, "BI"))))
 def test_merge_of_stored_coefficients_matches_reference(d):
     try:
         want = reference.merge_terms(d)
-    except (ValueError, OverflowError):
-        # A merged total whose magnitude is not finite.
-        with pytest.raises(ValueError, match="not finite"):
+    except (ValueError, OverflowError) as exc:
+        # A merged total whose magnitude is not finite, or no term left.
+        with pytest.raises(ValueError, match="no terms" if "no terms" in str(exc) else "not finite"):
             merge_terms(d)
         return
     assert_same_terms(merge_terms(d), want)
@@ -532,8 +588,7 @@ def test_merge_of_stored_coefficients_matches_reference(d):
 
 @settings(max_examples=200, deadline=None)
 @given(d=stored_decompositions(), merge=st.booleans())
-@example(d=Decomposition(2, ()), merge=False)
-@example(d=Decomposition(1, (SigmaTerm(complex(-0.0, 5e-324), "P"), SigmaTerm(-1e308, "M"))), merge=False)
+@example(d=Decomposition(1, (SigmaTerm(complex(-1.0, 5e-324), "P"), SigmaTerm(-1e308, "M"))), merge=False)
 def test_saved_files_match_the_json_writer_and_read_back(d, merge):
     if merge:
         try:
@@ -547,11 +602,35 @@ def test_saved_files_match_the_json_writer_and_read_back(d, merge):
             text = fh.read()
     assert text == reference.decomposition_json(d).encode("ascii")
     data = json.loads(text)
-    if not len(d):
-        return
     # Reading back sums each coefficient once from 0.0, which turns a
     # negative zero part positive, and prunes at ZERO_TOL.
     assert_same_terms(from_json_dict(data), reference.from_json_dict(data))
+
+
+@st.composite
+def any_decompositions(draw):
+    """A decomposition from each way to get one: the constructor, build,
+    merge_terms and decompose_numerical.  A draw they refuse is rejected."""
+    how = draw(st.sampled_from(["constructor", "build", "merge", "numerical"]))
+    try:
+        if how == "constructor":
+            return draw(stored_decompositions())
+        if how == "build":
+            return Decomposition.build(*draw(term_lists()))
+        if how == "merge":
+            return merge_terms(draw(stored_decompositions()))
+        return decompose_numerical(draw(stored_matrices()))
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=any_decompositions())
+def test_every_decomposition_loads_back_from_its_file(d):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        save_decomposition(d, path)
+        assert load_decomposition(path) == d
 
 
 def unchecked(n_qubits, strings, coeffs):
@@ -590,15 +669,6 @@ FILE_TERMS = st.one_of(
 )
 
 
-def read_outcome(read, data):
-    """The terms read, as comparable bytes, or the message refusing them."""
-    try:
-        d = read(data)
-    except (ValueError, OverflowError) as exc:
-        return str(exc)
-    return d.n_qubits, d.keys.tobytes(), d.coeffs.tobytes()
-
-
 @settings(max_examples=500, deadline=None)
 @given(n=st.integers(0, 3), items=st.lists(FILE_TERMS, max_size=6))
 @example(n=1, items=[{"re": 1, "im": 0, "factors": "P"}, {"re": 2, "im": 0, "factors": " P"}])
@@ -606,7 +676,7 @@ def read_outcome(read, data):
 @example(n=2, items=[{"re": 0.0, "im": -0.0, "factors": "P"}, {"re": -0.0, "im": 1.0, "factors": "P M"}])
 def test_reader_matches_term_by_term_reference(n, items):
     data = {"n_qubits": n, "terms": items}
-    got = read_outcome(from_json_dict, data)
+    got = outcome(from_json_dict, data)
     try:
         terms = [
             SigmaTerm.from_string(_codec.complex_field(item), _codec.field(item, "factors", str))
@@ -620,4 +690,4 @@ def test_reader_matches_term_by_term_reference(n, items):
     if repeated:  # the declared refusal: no longer summed
         assert got == f"duplicate factor string {repeated[0]}"
         return
-    assert got == read_outcome(reference.from_json_dict, data)
+    assert got == outcome(reference.from_json_dict, data)
