@@ -20,11 +20,10 @@ the first read), and written with numpy alone, byte for byte as
 from __future__ import annotations
 
 import math
-import operator
 import re
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Mapping, NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -41,8 +40,8 @@ ZERO_TOL = 1e-14
 # 256 MiB.
 DENSE_QUBIT_LIMIT = 12
 
-# Widest matrix that from_entries and the mapping constructor accept: a
-# (row, col) pair packs into one int64 sort key.
+# Widest matrix that from_entries and term_matrix accept: a (row, col)
+# pair packs into one int64 sort key.
 SPARSE_QUBIT_LIMIT = 31
 
 
@@ -83,7 +82,7 @@ def _coalesce(keys, vals, tol: float = ZERO_TOL) -> tuple[np.ndarray, np.ndarray
 
 class Coo(NamedTuple):
     """Unsorted coordinate arrays, possibly with repeated coordinates: the
-    array form of the triples :meth:`SparseMatrix.from_entries` takes."""
+    input of :meth:`SparseMatrix.from_entries`."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -95,19 +94,18 @@ class _Columnar:
     dataclass fields.  They are set once, the arrays read-only, and a value
     equals another of its type when every field is ``np.array_equal``."""
 
-    def _set_fields(self, n_qubits: int, *columns: np.ndarray) -> None:
+    @classmethod
+    def _from_columns(cls, n_qubits: int, *columns: np.ndarray):
+        """The one constructor of every columnar value: ``n_qubits`` and the
+        columns as its fields, the columns made read-only, without a check.
+        The public builders check first; the columns must hold ``cls``'s
+        invariants: for a :class:`SparseMatrix`, coordinates inside it,
+        sorted row-major and unique, and values nonzero with finite magnitude."""
+        out = object.__new__(cls)
         for array in columns:
             array.flags.writeable = False
         # Past the frozen __setattr__; __match_args__ names the fields, even with init=False.
-        vars(self).update(zip(self.__match_args__, (n_qubits, *columns)))
-
-    @classmethod
-    def _from_columns(cls, n_qubits: int, *columns: np.ndarray):
-        """A value over columns that hold ``cls``'s invariants, skipping
-        ``__init__``: for a :class:`SparseMatrix`, coordinates inside it,
-        sorted row-major and unique, and values nonzero with finite magnitude."""
-        out = object.__new__(cls)
-        out._set_fields(n_qubits, *columns)
+        vars(out).update(zip(cls.__match_args__, (n_qubits, *columns)))
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -120,26 +118,16 @@ class _Columnar:
 class SparseMatrix(_Columnar):
     """Coordinate-form complex matrix of dimension ``2**n_qubits``.
 
-    ``SparseMatrix(n, {(row, col): value})`` stores the mapping as given.
-    Use :meth:`from_entries` or :meth:`from_dense` to build one from raw
-    data; they sum repeated coordinates and prune magnitudes at
-    ``ZERO_TOL``.  Zero and non-finite entries are refused, whichever
-    constructor is used; so are a finite value whose magnitude overflows
-    and a coordinate that is not an integer.
+    Build one with :meth:`from_entries` from :class:`Coo` arrays or with
+    :meth:`from_dense`; both sum repeated coordinates and prune magnitudes
+    at ``ZERO_TOL``, and refuse a sum that is not finite in magnitude and
+    a coordinate that is not an integer or lies outside the matrix.
     """
 
     n_qubits: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-    def __init__(self, n_qubits: int, entries: Mapping[tuple[int, int], complex]) -> None:
-        coords = [(_coordinate(r), _coordinate(c)) for r, c in entries]
-        rows, cols = _checked_coords(n_qubits, *_index_array(coords).reshape(-1, 2).T)
-        vals = np.fromiter(entries.values(), dtype=complex, count=len(entries))
-        _check_values(rows, cols, vals)
-        order = np.argsort((rows << n_qubits) | cols)
-        self._set_fields(n_qubits, rows[order], cols[order], vals[order])
 
     @property
     def dim(self) -> int:
@@ -150,23 +138,14 @@ class SparseMatrix(_Columnar):
         return self.vals.size
 
     @classmethod
-    def from_entries(
-        cls,
-        n_qubits: int,
-        items: Iterable[tuple[int, int, complex]] | Coo,
-        tol: float = ZERO_TOL,
-    ) -> "SparseMatrix":
-        """Accumulate (row, col, value) triples, given one by one or as
-        :class:`Coo` arrays, coalesced by :func:`_coalesce`; a NaN or
-        infinite sum is refused."""
-        if isinstance(items, Coo):
-            rows, cols, vals = _integer_coords(items.rows), _integer_coords(items.cols), items.vals
-        else:
-            triples = [(_coordinate(r), _coordinate(c), complex(v)) for r, c, v in items]
-            rows, cols = (_index_array([t[k] for t in triples]) for k in (0, 1))
-            vals = np.array([t[2] for t in triples], dtype=complex)
-        rows, cols = _checked_coords(n_qubits, rows, cols)
-        keys, sums = _coalesce((rows << n_qubits) | cols, vals, tol)
+    def from_entries(cls, n_qubits: int, coo: Coo, tol: float = ZERO_TOL) -> "SparseMatrix":
+        """Accumulate :class:`Coo` arrays, coalesced by :func:`_coalesce`;
+        a NaN or infinite sum is refused.  Any other input is refused with
+        TypeError, not unpacked as three arrays."""
+        if not isinstance(coo, Coo):
+            raise TypeError(f"from_entries takes Coo arrays, got {type(coo).__name__}")
+        rows, cols = _checked_coords(n_qubits, coo.rows, coo.cols)
+        keys, sums = _coalesce((rows << n_qubits) | cols, coo.vals, tol)
         rows, cols = keys >> n_qubits, keys & ((1 << n_qubits) - 1)
         _check_values(rows, cols, sums)
         return cls._from_columns(n_qubits, rows, cols, sums)
@@ -190,48 +169,24 @@ class SparseMatrix(_Columnar):
 
 
 def _check_values(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-    """Raise ValueError at the first value that is zero or whose magnitude
-    is not finite."""
-    mag = _magnitudes(vals)
-    bad = ~((mag > ZERO_TOL) & (mag < math.inf))
+    """Raise ValueError at the first value whose magnitude is not finite."""
+    bad = ~(_magnitudes(vals) < math.inf)
     if bad.any():
         i = int(np.argmax(bad))
-        kind = "zero" if mag[i] <= ZERO_TOL else "non-finite"
-        raise ValueError(f"entry ({rows[i]}, {cols[i]}) stores a {kind} value")
+        raise ValueError(f"entry ({rows[i]}, {cols[i]}) stores a non-finite value")
 
 
-def _coordinate(x) -> int:
-    """One coordinate of a triple or mapping key as an int, refusing a
-    non-integer."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"coordinates must be integers, got {x!r}") from None
-
-
-def _index_array(values: list) -> np.ndarray:
-    """Python int coordinates as an int64 array, or as an object array if
-    one is past int64, so that :func:`_checked_coords` quotes it whole."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _integer_coords(values) -> np.ndarray:
-    """Coordinates as an array of integer dtype, refusing any other dtype
-    unless the array is empty; the dtype is read once, not each value."""
-    array = np.asarray(values)
-    if array.size and array.dtype.kind not in "iu":
-        raise ValueError(f"coordinates must be integers, got {array.dtype} values")
-    return array
-
-
-def _checked_coords(n_qubits: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _checked_coords(n_qubits: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     """``rows`` and ``cols`` as int64 arrays, after raising ValueError unless
-    the register width is supported and every coordinate lies inside the
-    ``2**n_qubits`` square.  The check reads the integers as given, so that
-    a uint64 or Python int past int64 is quoted as it is, not wrapped."""
+    each holds integers (its dtype is read once, not each value; an empty
+    array holds none, whatever its dtype), the register width is supported
+    and every coordinate lies inside the ``2**n_qubits`` square.  The check
+    reads the integers as given, so that a uint64 past int64 is quoted as
+    it is, not wrapped."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    for array in (rows, cols):
+        if array.size and array.dtype.kind not in "iu":
+            raise ValueError(f"coordinates must be integers, got {array.dtype} values")
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     _require_width(n_qubits, "sparse matrices", SPARSE_QUBIT_LIMIT)

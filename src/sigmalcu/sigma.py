@@ -101,6 +101,9 @@ class SigmaTerm:
         if not factors:
             raise ValueError("a sigma term needs at least one factor")
         if not _magnitude(self.coeff) < math.inf:
+            if isinstance(self.coeff, int):  # quoted by its size: str() of a long int is refused
+                bits = self.coeff.bit_length()
+                raise ValueError(f"sigma term {factors} coefficient is a {bits}-bit integer, not finite in magnitude")
             raise ValueError(f"sigma term coefficient {self.coeff} is not finite in magnitude")
 
     @property
@@ -113,7 +116,11 @@ class SigmaTerm:
         cleaned = factors.replace(" ", "")
         if cleaned.strip(_ALPHABET):  # refused here to quote the text as given
             raise ValueError(f"invalid factor string {factors!r}")
-        return cls(complex(coeff), cleaned)
+        try:
+            coeff = complex(coeff)
+        except OverflowError:  # an int past float range, refused as the term is built
+            pass
+        return cls(coeff, cleaned)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -129,26 +136,13 @@ class Decomposition(_Columnar):
     Every value holds what a decomposition file may hold: at least one
     term, sorted unique strings of width ``n_qubits >= 1``, and each
     coefficient above ``ZERO_TOL`` and finite in magnitude, so lambda =
-    sum |coeff| is positive.  ``Decomposition(n, terms)`` stores the given
-    terms sorted by string, with their coefficients as given; it refuses a
-    repeated string and a zero coefficient.  :meth:`build` sums equal
-    strings and prunes instead.
+    sum |coeff| is positive.  :meth:`build` makes one from terms, summing
+    equal strings and pruning zero sums.
     """
 
     n_qubits: int
     factors: np.ndarray
     coeffs: np.ndarray
-
-    def __init__(self, n_qubits: int, terms: Iterable[SigmaTerm]) -> None:
-        terms = tuple(terms)
-        _refuse_repeats([t.factors for t in terms])
-        for t in terms:
-            if _magnitude(t.coeff) <= ZERO_TOL:
-                raise ValueError(f"sigma term coefficient {t.coeff} is not above {ZERO_TOL} in magnitude")
-        terms = tuple(sorted(terms, key=lambda t: t.factors))
-        keys = np.array([t.factors for t in terms], dtype="S")
-        self._set_fields(*_checked(n_qubits, keys, np.array([t.coeff for t in terms], dtype=complex)))
-        object.__setattr__(self, "terms", terms)
 
     @property
     def keys(self) -> np.ndarray:
@@ -220,8 +214,6 @@ def decompose_numerical(m: SparseMatrix) -> Decomposition:
     factor has its single 1 at ``(bit_p(r), bit_p(c))``; the identity factor
     is never emitted on this path.  ``reconstruct`` inverts it exactly.
     """
-    if not m.nnz:
-        raise ValueError("cannot decompose an empty matrix")
     n = m.n_qubits
     shifts = np.arange(n - 1, -1, -1)
     pairs = 2 * ((m.rows[:, None] >> shifts) & 1) + ((m.cols[:, None] >> shifts) & 1)
@@ -245,7 +237,8 @@ def term_matrix(t: SigmaTerm) -> SparseMatrix:
     # Refused before 2**k offsets are allocated.
     _require_width(t.n_qubits, "sparse matrices", SPARSE_QUBIT_LIMIT)
     if _magnitude(t.coeff) <= ZERO_TOL:
-        return SparseMatrix(t.n_qubits, {})
+        empty = np.empty(0, dtype=np.int64)
+        return SparseMatrix._from_columns(t.n_qubits, empty, empty, np.empty(0, dtype=complex))
     ident, row, col = (int(d, 2) for d in _digits(t))
     # Every identity factor doubles the entries: the offsets are the sums
     # of all subsets of the identity bit weights, built in increasing order

@@ -42,6 +42,8 @@ def zero_state(n_qubits: int) -> StateVector:
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
+    if not 0 <= index < 1 << n_qubits:  # a negative index would count from the end
+        raise ValueError(f"basis state index {index} is outside 0..2^{n_qubits} - 1")
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[index] = 1.0
     return StateVector(n_qubits, amps)

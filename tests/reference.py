@@ -8,7 +8,11 @@ enums, converted from each term's string with
 ``FACTOR_MATRICES``, the five 2x2 matrices written out, through
 :func:`bit_pairs` and ``FACTOR_AT_BITS``, so they stay independent of the
 package's bit table and string tables.  :func:`entries` is a matrix's
-``{(row, col): value}`` dict, which the package never builds.  The
+``{(row, col): value}`` dict, which the package never builds, and
+:func:`stored_matrix` and :func:`stored_decomposition` store entries or
+terms exactly as given, through ``_from_columns`` alone, where the
+package's builders sum each value from 0.0 and so drop a -0.0 part; the
+slow references end in them.  The
 property tests in ``test_matrices.py`` and ``test_sigma.py`` require the
 fast versions to agree with these bit for bit (:func:`assert_same_arrays`).  :func:`merge_terms` is the dict loop
 that ``sigma.merge_terms`` ran before decompositions became arrays,
@@ -71,9 +75,8 @@ import io
 import itertools
 import json
 import math
-import numbers
 import re
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.io
@@ -155,31 +158,68 @@ DECIMAL_NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[
 INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def stored_matrix(n_qubits: int, entries: Mapping[tuple[int, int], complex]) -> SparseMatrix:
+    """The ``{(row, col): value}`` entries stored as given, sorted
+    row-major, with no check: they must lie inside the matrix, with values
+    nonzero and finite in magnitude."""
+    coords = sorted(entries)
+    rows = np.array([r for r, _ in coords], dtype=np.int64)
+    cols = np.array([c for _, c in coords], dtype=np.int64)
+    vals = np.array([entries[k] for k in coords], dtype=complex)
+    return SparseMatrix._from_columns(n_qubits, rows, cols, vals)
+
+
+def stored_decomposition(n_qubits: int, terms: Iterable[SigmaTerm]) -> Decomposition:
+    """The terms stored as given, sorted by string, with no check: the
+    strings must be distinct and ``n_qubits`` wide, the coefficients above
+    ``ZERO_TOL`` and finite in magnitude."""
+    terms = sorted(terms, key=lambda t: t.factors)
+    assert len({t.factors for t in terms}) == len(terms), "repeated factor string"
+    factors = np.array([list(t.factors.encode("ascii")) for t in terms], dtype=np.uint8).reshape(-1, n_qubits)
+    return Decomposition._from_columns(n_qubits, factors, np.array([t.coeff for t in terms], dtype=complex))
+
+
+def coo(items: list[tuple[int, int, complex]]) -> Coo:
+    """(row, col, value) triples as the :class:`Coo` arrays that
+    ``SparseMatrix.from_entries`` takes."""
+    rows, cols, vals = zip(*items) if items else ((), (), ())
+    return Coo(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals, dtype=complex))
+
+
 def from_entries(
     n_qubits: int, items: Iterable[tuple[int, int, complex]], tol: float = ZERO_TOL
 ) -> SparseMatrix:
     """A dict of running sums started at 0j, one triple at a time, then a
-    prune at ``max(tol, ZERO_TOL)`` that keeps NaN sums.  A coordinate that
-    is not an integer is refused."""
+    prune at ``max(tol, ZERO_TOL)`` that keeps NaN sums, which are refused
+    with any other sum not finite in magnitude."""
     acc: dict[tuple[int, int], complex] = {}
     for r, c, v in items:
-        if not (isinstance(r, numbers.Integral) and isinstance(c, numbers.Integral)):
-            raise ValueError(f"coordinates must be integers, got ({r!r}, {c!r})")
-        key = (int(r), int(c))
-        acc[key] = acc.get(key, 0j) + complex(v)
+        acc[r, c] = acc.get((r, c), 0j) + complex(v)
     floor = max(tol, ZERO_TOL)
-    return SparseMatrix(n_qubits, {k: v for k, v in acc.items() if not abs(v) <= floor})
+    kept = {k: v for k, v in acc.items() if not abs(v) <= floor}
+    for (r, c), v in kept.items():
+        if not magnitude(v) < math.inf:
+            raise ValueError(f"entry ({r}, {c}) stores a non-finite value")
+    return stored_matrix(n_qubits, kept)
 
 
 def build(n_qubits: int, terms: Iterable[SigmaTerm], tol: float = ZERO_TOL) -> Decomposition:
-    """``Decomposition.build`` keyed by tuples of factor enums."""
+    """``Decomposition.build`` keyed by tuples of factor enums, with its
+    refusals: a sum not finite in magnitude (refused by ``SigmaTerm``), a
+    register below one qubit, no terms and a string of another width."""
     acc: dict[tuple[SigmaFactor, ...], complex] = {}
     for t in terms:
         factors = tuple(map(SigmaFactor, t.factors))
         acc[factors] = acc.get(factors, 0j) + t.coeff
-    kept = [SigmaTerm(c, fs) for fs, c in acc.items() if not abs(c) <= tol]
-    kept.sort(key=lambda t: t.factors)
-    return Decomposition(n_qubits, tuple(kept))
+    kept = sorted((SigmaTerm(c, fs) for fs, c in acc.items() if not abs(c) <= tol), key=lambda t: t.factors)
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    if not kept:
+        raise ValueError(f"decomposition has no terms above {ZERO_TOL} in magnitude")
+    for t in kept:
+        if t.n_qubits != n_qubits:
+            raise ValueError(f"term width {t.n_qubits} does not match register {n_qubits}")
+    return stored_decomposition(n_qubits, kept)
 
 
 def term_matrix(t: SigmaTerm) -> SparseMatrix:

@@ -89,7 +89,7 @@ def test_criterion_2_exact_reconstruction():
                 else:
                     value = complex(rng.standard_normal(), rng.standard_normal())
                 items.append((r, c, value))
-            matrix = SparseMatrix.from_entries(n, items)
+            matrix = SparseMatrix.from_entries(n, reference.coo(items))
             rebuilt = reconstruct(decompose_numerical(matrix))
             if integer_valued:
                 assert rebuilt == matrix
@@ -123,7 +123,7 @@ def test_criterion_3_completion_circuit_correctness():
 
 def test_criterion_4_corner_pair_reproduction():
     with criterion(4, "4x4 corner-pair matrix: 2 sigma terms, 4 Pauli terms", 5.0):
-        matrix = SparseMatrix.from_entries(2, [(0, 3, 1.0), (3, 0, 2.0)])
+        matrix = SparseMatrix.from_entries(2, reference.coo([(0, 3, 1.0), (3, 0, 2.0)]))
         d = decompose_numerical(matrix)
         assert {(t.factors, t.coeff) for t in d.terms} == {
             ("PP", 1.0),

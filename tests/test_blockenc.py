@@ -35,9 +35,9 @@ STRINGS2 = sorted("".join(f) for f in itertools.product("IPMAB", repeat=2))
 
 
 def sorted_decomposition(coeffs):
-    """The coefficients in the given order, on sorted distinct strings, so
-    that Decomposition(n, terms) keeps tiny ones as given."""
-    return Decomposition(2, (SigmaTerm(c, f) for c, f in zip(coeffs, STRINGS2)))
+    """The coefficients in the given order, on sorted distinct strings,
+    stored as given."""
+    return reference.stored_decomposition(2, (SigmaTerm(c, f) for c, f in zip(coeffs, STRINGS2)))
 
 
 def prep_amplitudes(coeffs):
@@ -60,16 +60,16 @@ def test_prep_poisson_base_coefficients():
 
 def test_prep_rejects_all_zero():
     # No decomposition holds a zero coefficient, so PREP never sees one:
-    # the constructor refuses it, and summed and pruned, all-zero terms
-    # leave none.
-    for coeffs, zero in [([0.0], 0.0), ([0.0, 0j, 0.0], 0.0), ([1.0, 0j], 0j), ([3.0, 1e-300j, -1.0], 1e-300j)]:
+    # Decomposition.build prunes zero terms, and all-zero terms leave none.
+    for coeffs in [[0.0], [0.0, 0j, 0.0], [1.0, 0j], [3.0, 1e-300j, -1.0]]:
+        terms = [SigmaTerm(c, f) for c, f in zip(coeffs, STRINGS2)]
+        kept = [t for t in terms if abs(t.coeff) > 1e-14]
+        if kept:
+            assert Decomposition.build(2, terms) == reference.stored_decomposition(2, kept)
+            continue
         with pytest.raises(ValueError) as info:
-            sorted_decomposition(coeffs)
-        assert str(info.value) == f"sigma term coefficient {zero} is not above 1e-14 in magnitude"
-        if not any(coeffs):
-            with pytest.raises(ValueError) as info:
-                Decomposition.build(2, (SigmaTerm(c, f) for c, f in zip(coeffs, STRINGS2)))
-            assert str(info.value) == "decomposition has no terms above 1e-14 in magnitude"
+            Decomposition.build(2, terms)
+        assert str(info.value) == "decomposition has no terms above 1e-14 in magnitude"
 
 
 @pytest.mark.parametrize("coeffs", [[1e308] * 3], ids=["sum-overflows"])
@@ -177,7 +177,7 @@ def test_lambda_scales_with_coefficients():
 def test_assemble_rejects_empty_and_oversized():
     # An empty decomposition is refused before there is one to assemble.
     with pytest.raises(ValueError, match="no terms above 1e-14"):
-        Decomposition(2, ())
+        Decomposition.build(2, ())
     # 11 system qubits + ancilla + 2 selector qubits > 12
     wide = Decomposition.build(
         11,
@@ -250,7 +250,7 @@ def test_column_restricted_check_matches_full_matrix(d):
 def test_select_accepts_a_coefficient_whose_phase_underflows():
     """The angle of 2 + 5e-324j underflows to 0, where cmath.phase raises
     OverflowError."""
-    d = Decomposition(1, (SigmaTerm(2 + 5e-324j, I), SigmaTerm(1.0, P)))
+    d = reference.stored_decomposition(1, (SigmaTerm(2 + 5e-324j, I), SigmaTerm(1.0, P)))
     assert verify_block_encoding(assemble(d))["frobenius_error"] <= BLOCK_TOL
 
 
@@ -298,20 +298,20 @@ def test_select_is_x_only_and_preparations_are_the_only_dense_gates(d):
 @st.composite
 def scaled_decompositions(draw):
     """Complex, negative and tiny coefficients, down to 1e-13 in magnitude,
-    which Decomposition(n, terms) keeps as given."""
+    stored as given."""
     n = draw(st.integers(1, 3))
     strings = st.text(alphabet="IPMAB", min_size=n, max_size=n)
     magnitudes = st.floats(0.1, 4) | st.floats(0.1, 4).map(lambda m: m * 1e-12)
     phases = st.sampled_from([1, -1, 1j, -1j]) | st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t))
     coeffs = st.builds(lambda m, p: m * p, magnitudes, phases)
     terms = draw(st.dictionaries(strings, coeffs, min_size=1, max_size=6))
-    return Decomposition(n, (SigmaTerm(c, f) for f, c in terms.items()))
+    return reference.stored_decomposition(n, (SigmaTerm(c, f) for f, c in terms.items()))
 
 
 @settings(max_examples=100, deadline=None)
 @given(d=scaled_decompositions())
-@example(d=Decomposition(1, (SigmaTerm(2 + 5e-324j, I), SigmaTerm(1.0, P))))
-@example(d=Decomposition(1, (SigmaTerm(2e-14, P), SigmaTerm(-2e-14j, M))))
+@example(d=reference.stored_decomposition(1, (SigmaTerm(2 + 5e-324j, I), SigmaTerm(1.0, P))))
+@example(d=reference.stored_decomposition(1, (SigmaTerm(2e-14, P), SigmaTerm(-2e-14j, M))))
 def test_block_is_the_matrix_over_lambda(d):
     encoding = assemble(d)
     dim = 1 << d.n_qubits
@@ -338,7 +338,7 @@ STRINGS3 = ["".join(f) for f in itertools.product("IPMAB", repeat=3)]
 # to right, and to 3.5999999999999996 in numpy's pairwise order.
 @example(coeffs=[0.1 * (k + 1) for k in range(8)])
 def test_every_lambda_is_the_one_prep_normalises_by(coeffs):
-    d = Decomposition(3, (SigmaTerm(c, f) for c, f in zip(coeffs, STRINGS3)))
+    d = reference.stored_decomposition(3, (SigmaTerm(c, f) for c, f in zip(coeffs, STRINGS3)))
     want = reference.prep_lambda(d.coeffs).hex()
     encoding = assemble(d)
     assert encoding.lam.hex() == want

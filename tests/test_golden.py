@@ -156,7 +156,7 @@ def edge_matrix() -> SparseMatrix:
     and a -0.0 real part, the smallest subnormal and the largest float as
     parts, integer-valued parts up to 1e22, and 1-based rows 9999 and
     10000, where the row number gains a digit."""
-    return SparseMatrix(14, {
+    return reference.stored_matrix(14, {
         (0, 0): complex(2.0, -0.0),
         (0, 16383): complex(-0.0, 2.5),
         (1, 5): complex(5e-324, 1.0),

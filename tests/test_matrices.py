@@ -345,33 +345,31 @@ def test_load_equals_scipy_mmread_bit_for_bit(tmp_path_factory, text):
 @pytest.mark.parametrize(
     "row, build",
     [
-        (2**70, lambda: SparseMatrix.from_entries(1, [(2**70, 0, 1.0)])),
-        (2**70, lambda: SparseMatrix(1, {(2**70, 0): 1.0})),
         (2**63, lambda: SparseMatrix.from_entries(1, Coo(np.array([2**63], dtype=np.uint64), np.array([0]), np.array([1.0])))),
     ],
-    ids=["triples", "mapping", "uint64-coo"],
+    ids=["uint64-coo"],
 )
 def test_coordinates_past_int64_are_outside_the_matrix(row, build):
-    # Python ints raised OverflowError, and the uint64 row wrapped to -2^63.
+    # The uint64 row wrapped to -2^63.
     with pytest.raises(ValueError, match=rf"^entry \({row}, 0\) outside 2x2 matrix$"):
         build()
 
 
 def test_to_dense_cases():
-    m = SparseMatrix.from_entries(1, [(1, 0, 1.0)])
+    m = SparseMatrix.from_entries(1, reference.coo([(1, 0, 1.0)]))
     assert np.array_equal(m.to_dense(), np.array([[0, 0], [1, 0]], dtype=complex))
 
-    empty = SparseMatrix(1, {})
+    empty = SparseMatrix.from_entries(1, reference.coo([]))
     assert np.array_equal(empty.to_dense(), np.zeros((2, 2), dtype=complex))
 
-    corner = SparseMatrix.from_entries(2, [(0, 3, 1.0), (3, 0, 2.0)])
+    corner = SparseMatrix.from_entries(2, reference.coo([(0, 3, 1.0), (3, 0, 2.0)]))
     dense = corner.to_dense()
     assert dense[0, 3] == 1.0 and dense[3, 0] == 2.0
     assert np.count_nonzero(dense) == 2
 
 
 def test_to_dense_guard():
-    m = SparseMatrix(15, {(0, 0): 1.0})
+    m = SparseMatrix.from_entries(15, reference.coo([(0, 0, 1.0)]))
     with pytest.raises(ValueError, match="limited to 12 qubits, got 15"):
         m.to_dense()
 
@@ -391,16 +389,14 @@ def test_dense_round_trip_exact():
 
 
 def test_matrix_market_round_trip(tmp_path):
-    m = SparseMatrix.from_entries(
-        2, [(0, 3, 1.5), (3, 0, complex(0, -2.0)), (2, 2, 4.0)]
-    )
+    m = SparseMatrix.from_entries(2, reference.coo([(0, 3, 1.5), (3, 0, complex(0, -2.0)), (2, 2, 4.0)]))
     path = str(tmp_path / "rt.mtx")
     save_matrix_market(m, path)
     assert load_matrix_market(path) == m
 
 
 def test_matrix_market_real_round_trip(tmp_path):
-    m = SparseMatrix.from_entries(1, [(0, 1, -3.0)])
+    m = SparseMatrix.from_entries(1, reference.coo([(0, 1, -3.0)]))
     path = str(tmp_path / "rt.mtx")
     save_matrix_market(m, path)
     with open(path) as fh:
@@ -423,14 +419,12 @@ def test_frobenius_shape_mismatch():
 
 
 def test_from_entries_refuses_non_integer_triples():
-    # int() truncated 0.9 to 0, storing the entry at (0, 0).
-    with pytest.raises(ValueError, match="^coordinates must be integers, got 0.9$"):
-        SparseMatrix.from_entries(1, [(0.9, 0, 1.0)])
-    with pytest.raises(ValueError, match="^coordinates must be integers"):
-        reference.from_entries(1, [(0.9, 0, 1.0)])
-    want = SparseMatrix.from_entries(1, [(1, 0, 1.0)])
-    assert SparseMatrix.from_entries(1, [(np.int32(1), np.uint8(0), 1.0)]) == want
-    assert reference.from_entries(1, [(np.int32(1), np.uint8(0), 1.0)]) == want
+    # int() truncated 0.9 to 0, storing the entry at (0, 0).  Triples are
+    # refused whole now: three integer triples would unpack as rows, cols
+    # and vals, and build another matrix.
+    for items in ([(0.9, 0, 1.0)], [(0, 1, 1), (1, 0, 1), (1, 1, 1)]):
+        with pytest.raises(TypeError, match="^from_entries takes Coo arrays, got list$"):
+            SparseMatrix.from_entries(1, items)
 
 
 def test_from_entries_refuses_non_integer_arrays():
@@ -438,32 +432,33 @@ def test_from_entries_refuses_non_integer_arrays():
     with pytest.raises(ValueError, match="^coordinates must be integers, got float64 values$"):
         SparseMatrix.from_entries(1, Coo(np.array([1.7]), np.array([0]), np.array([1.0])))
     coo = Coo(np.array([1], dtype=np.int32), np.array([0], dtype=np.uint8), np.array([1.0]))
-    assert SparseMatrix.from_entries(1, coo) == SparseMatrix.from_entries(1, [(1, 0, 1.0)])
+    assert SparseMatrix.from_entries(1, coo) == reference.stored_matrix(1, {(1, 0): 1.0})
     # An empty array holds no coordinate, whatever its dtype.
     empty = np.array([])
-    assert SparseMatrix.from_entries(1, Coo(empty, empty, empty)) == SparseMatrix(1, {})
+    assert SparseMatrix.from_entries(1, Coo(empty, empty, empty)) == reference.stored_matrix(1, {})
+    # Arrays that are not a Coo are refused, not unpacked.
+    with pytest.raises(TypeError, match="^from_entries takes Coo arrays, got tuple$"):
+        SparseMatrix.from_entries(1, tuple(coo))
 
 
-def test_mapping_constructor_refuses_non_integer_keys():
-    # The int64 cast truncated 0.5 to 0, storing the entry at (0, 1).
-    with pytest.raises(ValueError, match="^coordinates must be integers, got 0.5$"):
-        SparseMatrix(1, {(0.5, 1): 2.0})
+def test_removed_constructors_refuse_every_call():
+    with pytest.raises(TypeError):
+        SparseMatrix(1, {(0, 1): 2.0})
+    with pytest.raises(TypeError):
+        Decomposition(1, [SigmaTerm(1.0, "P")])
 
 
 def test_entries_validated():
     with pytest.raises(ValueError, match="outside"):
-        SparseMatrix(1, {(2, 0): 1.0})
-    with pytest.raises(ValueError, match="zero"):
-        SparseMatrix(1, {(0, 0): 0.0})
+        SparseMatrix.from_entries(1, reference.coo([(2, 0, 1.0)]))
+    assert SparseMatrix.from_entries(1, reference.coo([(0, 0, 0.0)])) == reference.stored_matrix(1, {})
 
 
 # The last is finite, but its magnitude overflows a float.
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf), complex(1.7e308, 1.7e308)])
 def test_non_finite_entries_refused_by_every_constructor(bad):
     with pytest.raises(ValueError, match="non-finite"):
-        SparseMatrix(1, {(0, 0): bad})
-    with pytest.raises(ValueError, match="non-finite"):
-        SparseMatrix.from_entries(1, [(0, 0, 1.0), (1, 1, bad)])
+        SparseMatrix.from_entries(1, reference.coo([(0, 0, 1.0), (1, 1, bad)]))
     with pytest.raises(ValueError, match="non-finite"):
         SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, bad]], dtype=complex))
 
@@ -479,7 +474,7 @@ def test_overflowing_magnitude_in_matrix_market_is_refused(tmp_path):
 
 def test_opposite_infinities_are_refused_not_pruned():
     with pytest.raises(ValueError, match="non-finite"):
-        SparseMatrix.from_entries(1, [(0, 0, math.inf), (0, 0, -math.inf)])
+        SparseMatrix.from_entries(1, reference.coo([(0, 0, math.inf), (0, 0, -math.inf)]))
 
 
 # Every builder of a dense 2^n x 2^n array, called one qubit past the
@@ -487,9 +482,9 @@ def test_opposite_infinities_are_refused_not_pruned():
 # mask past its budget of 2^25 mask x column values (2^12 masks at 13 qubits).
 WIDE = 13
 LADDERS = (SigmaFactor.SPLUS,) * WIDE
-OVER_MASK_BUDGET = SparseMatrix.from_entries(WIDE, [(x, 0, 1.0) for x in range(4097)])
+OVER_MASK_BUDGET = SparseMatrix.from_entries(WIDE, reference.coo([(x, 0, 1.0) for x in range(4097)]))
 GUARDED_BUILDERS = {
-    "to_dense": lambda: SparseMatrix(WIDE, {(0, 0): 1.0}).to_dense(),
+    "to_dense": lambda: reference.stored_matrix(WIDE, {(0, 0): 1.0}).to_dense(),
     "completion_matrix": lambda: completion_matrix(SigmaTerm(1.0, LADDERS)),
     "circuit_to_matrix": lambda: circuit_to_matrix(Circuit(WIDE, ())),
     "decompose_pauli": lambda: decompose_pauli(OVER_MASK_BUDGET),
@@ -513,8 +508,8 @@ def test_dense_builders_refuse_before_allocating(name):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: SparseMatrix(40, {}),
-    lambda: SparseMatrix.from_entries(32, []),
+    lambda: SparseMatrix.from_entries(40, reference.coo([])),
+    lambda: SparseMatrix.from_entries(32, reference.coo([])),
     # An all-identity term would hold 2^40 entries.
     lambda: term_matrix(SigmaTerm(1.0, "I" * 40)),
 ])
@@ -530,7 +525,7 @@ def test_sparse_width_refused_before_allocating(build):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: SparseMatrix.from_entries(1, [(0, 0, 1.0)], tol=math.nan),
+    lambda: SparseMatrix.from_entries(1, reference.coo([(0, 0, 1.0)]), tol=math.nan),
     # A NaN tolerance would otherwise keep the zeros of the diagonal.
     lambda: SparseMatrix.from_dense(np.diag([1.0, 2.0]), tol=math.nan),
 ])
@@ -562,20 +557,17 @@ def triples(draw):
 @example(case=(1, [(1, 1, complex(-0.0, -0.0)), (1, 1, 3.0)]), tol=ZERO_TOL)
 @example(case=(1, [(0, 1, math.inf), (0, 1, -math.inf)]), tol=ZERO_TOL)
 def test_from_entries_matches_dict_reference(case, tol):
-    """Triples and Coo arrays coalesce to the bytes of the dict loop, and
-    sums the loop refuses (NaN, infinite or overflowing) are refused."""
+    """Coo arrays coalesce to the bytes of the dict loop over their
+    triples, and sums the loop refuses (NaN, infinite or overflowing) are
+    refused."""
     n, items = case
-    coo = Coo(*(np.array(column) for column in zip(*items))) if items else None
     try:
         want = reference.from_entries(n, items, tol)
     except (ValueError, OverflowError):
         with pytest.raises(ValueError, match="non-finite"):
-            SparseMatrix.from_entries(n, items, tol)
+            SparseMatrix.from_entries(n, reference.coo(items), tol)
         return
-    reference.assert_same_arrays(SparseMatrix.from_entries(n, items, tol), want)
-    if coo is not None:
-        reference.assert_same_arrays(SparseMatrix.from_entries(n, coo, tol), want)
-    assert SparseMatrix(n, reference.entries(want)) == want
+    reference.assert_same_arrays(SparseMatrix.from_entries(n, reference.coo(items), tol), want)
 
 
 # Parts whose text is hardest to get right: signed zeros, the smallest
@@ -595,35 +587,37 @@ def stored_matrices(draw):
     imag = part if draw(st.booleans()) else st.sampled_from([0.0, -0.0])
     items = draw(st.lists(st.tuples(index, index, part, imag), max_size=40))
     entries = {(r, c): complex(re, im) for r, c, re, im in items}
-    return SparseMatrix(n, {k: v for k, v in entries.items() if ZERO_TOL < reference.magnitude(v) < math.inf})
+    return reference.stored_matrix(n, {k: v for k, v in entries.items() if ZERO_TOL < reference.magnitude(v) < math.inf})
 
 
 @settings(max_examples=300, deadline=None)
 @given(m=stored_matrices())
-@example(m=SparseMatrix(1, {}))
-@example(m=SparseMatrix(14, {(9998, 9999): complex(-3.0, -0.0), (9999, 0): complex(1e22, 0.0)}))
-@example(m=SparseMatrix(14, {(9998, 9999): complex(5e-324, 2.0), (9999, 0): complex(-0.0, -1e-3)}))
+@example(m=reference.stored_matrix(1, {}))
+@example(m=reference.stored_matrix(14, {(9998, 9999): complex(-3.0, -0.0), (9999, 0): complex(1e22, 0.0)}))
+@example(m=reference.stored_matrix(14, {(9998, 9999): complex(5e-324, 2.0), (9999, 0): complex(-0.0, -1e-3)}))
 def test_matrix_market_bytes_match_scipy(m, tmp_path_factory):
     path = tmp_path_factory.mktemp("mtx") / "m.mtx"
     save_matrix_market(m, str(path))
     assert path.read_bytes() == reference.matrix_market_bytes(m)
 
 
-_ENTRIES = {(0, 0): 1.5, (1, 1): 1.5, (0, 3): 2j, (3, 2): -1.0}
+_ENTRIES = [(0, 0, 1.5), (1, 1, 1.5), (0, 3, 2j), (3, 2, -1.0)]
+_MATRIX = SparseMatrix.from_entries(2, reference.coo(_ENTRIES))
 _SIGMA_TERMS = [SigmaTerm(1.0, "PI"), SigmaTerm(2j, "AB")]
 
-# Every constructor of the three columnar values, public or private.
+# Every constructor of the three columnar values, public or private;
+# SparseMatrix and Decomposition are the one they share, _from_columns alone.
 COLUMNAR_CONSTRUCTORS = {
-    "SparseMatrix": lambda: SparseMatrix(2, _ENTRIES),
-    "from_entries": lambda: SparseMatrix.from_entries(2, [(r, c, v) for (r, c), v in _ENTRIES.items()]),
-    "from_dense": lambda: SparseMatrix.from_dense(SparseMatrix(2, _ENTRIES).to_dense()),
+    "SparseMatrix": lambda: reference.stored_matrix(2, {(r, c): v for r, c, v in _ENTRIES}),
+    "from_entries": lambda: SparseMatrix.from_entries(2, reference.coo(_ENTRIES)),
+    "from_dense": lambda: SparseMatrix.from_dense(_MATRIX.to_dense()),
     "term_matrix": lambda: term_matrix(SigmaTerm(3.0, "PI")),
-    "Decomposition": lambda: Decomposition(2, _SIGMA_TERMS),
+    "Decomposition": lambda: reference.stored_decomposition(2, _SIGMA_TERMS),
     "build": lambda: Decomposition.build(2, _SIGMA_TERMS + _SIGMA_TERMS),
     "_coalesced": lambda: Decomposition._coalesced(2, np.array([b"PI", b"MA", b"PI"]), [1.0, 2.0, 3.0]),
-    "decompose_numerical": lambda: decompose_numerical(SparseMatrix(2, _ENTRIES)),
-    "merge_terms": lambda: merge_terms(decompose_numerical(SparseMatrix(2, _ENTRIES))),
-    "decompose_pauli": lambda: decompose_pauli(SparseMatrix(2, _ENTRIES)),
+    "decompose_numerical": lambda: decompose_numerical(_MATRIX),
+    "merge_terms": lambda: merge_terms(decompose_numerical(_MATRIX)),
+    "decompose_pauli": lambda: decompose_pauli(_MATRIX),
 }
 
 

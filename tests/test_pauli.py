@@ -11,7 +11,7 @@ from sigmalcu.matrices import Coo, SparseMatrix, frobenius_distance
 from sigmalcu.pauli import PAULI_CHARS, PauliDecomposition, decompose_pauli
 from sigmalcu.pde import HeatParams, heat_1d, poisson_1d, wave_1d
 
-CORNER_PAIR = SparseMatrix.from_entries(2, [(0, 3, 1.0), (3, 0, 2.0)])
+CORNER_PAIR = SparseMatrix.from_entries(2, reference.coo([(0, 3, 1.0), (3, 0, 2.0)]))
 
 
 def splice_reference(m: SparseMatrix, tol: float = 1e-12) -> PauliDecomposition:
@@ -64,7 +64,7 @@ def dyadic_sparse(draw, max_qubits=6):
     items = draw(
         st.lists(st.tuples(index, index, quarter, quarter), min_size=0, max_size=24)
     )
-    return SparseMatrix.from_entries(n, [(r, c, re + 1j * im) for r, c, re, im in items])
+    return SparseMatrix.from_entries(n, reference.coo([(r, c, re + 1j * im) for r, c, re, im in items]))
 
 
 def assert_same_terms(got: PauliDecomposition, want: PauliDecomposition) -> None:
@@ -76,7 +76,7 @@ def assert_same_terms(got: PauliDecomposition, want: PauliDecomposition) -> None
 @settings(max_examples=150, deadline=None)
 @given(dyadic_sparse())
 @example(CORNER_PAIR)
-@example(SparseMatrix(3, {}))
+@example(reference.stored_matrix(3, {}))
 def test_transform_matches_splice_reference(m):
     assert_same_terms(decompose_pauli(m), splice_reference(m))
 
@@ -115,8 +115,8 @@ def mask_cases(draw, max_qubits=6):
 @settings(max_examples=200, deadline=None)
 @given(mask_cases())
 @example((CORNER_PAIR, 1e-12))
-@example((SparseMatrix(1, {}), 1e-12))
-@example((SparseMatrix(6, {}), 0.5))
+@example((reference.stored_matrix(1, {}), 1e-12))
+@example((reference.stored_matrix(6, {}), 0.5))
 def test_mask_kernel_matches_tensor_reference(case):
     """The same strings in the same order as the 4^n tensorized transform,
     with coefficients within 1e-12."""
@@ -198,7 +198,7 @@ def test_tolerance_prunes():
 
 
 def test_nan_tolerance_refused():
-    m = SparseMatrix.from_entries(1, [(0, 0, 1.0)])
+    m = SparseMatrix.from_entries(1, reference.coo([(0, 0, 1.0)]))
     with pytest.raises(ValueError, match="^zero-prune tolerance must be a number, got nan$"):
         decompose_pauli(m, tol=float("nan"))
 
@@ -208,7 +208,7 @@ def test_guard():
     of 2^25 mask x column values, refused before any transform exists."""
     assert len(decompose_pauli(poisson_1d(13).matrix)) == 8192
     # 64 masks on 20 qubits: 2^26 values, a 1 GiB complex block.
-    wide = SparseMatrix.from_entries(20, [(x, 0, 1.0) for x in range(64)])
+    wide = SparseMatrix.from_entries(20, reference.coo([(x, 0, 1.0) for x in range(64)]))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"limited to 2\^25 mask x column values, got 64 x 2\^20$"):

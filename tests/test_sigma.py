@@ -33,7 +33,7 @@ I, P, M, A, B = (
     SigmaFactor.SMSP,
 )
 
-CORNER_PAIR = SparseMatrix.from_entries(2, [(0, 3, 1.0), (3, 0, 2.0)])
+CORNER_PAIR = SparseMatrix.from_entries(2, reference.coo([(0, 3, 1.0), (3, 0, 2.0)]))
 
 
 def random_sparse(rng, n, density=0.1, integer=False):
@@ -47,7 +47,7 @@ def random_sparse(rng, n, density=0.1, integer=False):
         else:
             v = complex(rng.standard_normal(), rng.standard_normal())
         items.append((r, c, v))
-    return SparseMatrix.from_entries(n, items)
+    return SparseMatrix.from_entries(n, reference.coo(items))
 
 
 def random_term(rng, n, coeff=1.0):
@@ -103,20 +103,21 @@ def test_decompose_corner_pair():
 
 
 def test_decompose_single_lowering():
-    m = SparseMatrix.from_entries(1, [(1, 0, 1.0)])
+    m = SparseMatrix.from_entries(1, reference.coo([(1, 0, 1.0)]))
     d = decompose_numerical(m)
     assert [(t.factors, t.coeff) for t in d.terms] == [("M", 1.0)]
 
 
 def test_decompose_identity_avoids_ident_factor():
-    m = SparseMatrix.from_entries(1, [(0, 0, 1.0), (1, 1, 1.0)])
+    m = SparseMatrix.from_entries(1, reference.coo([(0, 0, 1.0), (1, 1, 1.0)]))
     d = decompose_numerical(m)
     assert {t.factors for t in d.terms} == {"A", "B"}
 
 
 def test_decompose_empty_errors():
-    with pytest.raises(ValueError, match="empty"):
-        decompose_numerical(SparseMatrix(1, {}))
+    with pytest.raises(ValueError) as info:
+        decompose_numerical(SparseMatrix.from_entries(1, reference.coo([])))
+    assert str(info.value) == NO_TERMS
 
 
 def test_round_trip_exact_random():
@@ -134,13 +135,12 @@ NO_TERMS = "decomposition has no terms above 1e-14 in magnitude"
 
 # Each once gave a decomposition without terms, which a file cannot hold.
 @pytest.mark.parametrize("make", [
-    lambda: Decomposition(2, ()),
     lambda: Decomposition.build(1, []),
     lambda: Decomposition.build(1, [SigmaTerm(1.0, "P"), SigmaTerm(-1.0, "P")]),
     # A + B - I on one qubit: the merged identity cancels.
-    lambda: merge_terms(Decomposition(1, (SigmaTerm(1.0, "A"), SigmaTerm(1.0, "B"), SigmaTerm(-1.0, "I")))),
+    lambda: merge_terms(Decomposition.build(1, (SigmaTerm(1.0, "A"), SigmaTerm(1.0, "B"), SigmaTerm(-1.0, "I")))),
     lambda: from_json_dict({"n_qubits": 1, "terms": [{"re": 1e-300, "im": 0.0, "factors": "P"}]}),
-], ids=["constructor", "build", "build-cancels", "merge-cancels", "reader-prunes"])
+], ids=["build", "build-cancels", "merge-cancels", "reader-prunes"])
 def test_decomposition_without_terms_is_refused(make):
     with pytest.raises(ValueError) as info:
         make()
@@ -148,19 +148,19 @@ def test_decomposition_without_terms_is_refused(make):
 
 
 # Each was once stored as given, and a saved file read back without it.
+# Decomposition.build prunes it.
 @pytest.mark.parametrize("terms, zero", [
     ((SigmaTerm(1e-20, "PP"), SigmaTerm(1.0, "MM")), "1e-20"),
     ((SigmaTerm(5e-324, "A"), SigmaTerm(2.0, "B"), SigmaTerm(-1e-15, "I")), "5e-324"),
     ((SigmaTerm(complex(-0.0, 5e-324), "P"), SigmaTerm(-1e308, "M")), "(-0+5e-324j)"),
     ((SigmaTerm(1.0, "P"), SigmaTerm(0, "M")), "0"),
 ])
-def test_constructor_refuses_a_zero_coefficient(terms, zero):
-    with pytest.raises(ValueError) as info:
-        Decomposition(len(terms[0].factors), terms)
-    assert str(info.value) == f"sigma term coefficient {zero} is not above 1e-14 in magnitude"
-    # build prunes the same terms instead.
-    kept = [t for t in terms if abs(t.coeff) > ZERO_TOL]
-    assert Decomposition.build(len(terms[0].factors), terms) == Decomposition(len(terms[0].factors), kept)
+def test_build_prunes_a_zero_coefficient(terms, zero):
+    pruned = [t for t in terms if abs(t.coeff) <= ZERO_TOL]
+    assert str(pruned[0].coeff) == zero  # the first zero of the terms
+    n = len(terms[0].factors)
+    kept = [t for t in terms if t not in pruned]
+    assert Decomposition.build(n, terms) == reference.stored_decomposition(n, kept)
 
 
 def test_merge_projector_pair():
@@ -297,7 +297,7 @@ def test_merge_needs_second_pass():
     d = Decomposition.build(
         2, [SigmaTerm(1.0, (A, A)), SigmaTerm(1.0, (A, B)), SigmaTerm(1.0, (B, I))]
     )
-    expected = Decomposition(2, (SigmaTerm(1.0, (I, I)),))
+    expected = Decomposition.build(2, (SigmaTerm(1.0, (I, I)),))
     assert merge_terms(d) == merge_terms_sorted_reference(d) == expected
 
 
@@ -333,19 +333,21 @@ def test_decomposition_build_sums_and_sorts():
 
 def test_decomposition_rejects_width_mismatch():
     with pytest.raises(ValueError, match="width"):
-        Decomposition(2, (SigmaTerm(1.0, (P,)),))
+        Decomposition.build(2, (SigmaTerm(1.0, (P,)),))
 
 
-# Decomposition.build sums a repeated string; the constructor and the file
-# reader refuse one.
+# Decomposition.build sums a repeated string; the file reader refuses one.
 def test_decomposition_refuses_a_repeated_factor_string():
+    terms = [{"re": 1.0, "im": 0.0, "factors": f} for f in ("P", "M", "M", "P")]
     with pytest.raises(ValueError) as info:
-        Decomposition(1, (SigmaTerm(1.0, "P"), SigmaTerm(1.0, "M"), SigmaTerm(2.0, "P")))
-    assert str(info.value) == "duplicate factor string P"
+        from_json_dict({"n_qubits": 1, "terms": terms})
+    assert str(info.value) == "duplicate factor string M"
 
 
-# The last two are finite, but their magnitudes overflow a float; an int's
-# compares below math.inf.
+# The last three are finite, but their magnitudes overflow a float; an
+# int's compares below math.inf.  An int is quoted by its size: its 401
+# digits were quoted whole, str() refuses one past 4300 digits, and
+# from_string raised OverflowError.
 @pytest.mark.parametrize(
     "bad",
     [
@@ -354,11 +356,16 @@ def test_decomposition_refuses_a_repeated_factor_string():
         complex(0.0, float("-inf")),
         complex(1.7e308, 1.7e308),
         pytest.param(10**400, id="int-past-float-range"),
+        pytest.param(-(10**5000), id="int-past-str-limit"),
     ],
 )
 def test_term_rejects_non_finite_coefficient(bad):
-    with pytest.raises(ValueError, match="not finite"):
-        SigmaTerm(bad, (P,))
+    for make in (SigmaTerm, SigmaTerm.from_string):
+        with pytest.raises(ValueError, match="not finite") as info:
+            make(bad, "P")
+        if isinstance(bad, int):
+            bits = bad.bit_length()
+            assert str(info.value) == f"sigma term P coefficient is a {bits}-bit integer, not finite in magnitude"
 
 
 def test_build_refuses_sums_that_are_not_finite():
@@ -513,26 +520,26 @@ def test_build_and_reconstruct_match_references(case):
 
 @st.composite
 def stored_matrices(draw):
-    """Matrices built from a dict, which keeps negative zero parts."""
+    """Matrices stored from a dict as given, negative zero parts kept."""
     n = draw(st.integers(1, 4))
     index = st.integers(0, (1 << n) - 1)
     value = st.builds(complex, st.sampled_from([-0.0, 0.0, 1.0, -2.0]), st.floats(-4, 4))
     entries = draw(st.dictionaries(st.tuples(index, index), value, min_size=1, max_size=20))
     assume(all(abs(v) > ZERO_TOL for v in entries.values()))
-    return SparseMatrix(n, entries)
+    return reference.stored_matrix(n, entries)
 
 
 @settings(max_examples=200, deadline=None)
 @given(m=stored_matrices())
-@example(m=SparseMatrix(2, {(3, 0): complex(-0.0, -1.0), (0, 3): -0.5}))
+@example(m=reference.stored_matrix(2, {(3, 0): complex(-0.0, -1.0), (0, 3): -0.5}))
 def test_decompose_numerical_matches_per_entry_reference(m):
     assert_same_terms(decompose_numerical(m), reference.decompose_numerical(m))
 
 
 @settings(max_examples=300, deadline=None)
 @given(d=decompositions_with_repeated_coefficients())
-@example(d=Decomposition(1, (SigmaTerm(complex(-0.0, 1.0), (A,)), SigmaTerm(complex(-0.0, 1.0), (B,)))))
-@example(d=Decomposition(2, (SigmaTerm(complex(2.0, -0.0), (A, P)),)))
+@example(d=reference.stored_decomposition(1, (SigmaTerm(complex(-0.0, 1.0), (A,)), SigmaTerm(complex(-0.0, 1.0), (B,)))))
+@example(d=reference.stored_decomposition(2, (SigmaTerm(complex(2.0, -0.0), (A, P)),)))
 def test_merge_matches_enum_tuple_reference(d):
     assert outcome(merge_terms, d) == outcome(reference.merge_terms, d)
 
@@ -545,7 +552,7 @@ def test_merge_of_nudged_coefficients_matches_enum_tuple_reference(pair):
 
 
 
-# Coefficient parts for decompositions stored as given by the constructor:
+# Coefficient parts for decompositions stored as given:
 # signed zeros, subnormals, parts below ZERO_TOL, and 1e308, so that merged
 # means and sums cancel, are pruned or overflow.
 EXTREME_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-15, -1e-15, 1.0, -1.0, 0.5, 1e308, -1e308])
@@ -553,28 +560,28 @@ EXTREME_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-15, -1e-15, 1.0,
 
 @st.composite
 def stored_decompositions(draw):
-    """Constructor-built decompositions over few factors and coefficients,
+    """Decompositions stored as given, over few factors and coefficients,
     so that most draws hold mergeable pairs, some only near-equal: every
     coefficient may be moved by up to four ulps.  Each coefficient is above
-    ZERO_TOL in magnitude, as the constructor requires."""
+    ZERO_TOL in magnitude, as a decomposition requires."""
     n = draw(st.integers(1, 3))
     strings = st.lists(st.sampled_from("ABIP"), min_size=n, max_size=n).map("".join)
     coeff = st.builds(complex, EXTREME_PARTS, EXTREME_PARTS).filter(lambda c: abs(c) > ZERO_TOL)
     coeffs = draw(st.dictionaries(strings, coeff, min_size=1, max_size=12))
     ulps = draw(st.lists(st.integers(-4, 4), min_size=len(coeffs), max_size=len(coeffs)))
-    return Decomposition(
+    return reference.stored_decomposition(
         n, [SigmaTerm(c * (1 + k * 2.0**-52), f) for (f, c), k in zip(coeffs.items(), ulps)]
     )
 
 
 @settings(max_examples=400, deadline=None)
 @given(d=stored_decompositions())
-@example(d=Decomposition(1, (SigmaTerm(1e308, "A"), SigmaTerm(1e308, "B"), SigmaTerm(1e308, "I"))))
-@example(d=Decomposition(1, (SigmaTerm(complex(1e308, 1e308), "A"), SigmaTerm(complex(1e308, 1e308), "B"))))
-@example(d=Decomposition(1, (SigmaTerm(complex(1.0, 5e-324), "A"), SigmaTerm(1.0, "B"), SigmaTerm(-1.0, "I"))))
-@example(d=Decomposition(2, (SigmaTerm(1.0, "AA"), SigmaTerm(1.0, "AB"), SigmaTerm(-1.0, "BI"))))
+@example(d=reference.stored_decomposition(1, (SigmaTerm(1e308, "A"), SigmaTerm(1e308, "B"), SigmaTerm(1e308, "I"))))
+@example(d=reference.stored_decomposition(1, (SigmaTerm(complex(1e308, 1e308), "A"), SigmaTerm(complex(1e308, 1e308), "B"))))
+@example(d=reference.stored_decomposition(1, (SigmaTerm(complex(1.0, 5e-324), "A"), SigmaTerm(1.0, "B"), SigmaTerm(-1.0, "I"))))
+@example(d=reference.stored_decomposition(2, (SigmaTerm(1.0, "AA"), SigmaTerm(1.0, "AB"), SigmaTerm(-1.0, "BI"))))
 # AA and AB merge to an infinite AI, which is then taken as equal to BI.
-@example(d=Decomposition(2, (SigmaTerm(1e308, "AA"), SigmaTerm(1e308, "AB"), SigmaTerm(1e308, "AI"), SigmaTerm(1j, "BI"))))
+@example(d=reference.stored_decomposition(2, (SigmaTerm(1e308, "AA"), SigmaTerm(1e308, "AB"), SigmaTerm(1e308, "AI"), SigmaTerm(1j, "BI"))))
 def test_merge_of_stored_coefficients_matches_reference(d):
     try:
         want = reference.merge_terms(d)
@@ -588,7 +595,7 @@ def test_merge_of_stored_coefficients_matches_reference(d):
 
 @settings(max_examples=200, deadline=None)
 @given(d=stored_decompositions(), merge=st.booleans())
-@example(d=Decomposition(1, (SigmaTerm(complex(-1.0, 5e-324), "P"), SigmaTerm(-1e308, "M"))), merge=False)
+@example(d=reference.stored_decomposition(1, (SigmaTerm(complex(-1.0, 5e-324), "P"), SigmaTerm(-1e308, "M"))), merge=False)
 def test_saved_files_match_the_json_writer_and_read_back(d, merge):
     if merge:
         try:

@@ -231,6 +231,15 @@ def test_state_vector_refuses_nan_amplitudes():
         StateVector(1, np.array([np.nan, 0]))
 
 
+# -1 once gave the last basis state, and 4 an IndexError.
+@pytest.mark.parametrize("index", [-1, 4, 2**70])
+def test_basis_state_refuses_an_index_outside_the_register(index):
+    with pytest.raises(ValueError) as info:
+        basis_state(2, index)
+    assert str(info.value) == f"basis state index {index} is outside 0..2^2 - 1"
+    assert np.array_equal(basis_state(2, 3).amplitudes, [0, 0, 0, 1])
+
+
 # Slow reference: every gate becomes a dense matrix on its qubits (controls
 # folded in as block-diagonal factors, innermost control first), lifted to
 # the full register by a basis permutation.
